@@ -4,8 +4,8 @@ Subcommands: depth, rank, trim, outliers, audit, simulate-gp, reconstruct.
 Global flags (before the subcommand): --seed, --threads, --format.
 
 Exit codes are a stable contract: 0 success, 2 input error (unreadable or
-malformed files), 3 parameter error (invalid depth id, bandwidth, ...),
-4 audit mismatch or under-powered audit cells.
+malformed files, unwritable output paths), 3 parameter error (invalid
+depth id, bandwidth, ...), 4 audit mismatch or under-powered audit cells.
 
 ``--threads`` must take effect before the numeric libraries initialize
 their thread pools, so everything that imports numpy is imported lazily
@@ -46,7 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="cap BLAS/OpenMP thread pools (set before numpy loads)",
+        help="cap BLAS/OpenMP thread pools (set before numpy loads; "
+        "overrides inherited *_NUM_THREADS values)",
     )
     parser.add_argument(
         "--format",
@@ -345,15 +346,22 @@ def _cmd_audit(args) -> int:
         obj.setdefault("seed", args.seed)
         config = AuditConfig.from_json(obj)
 
+    # create the output directory first, so a bad path fails before the run
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create {args.out_dir}: {exc}") from exc
     report = run_full_audit(config)
-    os.makedirs(args.out_dir, exist_ok=True)
     json_path = os.path.join(args.out_dir, "audit.json")
     md_path = os.path.join(args.out_dir, "audit.md")
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(md_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report.to_markdown())
+    try:
+        with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        with open(md_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(report.to_markdown())
+    except OSError as exc:
+        raise InputError(f"cannot write to {args.out_dir}: {exc}") from exc
 
     print(report.to_markdown())
     code, messages = _audit_exit_code(report)
@@ -434,8 +442,9 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.threads is not None and args.threads > 0:
+        # an explicit flag overrides values inherited from the environment
         for var in _THREAD_ENV_VARS:
-            os.environ.setdefault(var, str(args.threads))
+            os.environ[var] = str(args.threads)
     # imported here so --threads is honored by the BLAS thread pools
     from curvedepth.core import InputError, ParameterError
 

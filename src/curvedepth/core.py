@@ -135,6 +135,8 @@ def uniform_grid(a: float = 0.0, b: float = 1.0, m: int = 101) -> Grid:
     """Uniform grid of m points on [a, b] with trapezoid weights."""
     if not b > a:
         raise ParameterError(f"need b > a, got [{a}, {b}]")
+    if m < 2:
+        raise ParameterError(f"grid needs at least two points, got m = {m}")
     return Grid(np.linspace(a, b, m))
 
 
@@ -303,10 +305,13 @@ def write_curves_csv(path: str | Path, grid: Grid, values: np.ndarray) -> None:
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[1] != grid.m:
         raise InputError(f"values shape {values.shape} != (n, {grid.m})")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_FMT % p for p in grid.points) + "\n")
-        for row in values:
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(_FMT % p for p in grid.points) + "\n")
+            for row in values:
+                fh.write(",".join(_FMT % v for v in row) + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def read_curves_csv(

@@ -77,6 +77,10 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Resource bounds for the exhaustive atomic (population-exact) variants.
 MAX_ATOMS = 8
 MAX_ATOMIC_J = 4
+# Bound on the j-subsets (j = 4..J) that sample band depth of order J >= 4
+# may enumerate per query; its tuple search costs microseconds per subset.
+MAX_BAND_TUPLES = 10**6
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -302,29 +306,55 @@ def _count_pairs_tie_free(above: np.ndarray) -> int:
     return total // 2
 
 
-def _count_pairs(U: np.ndarray, L: np.ndarray) -> int:
-    cnt = 0
-    n = U.shape[0]
-    for i in range(n - 1):
-        bad = ((U[i + 1 :] & U[i]) != 0).any(axis=1) | (
-            (L[i + 1 :] & L[i]) != 0
-        ).any(axis=1)
-        cnt += int((~bad).sum())
-    return cnt
+def _any_and(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(i, j) -> whether rows A_i and B_j of packed words share a set bit."""
+    acc = A[:, None, 0] & B[None, :, 0]
+    for w in range(1, A.shape[1]):
+        acc |= A[:, None, w] & B[None, :, w]
+    return acc != 0
 
 
-def _count_triples(U: np.ndarray, L: np.ndarray) -> int:
-    cnt = 0
-    n = U.shape[0]
-    for i in range(n - 2):
-        RU, RL = U[i + 1 :], L[i + 1 :]
-        TU, TL = RU & U[i], RL & L[i]
-        bad = ((TU[:, None, :] & RU[None, :, :]) != 0).any(axis=2) | (
-            (TL[:, None, :] & RL[None, :, :]) != 0
-        ).any(axis=2)
-        iu = np.triu_indices(RU.shape[0], k=1)
-        cnt += int((~bad)[iu].sum())
-    return cnt
+def _count_pattern_tuples(U: np.ndarray, L: np.ndarray, J: int) -> list[int]:
+    """Exact pair and (for J >= 3) triple counts over distinct patterns.
+
+    Rows with the same packed (above, below) pattern are interchangeable,
+    so the count runs over the p distinct patterns weighted by their
+    multiplicities c.  A tuple's band contains the query iff the AND of
+    its members' patterns is zero.  Repeating a pattern does not change
+    that AND, so a tuple that repeats pattern a is good iff its set of
+    distinct patterns is: C(c_a, 2) same-pattern pairs and C(c_a, 3)
+    same-pattern triples are good only for the all-zero pattern (rows
+    equal to the query), and an (a, a, b) triple iff the pair {a, b} is.
+    A triple can be good while one of its pairs is not, so a bad pair is
+    never pruned; a good pair makes every completion good.
+    """
+    P, c = np.unique(np.hstack([U, L]), axis=0, return_counts=True)
+    c = c.astype(np.int64)
+    c2 = c * (c - 1) // 2
+    zero = ~P.any(axis=1)
+    pairs = int(c2[zero].sum())
+    triples = sum(math.comb(int(k), 3) for k in c[zero])
+    for a in range(c.size - 1):
+        ca = int(c[a])
+        R, rc = P[a + 1 :], c[a + 1 :]
+        T = R & P[a]
+        ok = ~T.any(axis=1)
+        ok_rows = int(rc[ok].sum())
+        pairs += ca * ok_rows
+        if J < 3:
+            continue
+        # (a, a, b) and (a, b, b): good iff the pair {a, b} is
+        triples += int(c2[a]) * ok_rows + ca * int(c2[a + 1 :][ok].sum())
+        # a < b < c with {a, b} good: every c > b completes it
+        after = np.cumsum(rc[::-1])[::-1] - rc
+        triples += ca * int((rc * after)[ok].sum())
+        # a < b < c with {a, b} bad: test the triple's AND directly
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            good = ~_any_and(T[bad], R)
+            good &= np.arange(rc.size)[None, :] > bad[:, None]
+            triples += ca * int((rc[bad, None] * rc[None, :])[good].sum())
+    return [pairs, triples][: J - 1]
 
 
 def _count_tuples_generic(U: np.ndarray, L: np.ndarray, j: int) -> int:
@@ -355,20 +385,20 @@ def _band_counts(x: Curve, sample: FunctionalSample, J: int) -> list[int]:
     X = sample.values
     xv = x.values
     above = X > xv
-    below = X < xv
+    eq = X == xv
+    copies = eq.all(axis=1)
+    partial_ties = bool((eq.any(axis=1) & ~copies).any())
+    if J == 2 and not partial_ties:
+        # a row equal to the query puts it inside every band it joins:
+        # e * (n - e) + C(e, 2) pairs; the remaining rows are tie-free
+        n, e = X.shape[0], int(copies.sum())
+        rest = above[~copies] if e else above
+        return [e * (n - e) + math.comb(e, 2) + _count_pairs_tie_free(rest)]
     U = _pack_rows(above)
-    L = _pack_rows(below)
-    counts = []
-    tie_free = not bool((X == xv).any())
-    for j in range(2, J + 1):
-        if j == 2 and tie_free:
-            counts.append(_count_pairs_tie_free(above))
-        elif j == 2:
-            counts.append(_count_pairs(U, L))
-        elif j == 3:
-            counts.append(_count_triples(U, L))
-        else:
-            counts.append(_count_tuples_generic(U, L, j))
+    L = _pack_rows(X < xv)
+    counts = _count_pattern_tuples(U, L, J)
+    for j in range(4, J + 1):
+        counts.append(_count_tuples_generic(U, L, j))
     return counts
 
 
@@ -386,6 +416,18 @@ def _check_band_order(J: int, n: int) -> None:
         raise ParameterError(f"band order J must satisfy 2 <= J <= n = {n}, got {J}")
 
 
+def _check_band_budget(n: int, J: int) -> None:
+    tuples = 0
+    for j in range(4, J + 1):
+        tuples += math.comb(n, j)
+        if tuples > MAX_BAND_TUPLES:
+            raise ParameterError(
+                f"band depth of order J = {J} on n = {n} curves would enumerate "
+                f"more than {MAX_BAND_TUPLES} subsets of 4..J curves per query; "
+                "lower J or subsample the curves"
+            )
+
+
 def band_depth(x: Curve, sample: FunctionalSample, J: int = 2) -> DepthResult:
     """Fraction of j-curve bands (j = 2..J) that contain x at every grid point.
 
@@ -395,6 +437,7 @@ def band_depth(x: Curve, sample: FunctionalSample, J: int = 2) -> DepthResult:
     _check_query(x, sample)
     _check_band_order(J, sample.n)
     _require_uniform_for_band(sample, "band depth")
+    _check_band_budget(sample.n, J)
     value = 0.0
     for j, cnt in enumerate(_band_counts(x, sample, J), start=2):
         value += cnt / math.comb(sample.n, j)
@@ -446,7 +489,8 @@ def _mbd_counts(x: Curve, sample: FunctionalSample, J: int) -> list[np.ndarray]:
     A subset's band misses x at v iff all its members are strictly above
     x(v) or all strictly below, and those events are disjoint, so the
     count is C(n, j) - C(a_v, j) - C(b_v, j) with a_v/b_v the strictly
-    above/below curve counts.
+    above/below curve counts.  Counts past the int64 range stay exact as
+    Python integers.
     """
     X = sample.values
     xv = x.values
@@ -455,7 +499,8 @@ def _mbd_counts(x: Curve, sample: FunctionalSample, J: int) -> list[np.ndarray]:
     b = (X < xv).sum(axis=0)
     out = []
     for j in range(2, J + 1):
-        tab = np.array([math.comb(c, j) for c in range(n + 1)], dtype=np.int64)
+        dtype = np.int64 if math.comb(n, j) <= _INT64_MAX else object
+        tab = np.array([math.comb(c, j) for c in range(n + 1)], dtype=dtype)
         out.append(math.comb(n, j) - tab[a] - tab[b])
     return out
 

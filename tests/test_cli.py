@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 
@@ -222,6 +223,23 @@ def test_bad_quantile_exits_3(four_csv, q):
     assert code == cli.EXIT_PARAMS
 
 
+def test_bd_tuple_budget_exits_3(tmp_path):
+    # C(80, 4) = 1581580 subsets exceed the band depth's tuple budget
+    path = tmp_path / "eighty.csv"
+    write_constant_curves(path, np.arange(80.0))
+    code, _, err = run_cli(["depth", path, "bd", "--J", 4])
+    assert code == cli.EXIT_PARAMS
+    assert "parameter error" in err
+
+
+def test_threads_flag_overrides_inherited_environment(three_csv, monkeypatch):
+    for var in cli._THREAD_ENV_VARS:
+        monkeypatch.setenv(var, "7")
+    code, _, _ = run_cli(["--threads", 1, "depth", three_csv, "mhr"])
+    assert code == 0
+    assert all(os.environ[var] == "1" for var in cli._THREAD_ENV_VARS)
+
+
 # ---------------------------------------------------------------------------
 # audit exit-code decision (synthetic reports; the full default audit runs
 # once in the acceptance suite)
@@ -294,9 +312,36 @@ def test_audit_cli_bad_config_file_exits_2(tmp_path):
     assert code == cli.EXIT_INPUT
 
 
+def test_audit_cli_unwritable_out_dir_exits_2(tmp_path):
+    # a regular file where a directory is needed; rejected before the run
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run_cli(["audit", "--out-dir", blocker / "sub"])
+    assert code == cli.EXIT_INPUT
+    assert "input error" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate-gp / reconstruct / CSV round-trip
 # ---------------------------------------------------------------------------
+
+
+def test_simulate_gp_unwritable_output_exits_2(tmp_path):
+    code, _, err = run_cli(["simulate-gp", tmp_path / "absent" / "gp.csv", "--m", 11])
+    assert code == cli.EXIT_INPUT
+    assert "input error" in err
+
+
+def test_simulate_gp_single_grid_point_exits_3(tmp_path):
+    code, _, err = run_cli(["simulate-gp", tmp_path / "gp.csv", "--m", 1])
+    assert code == cli.EXIT_PARAMS
+    assert "parameter error" in err
+
+
+def test_reconstruct_unwritable_output_exits_2(three_csv, tmp_path):
+    code, _, err = run_cli(["reconstruct", three_csv, tmp_path])  # a directory
+    assert code == cli.EXIT_INPUT
+    assert "input error" in err
 
 
 def test_simulate_gp_is_byte_deterministic(tmp_path):
@@ -468,9 +513,13 @@ def exit_code_case(draw):
     alpha = draw(st.sampled_from((0.0, 0.5, 0.99, 1.0, -0.1, 2.0)))
     q = draw(st.sampled_from((0.1, 0.5, 0.9, 0.0, 1.0, -0.3)))
     missing_file = draw(st.booleans())
+    out = None
+    if command == "trim":
+        out = draw(st.sampled_from((None, "ok", "no-dir", "is-dir")))
     params_ok = depth_id in DEPTH_IDS and h > 0 and J >= 2 and k >= 1
     # trim/outliers validate their own flag before touching the file;
-    # the file is read before depth parameters everywhere
+    # the file is read before depth parameters everywhere, and trim
+    # writes its output last
     if command == "trim" and not 0.0 <= alpha < 1.0:
         expected = cli.EXIT_PARAMS
     elif command == "outliers" and not 0.0 < q < 1.0:
@@ -479,19 +528,29 @@ def exit_code_case(draw):
         expected = cli.EXIT_INPUT
     elif not params_ok:
         expected = cli.EXIT_PARAMS
+    elif out in ("no-dir", "is-dir"):
+        expected = cli.EXIT_INPUT
     else:
         expected = cli.EXIT_OK
-    return command, depth_id, h, J, k, alpha, q, missing_file, expected
+    return command, depth_id, h, J, k, alpha, q, missing_file, out, expected
 
 
 @settings(max_examples=N_FUZZ, deadline=None)
 @given(case=exit_code_case())
 def test_fuzz_exit_code_contract(contract_csv, case):
-    command, depth_id, h, J, k, alpha, q, missing_file, expected = case
+    command, depth_id, h, J, k, alpha, q, missing_file, out, expected = case
     path = contract_csv if not missing_file else contract_csv.parent / "absent.csv"
     argv = [command, path, depth_id, "--h", h, "--J", J, "--k", k]
     if command == "trim":
         argv += ["--alpha", alpha]
+    if out is not None:
+        # an unwritable output path: a missing parent directory, or a
+        # path that names an existing directory
+        argv += ["--out", {
+            "ok": contract_csv.parent / "trimmed.csv",
+            "no-dir": contract_csv.parent / "absent" / "trimmed.csv",
+            "is-dir": contract_csv.parent,
+        }[out]]
     if command == "outliers":
         argv += ["--q", q]
     code, out, err = run_cli(argv)

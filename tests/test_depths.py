@@ -208,6 +208,18 @@ def test_bd_matches_brute_on_random_sample():
         assert band_depth(q, s, J).value == band_depth_brute(q, s, J).value
 
 
+def test_bd_high_order_tuple_budget():
+    # C(30, 4) + ... + C(30, 6) = 763686 subsets fit MAX_BAND_TUPLES = 10**6;
+    # C(80, 4) = 1581580 and C(30, 4) + ... + C(30, 7) = 2799486 do not
+    small = constants_sample(np.arange(30.0))
+    x = const_curve(14.5, small.grid)
+    assert band_depth(x, small, J=4).value == band_depth_brute(x, small, J=4).value
+    with pytest.raises(ParameterError):
+        band_depth(x, constants_sample(np.arange(80.0)), J=4)
+    with pytest.raises(ParameterError):
+        band_depth(x, small, J=7)
+
+
 # ---------------------------------------------------------------------------
 # Modified band depth, sample form
 # ---------------------------------------------------------------------------
@@ -231,6 +243,20 @@ def test_mbd_matches_brute_on_random_sample():
             modified_band_depth(x, s, J).value
             == modified_band_depth_brute(x, s, J).value
         )
+
+
+def test_mbd_counts_past_int64_stay_exact():
+    # C(25600, 5) exceeds the int64 range; the query sits above 12800
+    # constants and below 12799, so at every grid point the count is
+    # C(n, j) - C(12800, j) - C(12799, j)
+    n, a, b = 25600, 12799, 12800
+    s = constants_sample(np.arange(float(n)), m=3)
+    x = const_curve(float(b), s.grid)
+    want = sum(
+        (math.comb(n, j) - math.comb(a, j) - math.comb(b, j)) / math.comb(n, j)
+        for j in range(2, 6)
+    )
+    assert modified_band_depth(x, s, J=5).value == pytest.approx(want, rel=1e-12)
 
 
 def test_mbd_at_least_band_depth():
@@ -353,6 +379,21 @@ def small_sample_and_query(draw, max_n=10, max_m=16, quantize_allowed=True):
     arr = np.round(arr * 1000.0) / 1000.0
     if quantize_allowed and draw(st.booleans()):
         arr = np.round(arr)  # force many exact ties
+    # band counting groups rows by their pattern against the query, so
+    # also draw samples where that pattern repeats: the query copied into
+    # e >= 2 rows, duplicated rows, and copies mixed with partial ties
+    ties = draw(st.sampled_from(("none", "copies", "duplicates", "mixed")))
+    if ties in ("copies", "mixed"):
+        e = draw(st.integers(min_value=2, max_value=n))
+        arr[draw(st.permutations(range(n)))[:e]] = arr[n]
+    if ties == "duplicates":
+        # n draws from n - 1 rows: some row appears at least twice
+        src = draw(st.lists(st.integers(0, n - 2), min_size=n, max_size=n))
+        arr[:n] = arr[src]
+    if ties == "mixed":
+        meet = draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+        meet = np.array(meet).reshape(n, m)
+        arr[:n][meet] = np.broadcast_to(arr[n], (n, m))[meet]
     g = uniform_grid(0, 1, m)
     sample = FunctionalSample(arr[:n], g)
     query = Curve(arr[n], g)
@@ -375,12 +416,12 @@ def test_fuzz_range_bounds(sq):
 @given(small_sample_and_query())
 def test_fuzz_brute_force_equivalence(sq):
     sample, x = sq
-    J = min(3, sample.n)
-    assert band_depth(x, sample, J).value == band_depth_brute(x, sample, J).value
-    assert (
-        modified_band_depth(x, sample, J).value
-        == modified_band_depth_brute(x, sample, J).value
-    )
+    for J in range(2, min(4, sample.n) + 1):
+        assert band_depth(x, sample, J).value == band_depth_brute(x, sample, J).value
+        assert (
+            modified_band_depth(x, sample, J).value
+            == modified_band_depth_brute(x, sample, J).value
+        )
 
 
 @settings(max_examples=N_FUZZ, deadline=None)
