@@ -129,13 +129,8 @@ def _load_sample(path: str):
 
 
 def _depth_params(args):
-    from curvedepth.depths import DEPTH_IDS, DepthParams
-    from curvedepth.core import ParameterError
+    from curvedepth.depths import DepthParams
 
-    if args.depth_id not in DEPTH_IDS:
-        raise ParameterError(
-            f"unknown depth id {args.depth_id!r}; expected one of {DEPTH_IDS}"
-        )
     return DepthParams(h=args.h, J=args.J, k=args.k, seed=args.seed)
 
 
@@ -290,6 +285,7 @@ def _cmd_outliers(args) -> int:
     values = _sample_depths(args, sample)
     threshold = float(np.quantile(values, args.q))
     flagged = [int(i) for i in np.flatnonzero(values <= threshold)]
+    flagged_set = set(flagged)
     payload = {
         "schema": 1,
         "command": "outliers",
@@ -300,7 +296,7 @@ def _cmd_outliers(args) -> int:
         "flagged": flagged,
     }
     csv_rows = [("index", "value", "flagged")] + [
-        (str(i), _fmt(v), str(int(i in set(flagged)))) for i, v in enumerate(values)
+        (str(i), _fmt(v), str(int(i in flagged_set))) for i, v in enumerate(values)
     ]
     md = [f"Depth threshold (q={args.q:g} quantile): {threshold:g}", ""] + [
         f"- curve {i}: depth {_fmt(values[i])}" for i in flagged

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -1030,7 +1030,6 @@ def _p6_measurements(
     conv_ns,
     ref_n: int,
     replicates: int,
-    directions_by_depth: dict | None = None,
 ) -> dict:
     """Raw P-6 measurements, shared across depths.
 
@@ -1043,14 +1042,12 @@ def _p6_measurements(
     """
     grid = base.grid
     zero = Curve(np.zeros(grid.m), grid)
-    if directions_by_depth is None:
-        directions_by_depth = {}
-        for d in depth_ids:
-            if d == "rt":
-                p = params_by_depth[d]
-                directions_by_depth[d] = draw_directions(
-                    grid, p.k, p.seed, p.direction_law
-                )
+    directions_by_depth = {}
+    if "rt" in depth_ids:
+        p = params_by_depth["rt"]
+        directions_by_depth["rt"] = draw_directions(
+            grid, p.k, p.seed, p.direction_law
+        )
 
     def val(d, sample):
         return evaluate_depth(
@@ -1511,85 +1508,52 @@ class AuditConfig:
         return uniform_grid(self.a, self.b, self.m)
 
     def to_json(self) -> dict:
-        def kern(k: Kernel) -> dict:
-            return {
-                "type": k.type,
-                "variance": k.variance,
-                "length_scale": k.length_scale,
-            }
-
-        return {
-            "grid": {"a": self.a, "b": self.b, "m": self.m},
-            "kernel": kern(self.kernel),
-            "p2g_kernels": [kern(k) for k in self.p2g_kernels],
-            "n": self.n,
-            "band_n": self.band_n,
-            "J": self.J,
-            "p2g_J": self.p2g_J,
-            "h": self.h,
-            "k": self.k,
-            "seed": self.seed,
-            "replicates": self.replicates,
-            "p2g_draw_probes": self.p2g_draw_probes,
-            "p3_n": self.p3_n,
-            "p4_probes": self.p4_probes,
-            "p4_eps": list(self.p4_eps),
-            "p4_deltas": list(self.p4_deltas),
-            "p4_perturbations": self.p4_perturbations,
-            "conv_ns": list(self.conv_ns),
-            "conv_ref_n": self.conv_ref_n,
-            "eps_ladder": list(self.eps_ladder),
-            "outlier_level": self.outlier_level,
-            "c_max": self.c_max,
-            "min_n": self.min_n,
-            "rice_paths": self.rice_paths,
-            "rice_m": self.rice_m,
-        }
+        """Field-wise JSON: the grid fields nested under "grid", kernels as
+        {type, variance, length_scale} records and tuples as lists."""
+        out: dict = {"grid": {}}
+        for f in fields(self):
+            target = out["grid"] if f.name in _GRID_FIELDS else out
+            target[f.name] = _config_to_json(getattr(self, f.name))
+        return out
 
     @staticmethod
     def from_json(obj: dict) -> "AuditConfig":
-        def kern(rec) -> Kernel:
-            return Kernel(
-                rec.get("type", "se"),
-                float(rec.get("variance", 1.0)),
-                float(rec.get("length_scale", 0.2)),
-            )
-
-        kwargs = {}
+        """Inverse of ``to_json``; absent fields keep their defaults."""
         grid = obj.get("grid", {})
-        for name, key in (("a", "a"), ("b", "b"), ("m", "m")):
-            if key in grid:
-                kwargs[name] = grid[key]
-        if "kernel" in obj:
-            kwargs["kernel"] = kern(obj["kernel"])
-        if "p2g_kernels" in obj:
-            kwargs["p2g_kernels"] = tuple(kern(k) for k in obj["p2g_kernels"])
-        for name in (
-            "n",
-            "band_n",
-            "J",
-            "p2g_J",
-            "h",
-            "k",
-            "seed",
-            "replicates",
-            "p2g_draw_probes",
-            "p3_n",
-            "p4_probes",
-            "p4_perturbations",
-            "conv_ref_n",
-            "outlier_level",
-            "c_max",
-            "min_n",
-            "rice_paths",
-            "rice_m",
-        ):
-            if name in obj:
-                kwargs[name] = obj[name]
-        for name in ("p4_eps", "p4_deltas", "conv_ns", "eps_ladder"):
-            if name in obj:
-                kwargs[name] = tuple(obj[name])
+        kwargs = {}
+        for f in fields(AuditConfig):
+            source = grid if f.name in _GRID_FIELDS else obj
+            if f.name in source:
+                kwargs[f.name] = _config_from_json(source[f.name])
         return AuditConfig(**kwargs)
+
+
+#: AuditConfig fields serialized under "grid".
+_GRID_FIELDS = ("a", "b", "m")
+
+
+def _config_to_json(value):
+    if isinstance(value, Kernel):
+        return {
+            "type": value.type,
+            "variance": value.variance,
+            "length_scale": value.length_scale,
+        }
+    if isinstance(value, tuple):
+        return [_config_to_json(v) for v in value]
+    return value
+
+
+def _config_from_json(value):
+    if isinstance(value, dict):
+        return Kernel(
+            value.get("type", "se"),
+            float(value.get("variance", 1.0)),
+            float(value.get("length_scale", 0.2)),
+        )
+    if isinstance(value, (list, tuple)):
+        return tuple(_config_from_json(v) for v in value)
+    return value
 
 
 def _fingerprint(payload: dict) -> str:
@@ -1847,37 +1811,21 @@ def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
 
         v5 = audit_P5(d, params=params, seed=subseed(seed, 50, di), grid=grid)
 
-        if p6_meas is None:
-            v6 = audit_P6(
-                d,
-                gp,
-                outlier,
-                eps_ladder=config.eps_ladder,
-                n=config.n,
-                seed=subseed(seed, 60),
-                params=params,
-                conv_ns=config.conv_ns,
-                ref_n=config.conv_ref_n,
-                replicates=config.replicates,
-                c_max=config.c_max,
-                min_n=config.min_n,
-            )
-        else:
-            v6 = audit_P6(
-                d,
-                gp,
-                outlier,
-                eps_ladder=config.eps_ladder,
-                n=config.n,
-                seed=subseed(seed, 60),
-                params=params,
-                conv_ns=config.conv_ns,
-                ref_n=config.conv_ref_n,
-                replicates=config.replicates,
-                c_max=config.c_max,
-                min_n=config.min_n,
-                measurements=p6_meas,
-            )
+        v6 = audit_P6(
+            d,
+            gp,
+            outlier,
+            eps_ladder=config.eps_ladder,
+            n=config.n,
+            seed=subseed(seed, 60),
+            params=params,
+            conv_ns=config.conv_ns,
+            ref_n=config.conv_ref_n,
+            replicates=config.replicates,
+            c_max=config.c_max,
+            min_n=config.min_n,
+            measurements=p6_meas,
+        )
 
         matrix[d] = {
             "P-1": v1,

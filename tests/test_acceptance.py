@@ -31,12 +31,10 @@ import numpy as np
 from curvedepth.core import Curve, FunctionalSample, uniform_grid
 from curvedepth.depths import (
     DepthParams,
-    band_depth,
     band_depth_atomic,
     band_depth_brute,
     depth_values,
     evaluate_depth,
-    modified_band_depth,
     modified_band_depth_atomic,
     modified_band_depth_brute,
 )
@@ -173,9 +171,12 @@ def test_criterion_5_brute_force_oracle_equivalence():
         queries = [Curve(rng.normal(size=m), g), s.curve(int(rng.integers(0, n)))]
         J = int(rng.integers(2, 4))
         for x in queries:
-            exact &= band_depth(x, s, J).value == band_depth_brute(x, s, J).value
             exact &= (
-                modified_band_depth(x, s, J).value
+                evaluate_depth("bd", x, s, DepthParams(J=J)).value
+                == band_depth_brute(x, s, J).value
+            )
+            exact &= (
+                evaluate_depth("mbd", x, s, DepthParams(J=J)).value
                 == modified_band_depth_brute(x, s, J).value
             )
             n_checks += 2

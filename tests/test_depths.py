@@ -13,20 +13,16 @@ from curvedepth.core import (
     uniform_grid,
 )
 from curvedepth.depths import (
+    DEPTH_IDS,
     DepthParams,
-    band_depth,
     band_depth_atomic,
     band_depth_brute,
+    depth_values,
     draw_directions,
     evaluate_depth,
-    h_depth,
-    half_region_depth,
     halfspace_depth_1d,
-    modified_band_depth,
     modified_band_depth_atomic,
     modified_band_depth_brute,
-    modified_half_region_depth,
-    random_tukey_depth,
     upper_bound,
 )
 from curvedepth.distributions import (
@@ -88,7 +84,7 @@ def test_h_depth_own_single_curve():
     g = uniform_grid(0, 1, 21)
     x = Curve(np.sin(g.points), g)
     s = FunctionalSample(x.values[None, :], g)
-    r = h_depth(x, s, h=1.0)
+    r = evaluate_depth("h", x, s, DepthParams(h=1.0))
     assert abs(r.value - 1.0 / SQRT_2PI) < 1e-9  # K_1(0) = 0.3989422804014327
 
 
@@ -98,7 +94,7 @@ def test_h_depth_two_atoms_hand_value():
     s = constants_sample([0.0, 1.0], m=101)
     x = const_curve(0.0, s.grid)
     expected = (1 + math.exp(-0.5)) / (2 * SQRT_2PI)
-    assert abs(h_depth(x, s, h=1.0).value - expected) < 1e-6
+    assert abs(evaluate_depth("h", x, s, DepthParams(h=1.0)).value - expected) < 1e-6
     assert expected == pytest.approx(0.3204565, abs=1e-6)
 
 
@@ -109,15 +105,15 @@ def test_h_depth_changes_under_scaling():
     scaled = FunctionalSample(s.values * math.sqrt(2), s.grid)
     x = const_curve(0.0, s.grid)
     expected = (1 + math.exp(-1.0)) / (2 * SQRT_2PI)
-    got = h_depth(x, scaled, h=1.0).value
+    got = evaluate_depth("h", x, scaled, DepthParams(h=1.0)).value
     assert abs(got - expected) < 1e-6
-    assert abs(got - h_depth(x, s, h=1.0).value) > 0.04
+    assert abs(got - evaluate_depth("h", x, s, DepthParams(h=1.0)).value) > 0.04
 
 
 def test_h_depth_rejects_bad_bandwidth():
     s = constants_sample([0.0, 1.0])
     with pytest.raises(ParameterError):
-        h_depth(const_curve(0.0, s.grid), s, h=0.0)
+        evaluate_depth("h", const_curve(0.0, s.grid), s, DepthParams(h=0.0))
     with pytest.raises(ParameterError):
         DepthParams(h=-1.0)
 
@@ -131,7 +127,7 @@ def test_rt_single_curve_is_one():
     g = uniform_grid(0, 1, 31)
     x = Curve(np.cos(g.points), g)
     s = FunctionalSample(x.values[None, :], g)
-    assert random_tukey_depth(x, s, DepthParams(k=7, seed=1)).value == 1.0
+    assert evaluate_depth("rt", x, s, DepthParams(k=7, seed=1)).value == 1.0
 
 
 def test_rt_two_atom_tie():
@@ -142,15 +138,15 @@ def test_rt_two_atom_tie():
     s_unif = FunctionalSample(d.values, d.grid)  # n=2 uniform rows
     params = DepthParams(k=20, seed=5)
     for c in (-0.5, 0.0, 0.3, 0.6, 1.5, 2.0):
-        r = random_tukey_depth(const_curve(c, d.grid), s_unif, params)
+        r = evaluate_depth("rt", const_curve(c, d.grid), s_unif, params)
         assert r.value == 0.5, f"c={c}: {r.value}"
     # the weighted two-atom sample gives the same tie
-    assert random_tukey_depth(const_curve(0.3, d.grid), s, params).value == 0.5
+    assert evaluate_depth("rt", const_curve(0.3, d.grid), s, params).value == 0.5
 
 
 def test_rt_zero_curve_near_half_on_gp(gp_sample):
     params = DepthParams(k=20, seed=2)
-    r = random_tukey_depth(const_curve(0.0, gp_sample.grid), gp_sample, params)
+    r = evaluate_depth("rt", const_curve(0.0, gp_sample.grid), gp_sample, params)
     assert abs(r.value - 0.5) < 0.05, r.value
 
 
@@ -172,27 +168,28 @@ def test_bd_own_curve_two_sample():
     g = uniform_grid(0, 1, 11)
     rng = np.random.default_rng(0)
     s = FunctionalSample(rng.normal(size=(2, 11)), g)
-    assert band_depth(s.curve(0), s, J=2).value == 1.0
+    assert evaluate_depth("bd", s.curve(0), s, DepthParams(J=2)).value == 1.0
 
 
 def test_bd_sample_level_counterexample():
     d = counterexample_P3()
     s = FunctionalSample(d.values, d.grid)  # one curve per atom, uniform
-    assert band_depth(const_curve(0.0, d.grid), s, J=2).value == 1.0
+    x = const_curve(0.0, d.grid)
+    assert evaluate_depth("bd", x, s, DepthParams(J=2)).value == 1.0
 
 
 def test_bd_rejects_bad_order_and_weights():
     d = counterexample_P3()
     s = FunctionalSample(d.values, d.grid)
     with pytest.raises(ParameterError):
-        band_depth(const_curve(0.0, d.grid), s, J=3)  # J > n
+        evaluate_depth("bd", const_curve(0.0, d.grid), s, DepthParams(J=3))  # J > n
     with pytest.raises(ParameterError):
-        band_depth(const_curve(0.0, d.grid), s, J=1)
+        evaluate_depth("bd", const_curve(0.0, d.grid), s, DepthParams(J=1))
     weighted = FunctionalSample(d.values, d.grid, weights=np.array([0.3, 0.7]))
     with pytest.raises(ParameterError):
-        band_depth(const_curve(0.0, d.grid), weighted, J=2)
+        evaluate_depth("bd", const_curve(0.0, d.grid), weighted, DepthParams(J=2))
     with pytest.raises(ParameterError):
-        modified_band_depth(const_curve(0.0, d.grid), weighted, J=2)
+        evaluate_depth("mbd", const_curve(0.0, d.grid), weighted, DepthParams(J=2))
 
 
 def test_bd_matches_brute_on_random_sample():
@@ -201,11 +198,17 @@ def test_bd_matches_brute_on_random_sample():
     s = FunctionalSample(rng.normal(size=(10, 15)), g)
     x = Curve(rng.normal(size=15), g)
     for J in (2, 3):
-        assert band_depth(x, s, J).value == band_depth_brute(x, s, J).value
+        assert (
+            evaluate_depth("bd", x, s, DepthParams(J=J)).value
+            == band_depth_brute(x, s, J).value
+        )
     # and for a query with ties (an actual sample curve)
     q = s.curve(4)
     for J in (2, 3):
-        assert band_depth(q, s, J).value == band_depth_brute(q, s, J).value
+        assert (
+            evaluate_depth("bd", q, s, DepthParams(J=J)).value
+            == band_depth_brute(q, s, J).value
+        )
 
 
 def test_bd_high_order_tuple_budget():
@@ -213,11 +216,14 @@ def test_bd_high_order_tuple_budget():
     # C(80, 4) = 1581580 and C(30, 4) + ... + C(30, 7) = 2799486 do not
     small = constants_sample(np.arange(30.0))
     x = const_curve(14.5, small.grid)
-    assert band_depth(x, small, J=4).value == band_depth_brute(x, small, J=4).value
+    assert (
+        evaluate_depth("bd", x, small, DepthParams(J=4)).value
+        == band_depth_brute(x, small, J=4).value
+    )
     with pytest.raises(ParameterError):
-        band_depth(x, constants_sample(np.arange(80.0)), J=4)
+        evaluate_depth("bd", x, constants_sample(np.arange(80.0)), DepthParams(J=4))
     with pytest.raises(ParameterError):
-        band_depth(x, small, J=7)
+        evaluate_depth("bd", x, small, DepthParams(J=7))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +235,11 @@ def test_mbd_constants_hand_values():
     s = constants_sample([0.0, 1.0, 2.0])
     one = const_curve(1.0, s.grid)
     zero = const_curve(0.0, s.grid)
-    assert modified_band_depth(one, s, J=2).value == pytest.approx(1.0, abs=1e-12)
-    assert modified_band_depth(zero, s, J=2).value == pytest.approx(2 / 3, abs=1e-12)
+    params = DepthParams(J=2)
+    assert evaluate_depth("mbd", one, s, params).value == pytest.approx(1.0, abs=1e-12)
+    assert evaluate_depth("mbd", zero, s, params).value == pytest.approx(
+        2 / 3, abs=1e-12
+    )
 
 
 def test_mbd_matches_brute_on_random_sample():
@@ -240,7 +249,7 @@ def test_mbd_matches_brute_on_random_sample():
     x = Curve(rng.normal(size=9), g)
     for J in (2, 3):
         assert (
-            modified_band_depth(x, s, J).value
+            evaluate_depth("mbd", x, s, DepthParams(J=J)).value
             == modified_band_depth_brute(x, s, J).value
         )
 
@@ -256,7 +265,8 @@ def test_mbd_counts_past_int64_stay_exact():
         (math.comb(n, j) - math.comb(a, j) - math.comb(b, j)) / math.comb(n, j)
         for j in range(2, 6)
     )
-    assert modified_band_depth(x, s, J=5).value == pytest.approx(want, rel=1e-12)
+    got = evaluate_depth("mbd", x, s, DepthParams(J=5)).value
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_mbd_at_least_band_depth():
@@ -266,7 +276,8 @@ def test_mbd_at_least_band_depth():
     for _ in range(5):
         x = Curve(rng.normal(size=21), g)
         assert (
-            modified_band_depth(x, s, 2).value >= band_depth(x, s, 2).value - 1e-12
+            evaluate_depth("mbd", x, s, DepthParams(J=2)).value
+            >= evaluate_depth("bd", x, s, DepthParams(J=2)).value - 1e-12
         )
 
 
@@ -326,15 +337,15 @@ def test_hr_own_single_curve():
     g = uniform_grid(0, 1, 13)
     x = Curve(np.exp(g.points), g)
     s = FunctionalSample(x.values[None, :], g)
-    assert half_region_depth(x, s).value == 1.0
-    assert modified_half_region_depth(x, s).value == 1.0
+    assert evaluate_depth("hr", x, s).value == 1.0
+    assert evaluate_depth("mhr", x, s).value == 1.0
 
 
 def test_hr_constants_hand_value():
     s = constants_sample([0.0, 1.0, 2.0])
     one = const_curve(1.0, s.grid)
-    assert half_region_depth(one, s).value == pytest.approx(2 / 3)
-    assert modified_half_region_depth(one, s).value == pytest.approx(2 / 3)
+    assert evaluate_depth("hr", one, s).value == pytest.approx(2 / 3)
+    assert evaluate_depth("mhr", one, s).value == pytest.approx(2 / 3)
 
 
 def test_hr_zero_beats_far_constant_on_gp(gp_sample):
@@ -343,14 +354,14 @@ def test_hr_zero_beats_far_constant_on_gp(gp_sample):
     # half-region depth dominates that of a far constant
     zero = const_curve(0.0, gp_sample.grid)
     far = const_curve(1.5, gp_sample.grid)
-    d_zero = half_region_depth(zero, gp_sample).value
-    d_far = half_region_depth(far, gp_sample).value
+    d_zero = evaluate_depth("hr", zero, gp_sample).value
+    d_far = evaluate_depth("hr", far, gp_sample).value
     assert d_zero > d_far, (d_zero, d_far)
     assert d_zero > 0.0
 
 
 def test_mhr_zero_near_half_on_gp(gp_sample):
-    r = modified_half_region_depth(const_curve(0.0, gp_sample.grid), gp_sample)
+    r = evaluate_depth("mhr", const_curve(0.0, gp_sample.grid), gp_sample)
     assert abs(r.value - 0.5) < 0.05, r.value
 
 
@@ -417,9 +428,12 @@ def test_fuzz_range_bounds(sq):
 def test_fuzz_brute_force_equivalence(sq):
     sample, x = sq
     for J in range(2, min(4, sample.n) + 1):
-        assert band_depth(x, sample, J).value == band_depth_brute(x, sample, J).value
         assert (
-            modified_band_depth(x, sample, J).value
+            evaluate_depth("bd", x, sample, DepthParams(J=J)).value
+            == band_depth_brute(x, sample, J).value
+        )
+        assert (
+            evaluate_depth("mbd", x, sample, DepthParams(J=J)).value
             == modified_band_depth_brute(x, sample, J).value
         )
 
@@ -488,8 +502,8 @@ def test_fuzz_h_depth_scale_sensitivity(sq, a):
     h = float(d.max())
     scaled = FunctionalSample(sample.values * a, sample.grid)
     xs = Curve(x.values * a, sample.grid)
-    av = h_depth(x, sample, h).value
-    bv = h_depth(xs, scaled, h).value
+    av = evaluate_depth("h", x, sample, DepthParams(h=h)).value
+    bv = evaluate_depth("h", xs, scaled, DepthParams(h=h)).value
     assert abs(av - bv) > 1e-13 * max(av, bv), (av, bv)
 
 
@@ -501,9 +515,38 @@ def test_fuzz_monotone_h(sq):
     sample, x = sq
     prev = -np.inf
     for h in (0.25, 0.5, 1.0, 2.0, 4.0):
-        v = h_depth(x, sample, h).value * h * SQRT_2PI
+        v = evaluate_depth("h", x, sample, DepthParams(h=h)).value * h * SQRT_2PI
         assert v >= prev - 1e-12, (h, v, prev)
         prev = v
+
+
+@settings(max_examples=N_FUZZ, deadline=None)
+@given(small_sample_and_query())
+def test_fuzz_batch_equals_batch_of_one(sq):
+    # row i of a batch is bit-identical to evaluating its curve alone; h
+    # is left out: its final weighted sum over a chunk of queries can
+    # round differently in the last bit than over a single query
+    sample, x = sq
+    Q = np.vstack([x.values, sample.values])
+    params = DepthParams(h=0.7, J=min(3, sample.n), k=3, seed=1)
+    for depth in ("rt", "bd", "mbd", "hr", "mhr"):
+        vals = depth_values(depth, Q, sample, params)
+        for i, q in enumerate(Q):
+            one = evaluate_depth(depth, Curve(q, sample.grid), sample, params).value
+            assert vals[i] == one, (depth, i, vals[i], one)
+
+
+@pytest.mark.parametrize("depth", DEPTH_IDS)
+def test_depth_values_rejects_bad_queries(depth):
+    s = constants_sample([0.0, 1.0, 2.0])
+    nan_row = np.zeros((2, s.grid.m))
+    nan_row[1, 3] = np.nan
+    with pytest.raises(InputError):
+        depth_values(depth, nan_row, s)
+    with pytest.raises(InputError):
+        depth_values(depth, np.zeros((2, s.grid.m + 1)), s)
+    with pytest.raises(ParameterError):
+        depth_values("xx", np.zeros((1, s.grid.m)), s)
 
 
 def test_atomic_band_depth_atom_order_invariant():
@@ -519,7 +562,7 @@ def test_atomic_band_depth_atom_order_invariant():
 
 def test_depth_result_json_shape():
     s = constants_sample([0.0, 1.0])
-    r = h_depth(const_curve(0.0, s.grid), s, h=1.0)
+    r = evaluate_depth("h", const_curve(0.0, s.grid), s, DepthParams(h=1.0))
     obj = r.to_json()
     assert set(obj) == {"depth", "value", "params", "n"}
     assert obj["depth"] == "h" and obj["n"] == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -489,6 +490,50 @@ def test_audit_config_validation():
 def test_audit_config_json_round_trip():
     cfg = _reduced_config()
     assert AuditConfig.from_json(cfg.to_json()) == cfg
+    # every field away from its default, through a real JSON text
+    custom = AuditConfig(
+        m=51,
+        a=-1.0,
+        b=2.0,
+        kernel=Kernel("cosine", 2.0, 0.5),
+        p2g_kernels=(Kernel("se", 0.5, 0.3), Kernel("cosine", 1.5, 2.0)),
+        n=1500,
+        band_n=250,
+        J=3,
+        p2g_J=2,
+        h=0.5,
+        k=7,
+        seed=5,
+        replicates=3,
+        p2g_draw_probes=4,
+        p3_n=400,
+        p4_probes=2,
+        p4_eps=(0.1,),
+        p4_deltas=(0.3, 0.1),
+        p4_perturbations=50,
+        conv_ns=(200, 800),
+        conv_ref_n=5000,
+        eps_ladder=(0.3, 0.02),
+        outlier_level=25.0,
+        c_max=3.0,
+        min_n=50,
+        rice_paths=100,
+        rice_m=101,
+    )
+    default = AuditConfig()
+    for f in dataclasses.fields(AuditConfig):
+        assert getattr(custom, f.name) != getattr(default, f.name), f.name
+    obj = json.loads(json.dumps(custom.to_json()))
+    assert obj["grid"] == {"a": -1.0, "b": 2.0, "m": 51}
+    assert obj["kernel"] == {"type": "cosine", "variance": 2.0, "length_scale": 0.5}
+    assert obj["p2g_kernels"][1] == {
+        "type": "cosine",
+        "variance": 1.5,
+        "length_scale": 2.0,
+    }
+    assert obj["p4_deltas"] == [0.3, 0.1]
+    assert len(obj) == len(dataclasses.fields(AuditConfig)) - 2  # a, b, m nested
+    assert AuditConfig.from_json(obj) == custom
 
 
 def test_golden_pattern_shape():
