@@ -19,9 +19,6 @@ import json
 import os
 import sys
 
-#: Decimal format shared with the CSV writer: round-trips float64 exactly.
-_FMT = "%.17g"
-
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -164,6 +161,8 @@ def _emit(args, payload: dict, csv_rows, md_lines) -> None:
 
 
 def _fmt(v: float) -> str:
+    from curvedepth.core import _FMT  # the CSV writer's float64 round-trip format
+
     return _FMT % v
 
 
@@ -339,7 +338,8 @@ def _cmd_audit(args) -> int:
             raise InputError(f"cannot read {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"{args.config}: invalid JSON ({exc})") from exc
-        obj.setdefault("seed", args.seed)
+        if isinstance(obj, dict):
+            obj.setdefault("seed", args.seed)
         config = AuditConfig.from_json(obj)
 
     # create the output directory first, so a bad path fails before the run

@@ -12,9 +12,9 @@ across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -207,18 +207,6 @@ class FunctionalSample:
                 raise InputError(f"sample weights sum to {w.sum()!r}, expected 1")
         object.__setattr__(self, "values", _readonly(vals))
         object.__setattr__(self, "weights", _readonly(w))
-
-    @classmethod
-    def from_curves(
-        cls, curves: Sequence[Curve], weights: Sequence[float] | None = None
-    ) -> "FunctionalSample":
-        if len(curves) == 0:
-            raise InputError("need at least one curve")
-        grid = curves[0].grid
-        for c in curves[1:]:
-            if c.grid != grid:
-                raise InputError("all curves in a sample must share the grid")
-        return cls(np.stack([c.values for c in curves]), grid, weights)
 
     @property
     def n(self) -> int:

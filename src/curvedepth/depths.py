@@ -27,7 +27,7 @@ fixed input regardless of evaluation order elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, product
 from typing import Sequence
 
@@ -118,12 +118,7 @@ class DepthResult:
     n: int
 
     def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "value": self.value,
-            "params": self.params,
-            "n": self.n,
-        }
+        return asdict(self)
 
 
 def upper_bound(depth: str, *, h: float = 1.0, J: int = 2) -> float:

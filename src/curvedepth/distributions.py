@@ -11,9 +11,7 @@ distinct seeds can run in parallel with no shared RNG state.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -26,7 +24,6 @@ from .core import (
     ParameterError,
     read_curves_csv,
     uniform_grid,
-    write_curves_csv,
 )
 
 __all__ = [
@@ -44,8 +41,6 @@ __all__ = [
     "counterexample_P5",
     "constant_distribution",
     "subseed",
-    "save_atomic",
-    "load_atomic",
     "gpspec_to_json",
     "gpspec_from_json",
 ]
@@ -329,42 +324,14 @@ def constant_distribution(level: float, grid: Grid) -> AtomicDistribution:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: AtomicDistribution as curves-CSV + weights-JSON, GPSpec as
-# JSON {mean_csv?, kernel: {type, variance, length_scale}}
+# Serialization: GPSpec as JSON {mean_csv?, kernel: {type, variance,
+# length_scale}}; the mean curve, if any, lives in a curves CSV
 # ---------------------------------------------------------------------------
 
 
-def save_atomic(dist: AtomicDistribution, csv_path: str | Path, json_path: str | Path) -> None:
-    write_curves_csv(csv_path, dist.grid, dist.values)
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump({"weights": [float(p) for p in dist.probs]}, fh)
-        fh.write("\n")
-
-
-def load_atomic(csv_path: str | Path, json_path: str | Path) -> AtomicDistribution:
-    grid, values = read_curves_csv(csv_path)
-    try:
-        with open(json_path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        probs = np.asarray(obj["weights"], dtype=float)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise InputError(f"cannot load weights from {json_path}: {exc}") from exc
-    return AtomicDistribution(values, probs, grid)
-
-
-def gpspec_to_json(spec: GPSpec, mean_csv: str | Path | None = None) -> dict:
-    """JSON-serializable form; writes the mean curve to ``mean_csv`` if given."""
-    obj: dict = {
-        "kernel": {
-            "type": spec.kernel.type,
-            "variance": spec.kernel.variance,
-            "length_scale": spec.kernel.length_scale,
-        }
-    }
-    if mean_csv is not None:
-        write_curves_csv(mean_csv, spec.grid, spec.mean_values()[None, :])
-        obj["mean_csv"] = str(mean_csv)
-    return obj
+def gpspec_to_json(spec: GPSpec) -> dict:
+    """JSON-serializable form of the kernel; the mean curve is not written."""
+    return {"kernel": asdict(spec.kernel)}
 
 
 def gpspec_from_json(obj: dict, grid: Grid | None = None) -> GPSpec:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .core import (
     Curve,
     FunctionalSample,
     Grid,
+    InputError,
     ParameterError,
     l2_norm_rows,
     sup_norm_rows,
@@ -69,7 +70,6 @@ from .distributions import (
     sample_gp,
     subseed,
 )
-from .envelope import apply_shrink, envelope_of, find_L_delta, make_shrink
 
 __all__ = [
     "AuditConfig",
@@ -308,11 +308,7 @@ def rice_mc_diagnostic(
     )
     expected = rice_expected_upcrossings(spec)
     return {
-        "kernel": {
-            "type": kernel.type,
-            "variance": kernel.variance,
-            "length_scale": kernel.length_scale,
-        },
+        "kernel": asdict(kernel),
         "level": float(level),
         "n_paths": int(n_paths),
         "m": int(m),
@@ -537,11 +533,7 @@ def audit_P2G(
     margin = vmax - v0
     evidence = {
         "depth": depth_id,
-        "kernel": {
-            "type": gp.kernel.type,
-            "variance": gp.kernel.variance,
-            "length_scale": gp.kernel.length_scale,
-        },
+        "kernel": asdict(gp.kernel),
         "n": int(n),
         "n_used": int(n_used),
         "labels": labels,
@@ -911,7 +903,48 @@ def audit_P4(
 
 # ---------------------------------------------------------------------------
 # P-5: depth must react to shrinking the hull where it is narrow
+#
+# The envelope of the atoms is their pointwise min/max (L, U); the low-
+# variability region L_delta is where the width U - L is at most delta; a
+# shrink multiplies a curve by alpha, equal to the factor in (0, 1) on that
+# region and exactly 1 elsewhere.
 # ---------------------------------------------------------------------------
+
+# bench/tracing.py patches these four module attributes; audit_P5 calls them as globals.
+
+
+def envelope_of(dist: AtomicDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise (lower, upper) envelope of the atoms."""
+    return dist.values.min(axis=0), dist.values.max(axis=0)
+
+
+def find_L_delta(lower: np.ndarray, upper: np.ndarray, delta: float) -> np.ndarray:
+    """Grid mask of the low-variability region {v : U(v) - L(v) <= delta}.
+
+    delta must lie in [min width, max width): below the minimum the
+    region is empty, at or above the maximum it is everything, and both
+    extremes defeat the purpose of a proper sub-region.  A constant-width
+    envelope admits no valid delta at all.
+    """
+    w = upper - lower
+    w_min, w_max = float(w.min()), float(w.max())
+    if not (np.isfinite(delta) and w_min <= delta < w_max):
+        raise ParameterError(
+            f"delta must lie in [{w_min:g}, {w_max:g}) for this envelope, got {delta}"
+        )
+    return w <= delta
+
+
+def make_shrink(region: np.ndarray, factor: float) -> np.ndarray:
+    """Constant-factor multiplier alpha: factor on the region, 1 elsewhere."""
+    if not 0 < factor < 1:
+        raise ParameterError(f"shrink factor must lie in (0, 1), got {factor}")
+    return np.where(np.asarray(region, dtype=bool), float(factor), 1.0)
+
+
+def apply_shrink(x: Curve, alpha: np.ndarray) -> Curve:
+    """Pointwise product alpha(v) * x(v)."""
+    return Curve(alpha * x.values, x.grid)
 
 
 def audit_P5(
@@ -937,19 +970,18 @@ def audit_P5(
     params = params or DepthParams(seed=subseed(seed, 4))
     dist = counterexample_P5(grid)
     g = dist.grid
-    env = envelope_of(dist)
+    lower, upper = envelope_of(dist)
     try:
-        region = find_L_delta(env, delta)
+        region = find_L_delta(lower, upper, delta)
     except ParameterError as exc:
         return Verdict(
             INAPPLICABLE,
             {"depth": depth_id, "reason": f"no valid shrink region: {exc}"},
         )
-    smap = make_shrink(g, region, factor)
-    alpha = smap.alpha.values
+    alpha = make_shrink(region, factor)
     dist_after = AtomicDistribution(dist.values * alpha, dist.probs, g)
     x = dist.atom(0)
-    x_after = apply_shrink(x, smap)
+    x_after = apply_shrink(x, alpha)
 
     if depth_id == "bd":
         vb = band_depth_atomic(x, dist, params.J).value
@@ -1518,13 +1550,31 @@ class AuditConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "AuditConfig":
-        """Inverse of ``to_json``; absent fields keep their defaults."""
+        """Inverse of ``to_json``; absent fields keep their defaults.
+
+        This is the parse boundary for user configs: an unknown key, or a
+        value whose JSON type does not match the type of the field's
+        default, raises ``InputError``.  Range checks stay in
+        ``__post_init__`` (``ParameterError``).
+        """
+        if not isinstance(obj, dict):
+            raise InputError("audit config must be a JSON object")
         grid = obj.get("grid", {})
+        if not isinstance(grid, dict):
+            raise InputError("audit config key 'grid' must be an object")
+        names = {f.name for f in fields(AuditConfig)} - set(_GRID_FIELDS)
+        for key in obj:
+            if key != "grid" and key not in names:
+                hint = " (grid fields go under 'grid')" if key in _GRID_FIELDS else ""
+                raise InputError(f"unknown audit config key {key!r}{hint}")
+        for key in grid:
+            if key not in _GRID_FIELDS:
+                raise InputError(f"unknown audit config key 'grid.{key}'")
         kwargs = {}
         for f in fields(AuditConfig):
             source = grid if f.name in _GRID_FIELDS else obj
             if f.name in source:
-                kwargs[f.name] = _config_from_json(source[f.name])
+                kwargs[f.name] = _config_from_json(source[f.name], f.default, f.name)
         return AuditConfig(**kwargs)
 
 
@@ -1534,25 +1584,49 @@ _GRID_FIELDS = ("a", "b", "m")
 
 def _config_to_json(value):
     if isinstance(value, Kernel):
-        return {
-            "type": value.type,
-            "variance": value.variance,
-            "length_scale": value.length_scale,
-        }
+        return asdict(value)
     if isinstance(value, tuple):
         return [_config_to_json(v) for v in value]
     return value
 
 
-def _config_from_json(value):
-    if isinstance(value, dict):
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string"}
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _config_from_json(value, like, key: str):
+    """Check ``value``'s JSON type against ``like``, the field's default.
+
+    Ints take an int but not a bool, floats an int within float64 range
+    or a float, tuples a list (each item checked against the default's
+    first item), kernels an object whose absent keys keep ``like``'s values.
+    """
+    if isinstance(like, Kernel):
+        if not isinstance(value, dict):
+            raise InputError(f"audit config key {key!r} must be an object, got {value!r}")
+        parts = asdict(like)
+        for name, v in value.items():
+            if name not in parts:
+                raise InputError(f"unknown audit config key '{key}.{name}'")
+            parts[name] = _config_from_json(v, parts[name], f"{key}.{name}")
         return Kernel(
-            value.get("type", "se"),
-            float(value.get("variance", 1.0)),
-            float(value.get("length_scale", 0.2)),
+            parts["type"], float(parts["variance"]), float(parts["length_scale"])
         )
-    if isinstance(value, (list, tuple)):
-        return tuple(_config_from_json(v) for v in value)
+    if isinstance(like, tuple):
+        if not isinstance(value, list):
+            raise InputError(f"audit config key {key!r} must be a list, got {value!r}")
+        return tuple(
+            _config_from_json(v, like[0], f"{key}[{i}]") for i, v in enumerate(value)
+        )
+    kinds = (int, float) if isinstance(like, float) else type(like)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kinds)
+        or isinstance(like, float) and isinstance(value, int) and abs(value) > _FLOAT_MAX
+    ):
+        raise InputError(
+            f"audit config key {key!r} must be {_JSON_KINDS[type(like)]}, got {value!r}"
+        )
     return value
 
 

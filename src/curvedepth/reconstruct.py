@@ -10,7 +10,7 @@ with depths against the fully observed one over a fixed probe set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ __all__ = [
     "StabilityRecord",
     "reconstruct_linear",
     "sparse_from_values",
-    "sparse_to_values",
     "depth_stability",
 ]
 
@@ -95,16 +94,6 @@ def sparse_from_values(values: np.ndarray) -> list[SparseObservation]:
     return out
 
 
-def sparse_to_values(obs: Sequence[SparseObservation], m: int) -> np.ndarray:
-    """Inverse of sparse_from_values: NaN-filled (curves x grid) array."""
-    out = np.full((len(obs), m), np.nan)
-    for i, ob in enumerate(obs):
-        if ob.obs_idx[-1] >= m:
-            raise InputError(f"curve {i}: index {ob.obs_idx[-1]} outside grid")
-        out[i, ob.obs_idx] = ob.obs_values
-    return out
-
-
 @dataclass(frozen=True)
 class StabilityRecord:
     """Deviation summary |D(x, reconstructed) - D(x, full)| over probes and seeds."""
@@ -119,16 +108,7 @@ class StabilityRecord:
     median_dev: float
 
     def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "sparse_rate": self.sparse_rate,
-            "noise_sd": self.noise_sd,
-            "n": self.n,
-            "n_seeds": self.n_seeds,
-            "n_probes": self.n_probes,
-            "max_dev": self.max_dev,
-            "median_dev": self.median_dev,
-        }
+        return asdict(self)
 
 
 def _subsample_one(

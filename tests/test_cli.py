@@ -305,11 +305,34 @@ def test_audit_cli_reduced_config_writes_deterministic_artifacts(tmp_path):
     assert "| depth |" in out1
 
 
+#: Config texts that must fail at the parse boundary, before any audit work:
+#: unparseable JSON, values of the wrong JSON type, unknown keys.
+BAD_CONFIGS = [
+    "{not json",
+    '{"n": "abc"}',
+    '{"n": true}',
+    '{"n": 2000.0}',
+    '{"h": null}',
+    '{"p2g_kernels": 5}',
+    '{"p2g_kernels": [{"type": "se", "scale": 1.0}]}',
+    '{"kernel": {"type": "se", "variance": "x"}}',
+    '{"conv_ns": [100, "x"]}',
+    '{"h": 1%s}' % ("0" * 400),  # an int beyond float64 range
+    '{"m": 51}',
+    '{"grid": {"m": 51, "z": 1}}',
+    '{"grid": [0, 1]}',
+    "[1, 2]",
+]
+
+
 def test_audit_cli_bad_config_file_exits_2(tmp_path):
+    # each assertion message names the failing text
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{not json")
-    code, _, err = run_cli(["audit", "--config", cfg, "--out-dir", tmp_path])
-    assert code == cli.EXIT_INPUT
+    for text in BAD_CONFIGS:
+        cfg.write_text(text)
+        code, _, err = run_cli(["audit", "--config", cfg, "--out-dir", tmp_path])
+        assert code == cli.EXIT_INPUT, text
+        assert "input error" in err, text
 
 
 def test_audit_cli_unwritable_out_dir_exits_2(tmp_path):

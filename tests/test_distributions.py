@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from curvedepth.core import Curve, FunctionalSample, InputError, ParameterError, uniform_grid
+from curvedepth.core import (
+    Curve,
+    FunctionalSample,
+    InputError,
+    ParameterError,
+    uniform_grid,
+    write_curves_csv,
+)
 from curvedepth.distributions import (
     AtomicDistribution,
     ContaminationSpec,
@@ -16,11 +23,9 @@ from curvedepth.distributions import (
     draw_from,
     gpspec_from_json,
     gpspec_to_json,
-    load_atomic,
     mix,
     sample_atomic,
     sample_gp,
-    save_atomic,
 )
 
 SE = Kernel("se", variance=1.0, length_scale=0.2)
@@ -243,23 +248,13 @@ def test_contamination_epsilon_range():
 # ---------------------------------------------------------------------------
 
 
-def test_atomic_csv_round_trip_bit_exact(tmp_path):
-    for make in (counterexample_P3, counterexample_P3_RT, counterexample_P5):
-        d = make()
-        csv_path = tmp_path / f"{make.__name__}.csv"
-        json_path = tmp_path / f"{make.__name__}.json"
-        save_atomic(d, csv_path, json_path)
-        d2 = load_atomic(csv_path, json_path)
-        np.testing.assert_array_equal(d2.values, d.values)
-        np.testing.assert_array_equal(d2.probs, d.probs)
-        np.testing.assert_array_equal(d2.grid.points, d.grid.points)
-
-
 def test_gpspec_json_round_trip(tmp_path):
     g = uniform_grid(0, 1, 51)
     mean = Curve(np.cos(g.points), g)
     spec = GPSpec(kernel=Kernel("se", 2.0, 0.3), grid=g, mean=mean)
-    obj = gpspec_to_json(spec, mean_csv=tmp_path / "mean.csv")
+    write_curves_csv(tmp_path / "mean.csv", g, mean.values[None, :])
+    obj = gpspec_to_json(spec)
+    obj["mean_csv"] = str(tmp_path / "mean.csv")
     obj = json.loads(json.dumps(obj))  # ensure plain-JSON round trip
     spec2 = gpspec_from_json(obj)
     assert spec2.kernel == spec.kernel

@@ -1,28 +1,17 @@
+"""The P-5 audit's array operations: envelope, L_delta region, shrink."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedepth.core import (
-    Curve,
-    FunctionalSample,
-    InputError,
-    ParameterError,
-    lebesgue_fraction,
-    uniform_grid,
+from curvedepth.core import Curve, ParameterError, lebesgue_fraction, uniform_grid
+from curvedepth.distributions import (
+    AtomicDistribution,
+    counterexample_P3,
+    counterexample_P5,
 )
-from curvedepth.distributions import counterexample_P3, counterexample_P5
-from curvedepth.envelope import (
-    Envelope,
-    ShrinkMap,
-    apply_shrink,
-    envelope_of,
-    find_L_delta,
-    hull_contains,
-    load_envelope_csv,
-    make_shrink,
-    save_envelope_csv,
-)
+from curvedepth.properties import apply_shrink, envelope_of, find_L_delta, make_shrink
 
 # ---------------------------------------------------------------------------
 # envelope_of
@@ -30,86 +19,24 @@ from curvedepth.envelope import (
 
 
 def test_envelope_of_two_constants():
-    env = envelope_of(counterexample_P3())
-    assert np.all(env.lower.values == -1.0)
-    assert np.all(env.upper.values == 1.0)
-    assert env.support_note == "atoms"
+    lower, upper = envelope_of(counterexample_P3())
+    assert np.all(lower == -1.0)
+    assert np.all(upper == 1.0)
 
 
 def test_envelope_of_single_curve():
     g = uniform_grid(0, 1, 21)
     x = np.sin(3 * g.points)
-    env = envelope_of(FunctionalSample(x[None, :], g))
-    np.testing.assert_array_equal(env.lower.values, x)
-    np.testing.assert_array_equal(env.upper.values, x)
-    assert env.support_note == "sample"
+    lower, upper = envelope_of(AtomicDistribution(x[None, :], np.array([1.0]), g))
+    np.testing.assert_array_equal(lower, x)
+    np.testing.assert_array_equal(upper, x)
 
 
 def test_envelope_of_p5_atoms():
     d = counterexample_P5()
-    env = envelope_of(d)
-    np.testing.assert_array_equal(env.lower.values, d.values[2])
-    np.testing.assert_array_equal(env.upper.values, d.values[0])
-
-
-def test_envelope_rejects_crossed_bounds():
-    g = uniform_grid(0, 1, 5)
-    with pytest.raises(InputError):
-        Envelope(Curve(np.ones(5), g), Curve(np.zeros(5), g))
-
-
-# ---------------------------------------------------------------------------
-# hull_contains
-# ---------------------------------------------------------------------------
-
-
-def two_level_envelope(m=101):
-    g = uniform_grid(0, 1, m)
-    return Envelope(Curve(-np.ones(m), g), Curve(np.ones(m), g), "atoms")
-
-
-def test_hull_contains_edges_and_midpoint():
-    env = two_level_envelope()
-    g = env.grid
-    assert hull_contains(env.lower, env)
-    assert hull_contains(env.upper, env)
-    mid = Curve(0.5 * env.lower.values + 0.5 * env.upper.values, g)
-    assert hull_contains(mid, env)
-
-
-def test_hull_rejects_varying_alpha():
-    env = two_level_envelope()
-    ramp = Curve(env.grid.points.copy(), env.grid)  # alpha(v) = (1-v)/2 varies
-    assert not hull_contains(ramp, env)
-
-
-def test_hull_contains_eleven_alphas():
-    d = counterexample_P5()
-    env = envelope_of(d)
-    for alpha in np.linspace(0, 1, 11):
-        x = Curve(
-            alpha * env.lower.values + (1 - alpha) * env.upper.values, env.grid
-        )
-        assert hull_contains(x, env), alpha
-
-
-def test_hull_degenerate_points():
-    g = uniform_grid(0, 1, 4)
-    L = Curve(np.array([0.0, 0.0, 1.0, 1.0]), g)
-    U = Curve(np.array([0.0, 2.0, 1.0, 3.0]), g)  # degenerate at v_0, v_2
-    env = Envelope(L, U)
-    ok = Curve(np.array([0.0, 1.0, 1.0, 2.0]), g)  # alpha = 0.5
-    assert hull_contains(ok, env)
-    bad = Curve(np.array([0.5, 1.0, 1.0, 2.0]), g)  # violates degenerate point
-    assert not hull_contains(bad, env)
-
-
-def test_hull_tolerance():
-    env = two_level_envelope()
-    x = Curve(np.full(env.grid.m, 0.2 + 5e-10), env.grid)
-    assert hull_contains(x, env)
-    y = Curve(np.full(env.grid.m, 1.0 + 1e-6), env.grid)
-    assert not hull_contains(y, env)
+    lower, upper = envelope_of(d)
+    np.testing.assert_array_equal(lower, d.values[2])
+    np.testing.assert_array_equal(upper, d.values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -120,57 +47,54 @@ def test_hull_tolerance():
 def step_width_envelope():
     g = uniform_grid(0, 1, 101)
     width = np.where(g.points <= 0.3 + 1e-12, 0.1, 2.0)
-    return Envelope(Curve(np.zeros(101), g), Curve(width, g)), g
+    return np.zeros(101), width, g
 
 
 def test_find_L_delta_threshold():
-    env, g = step_width_envelope()
-    mask = find_L_delta(env, 0.5)
+    lower, upper, g = step_width_envelope()
+    mask = find_L_delta(lower, upper, 0.5)
     np.testing.assert_array_equal(mask, g.points <= 0.3 + 1e-12)
     assert lebesgue_fraction(mask, g) > 0
     assert lebesgue_fraction(~mask, g) > 0
 
 
 def test_find_L_delta_constant_width_has_no_valid_delta():
-    g = uniform_grid(0, 1, 11)
-    env = Envelope(Curve(np.zeros(11), g), Curve(np.full(11, 2.0), g))
     with pytest.raises(ParameterError):
-        find_L_delta(env, 1.0)
+        find_L_delta(np.zeros(11), np.full(11, 2.0), 1.0)
 
 
 def test_find_L_delta_range_errors():
-    env, _ = step_width_envelope()
+    lower, upper, _ = step_width_envelope()
     with pytest.raises(ParameterError):
-        find_L_delta(env, 0.05)  # below min width
+        find_L_delta(lower, upper, 0.05)  # below min width
     with pytest.raises(ParameterError):
-        find_L_delta(env, 2.0)  # at max width
+        find_L_delta(lower, upper, 2.0)  # at max width
 
 
 def test_find_L_delta_near_max_leaves_complement():
-    env, g = step_width_envelope()
-    mask = find_L_delta(env, 2.0 - 1e-9)
+    lower, upper, g = step_width_envelope()
+    mask = find_L_delta(lower, upper, 2.0 - 1e-9)
     assert mask.sum() == (g.points <= 0.3 + 1e-12).sum()
     assert lebesgue_fraction(~mask, g) > 0
 
 
 # ---------------------------------------------------------------------------
-# ShrinkMap / apply_shrink
+# make_shrink / apply_shrink
 # ---------------------------------------------------------------------------
 
 
 def test_apply_shrink_identity():
     g = uniform_grid(0, 1, 11)
-    smap = ShrinkMap(Curve(np.ones(11), g), np.zeros(11, dtype=bool))
     x = Curve(np.sin(g.points), g)
-    np.testing.assert_array_equal(apply_shrink(x, smap).values, x.values)
+    np.testing.assert_array_equal(apply_shrink(x, np.ones(11)).values, x.values)
 
 
 def test_apply_shrink_halves_on_region():
     g = uniform_grid(0, 1, 101)
     region = g.points <= 0.5 + 1e-12
-    smap = make_shrink(g, region, 0.5)
+    alpha = make_shrink(region, 0.5)
     x = Curve(np.full(101, 2.0), g)
-    y = apply_shrink(x, smap)
+    y = apply_shrink(x, alpha)
     assert np.all(y.values[region] == 1.0)
     assert np.all(y.values[~region] == 2.0)
 
@@ -178,26 +102,24 @@ def test_apply_shrink_halves_on_region():
 def test_shrink_composition():
     g = uniform_grid(0, 1, 31)
     region = (g.points > 0.2) & (g.points < 0.8)
-    a = make_shrink(g, region, 0.5)
-    b = make_shrink(g, region, 0.3)
-    combined = ShrinkMap(Curve(a.alpha.values * b.alpha.values, g), region)
+    a = make_shrink(region, 0.5)
+    b = make_shrink(region, 0.3)
     x = Curve(np.cos(g.points), g)
     np.testing.assert_allclose(
         apply_shrink(apply_shrink(x, a), b).values,
-        apply_shrink(x, combined).values,
+        apply_shrink(x, a * b).values,
         rtol=1e-15,
     )
 
 
 def test_shrink_validation():
-    g = uniform_grid(0, 1, 5)
     region = np.array([True, True, False, False, False])
-    with pytest.raises(InputError):
-        ShrinkMap(Curve(np.array([1.0, 0.5, 1, 1, 1]), g), region)  # 1 on region
-    with pytest.raises(InputError):
-        ShrinkMap(Curve(np.array([0.5, 0.5, 0.9, 1, 1]), g), region)  # <1 off region
-    with pytest.raises(ParameterError):
-        make_shrink(g, region, 1.0)
+    alpha = make_shrink(region, 0.25)
+    assert np.all(alpha[region] == 0.25)
+    assert np.all(alpha[~region] == 1.0)
+    for factor in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ParameterError):
+            make_shrink(region, factor)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +130,7 @@ N_FUZZ = 1000
 
 
 @st.composite
-def sample_strategy(draw):
+def atoms_strategy(draw):
     n = draw(st.integers(min_value=1, max_value=8))
     m = draw(st.integers(min_value=2, max_value=16))
     vals = draw(
@@ -218,60 +140,30 @@ def sample_strategy(draw):
             max_size=n * m,
         )
     )
-    g = uniform_grid(0, 1, m)
-    return FunctionalSample(np.array(vals).reshape(n, m), g)
+    atoms = np.unique(np.array(vals).reshape(n, m), axis=0)  # atoms are distinct
+    k = atoms.shape[0]
+    return AtomicDistribution(atoms, np.full(k, 1.0 / k), uniform_grid(0, 1, m))
 
 
 @settings(max_examples=N_FUZZ, deadline=None)
-@given(sample_strategy())
-def test_fuzz_envelope_bounds_every_curve(sample):
-    env = envelope_of(sample)
-    assert np.all(env.lower.values[None, :] <= sample.values)
-    assert np.all(sample.values <= env.upper.values[None, :])
+@given(atoms_strategy())
+def test_fuzz_envelope_bounds_every_curve(dist):
+    lower, upper = envelope_of(dist)
+    assert np.all(lower[None, :] <= dist.values)
+    assert np.all(dist.values <= upper[None, :])
 
 
 @settings(max_examples=N_FUZZ, deadline=None)
-@given(sample_strategy(), st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1))
-def test_fuzz_L_delta_monotone(sample, t1, t2):
-    env = envelope_of(sample)
-    w = env.width()
+@given(atoms_strategy(), st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1))
+def test_fuzz_L_delta_monotone(dist, t1, t2):
+    lower, upper = envelope_of(dist)
+    w = upper - lower
     w_min, w_max = float(w.min()), float(w.max())
     if not w_max > w_min:
         return  # constant width: no admissible delta
     d1, d2 = sorted(
         (w_min + t1 * (w_max - w_min) * 0.999, w_min + t2 * (w_max - w_min) * 0.999)
     )
-    m1 = find_L_delta(env, d1)
-    m2 = find_L_delta(env, d2)
+    m1 = find_L_delta(lower, upper, d1)
+    m2 = find_L_delta(lower, upper, d2)
     assert np.all(m2[m1])  # mask(d1) subseteq mask(d2)
-
-
-@settings(max_examples=N_FUZZ, deadline=None)
-@given(sample_strategy(), st.integers(min_value=0, max_value=10))
-def test_fuzz_hull_contains_convex_combinations(sample, k):
-    env = envelope_of(sample)
-    alpha = k / 10.0
-    x = Curve(alpha * env.lower.values + (1 - alpha) * env.upper.values, env.grid)
-    assert hull_contains(x, env)
-
-
-# ---------------------------------------------------------------------------
-# CSV round trip
-# ---------------------------------------------------------------------------
-
-
-def test_envelope_csv_round_trip(tmp_path):
-    env = envelope_of(counterexample_P5())
-    path = tmp_path / "env.csv"
-    save_envelope_csv(path, env)
-    env2 = load_envelope_csv(path)
-    np.testing.assert_array_equal(env2.lower.values, env.lower.values)
-    np.testing.assert_array_equal(env2.upper.values, env.upper.values)
-    np.testing.assert_array_equal(env2.grid.points, env.grid.points)
-
-
-def test_envelope_csv_rejects_missing_tag(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("0,1\nL,0,0\nV,1,1\n", encoding="utf-8")
-    with pytest.raises(InputError):
-        load_envelope_csv(path)

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedepth.core import Curve, FunctionalSample, ParameterError, uniform_grid
+from curvedepth.core import (
+    Curve,
+    FunctionalSample,
+    InputError,
+    ParameterError,
+    uniform_grid,
+)
 from curvedepth.depths import DEPTH_IDS, DepthParams
 from curvedepth.distributions import (
     GPSpec,
@@ -534,6 +540,31 @@ def test_audit_config_json_round_trip():
     assert obj["p4_deltas"] == [0.3, 0.1]
     assert len(obj) == len(dataclasses.fields(AuditConfig)) - 2  # a, b, m nested
     assert AuditConfig.from_json(obj) == custom
+
+
+def test_audit_config_from_json_checks_types():
+    # floats take ints, kernels keep the default for absent keys; values
+    # are not converted, so the config echo in audit.json keeps them as given
+    cfg = AuditConfig.from_json(
+        {"h": 2, "c_max": 1.5, "grid": {"b": 3}, "kernel": {"length_scale": 0.1}}
+    )
+    assert cfg.h == 2 and isinstance(cfg.h, int)
+    assert cfg.b == 3 and cfg.c_max == 1.5
+    assert cfg.kernel == Kernel("se", 1.0, 0.1)
+    for bad in (
+        {"J": False},
+        {"eps_ladder": 0.2},
+        {"eps_ladder": [0.2, "0.1"]},
+        {"kernel": [1.0]},
+        {"kernel": {"type": 1}},
+        {"kernel": {"variance": 10**400}},
+        {"grid": {"n": 5}},
+        {"unknown": 1},
+    ):
+        with pytest.raises(InputError):
+            AuditConfig.from_json(bad)
+    with pytest.raises(ParameterError):
+        AuditConfig.from_json({"n": 0})  # well-typed but out of range
 
 
 def test_golden_pattern_shape():

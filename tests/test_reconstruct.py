@@ -18,7 +18,6 @@ from curvedepth.reconstruct import (
     depth_stability,
     reconstruct_linear,
     sparse_from_values,
-    sparse_to_values,
 )
 
 # ---------------------------------------------------------------------------
@@ -87,9 +86,8 @@ def test_sparse_csv_round_trip(tmp_path):
     _, loaded = read_curves_csv(path, allow_nan=True)
     obs = sparse_from_values(loaded)
     assert [o.obs_idx.tolist() for o in obs] == [[0, 2, 5], [1, 3, 4]]
-    back = sparse_to_values(obs, 6)
-    np.testing.assert_array_equal(np.isnan(back), np.isnan(vals))
-    np.testing.assert_array_equal(back[~np.isnan(back)], vals[~np.isnan(vals)])
+    for o, row in zip(obs, vals):
+        np.testing.assert_array_equal(o.obs_values, row[~np.isnan(row)])
 
 
 def test_sparse_from_values_rejects_single_point_rows():
