@@ -9,6 +9,9 @@ moved the needle.
 
 Usage:
     python3 scripts/run_audit.py [--seed 0] [--config cfg.json] [--out-dir DIR]
+
+Exit codes: 0 all cells match, 1 some cell differs, 2 unreadable or
+malformed config, 3 config value out of range.
 """
 
 from __future__ import annotations
@@ -21,13 +24,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from curvedepth.cli import EXIT_INPUT, EXIT_PARAMS, load_audit_config
+from curvedepth.core import InputError, ParameterError
 from curvedepth.depths import DEPTH_IDS
-from curvedepth.properties import (
-    GOLDEN,
-    PROPERTY_IDS,
-    AuditConfig,
-    run_full_audit,
-)
+from curvedepth.properties import GOLDEN, PROPERTY_IDS, run_full_audit
 
 # One scalar per cell worth surfacing in the summary, when present.
 _HEADLINE_KEYS = (
@@ -55,12 +55,14 @@ def main() -> int:
     ap.add_argument("--out-dir", default="audit_out")
     args = ap.parse_args()
 
-    config = AuditConfig(seed=args.seed)
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        obj.setdefault("seed", args.seed)
-        config = AuditConfig.from_json(obj)
+    try:
+        config = load_audit_config(args.config, args.seed)
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except ParameterError as exc:
+        print(f"parameter error: {exc}", file=sys.stderr)
+        return EXIT_PARAMS
 
     print(f"config: n={config.n} band_n={config.band_n} seed={config.seed}")
     t0 = time.perf_counter()

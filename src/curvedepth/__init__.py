@@ -5,81 +5,58 @@ modified band depth, half-region and modified half-region depth), a
 small library of Gaussian-process and atomic curve distributions, and an
 audit harness that checks which desirable depth properties each notion
 satisfies on simulated data.
+
+The public names below resolve lazily (PEP 562): ``import curvedepth``
+loads no submodule and no numpy, so ``curvedepth.cli`` can set the
+``*_NUM_THREADS`` variables before the BLAS thread pools start.
 """
 
-from .core import (
-    Curve,
-    FunctionalSample,
-    Grid,
-    InputError,
-    ParameterError,
-    l2_distance,
-    lebesgue_fraction,
-    sup_distance,
-    uniform_grid,
-)
-from .depths import (
-    DEPTH_IDS,
-    DEPTH_LABELS,
-    DepthParams,
-    DepthResult,
-    evaluate_depth,
-    depth_values,
-    upper_bound,
-)
-from .distributions import (
-    AtomicDistribution,
-    ContaminationSpec,
-    GPSpec,
-    Kernel,
-    mix,
-    sample_gp,
-    subseed,
-)
-from .properties import (
-    GOLDEN,
-    PROPERTY_IDS,
-    AuditConfig,
-    AuditReport,
-    RiceSpec,
-    Verdict,
-    rice_expected_upcrossings,
-    run_full_audit,
-)
+import importlib
+
+#: Public name -> submodule that defines it.
+_EXPORTS = {
+    "Curve": "core",
+    "FunctionalSample": "core",
+    "Grid": "core",
+    "InputError": "core",
+    "ParameterError": "core",
+    "l2_distance": "core",
+    "lebesgue_fraction": "core",
+    "sup_distance": "core",
+    "uniform_grid": "core",
+    "DEPTH_IDS": "depths",
+    "DEPTH_LABELS": "depths",
+    "DepthParams": "depths",
+    "DepthResult": "depths",
+    "evaluate_depth": "depths",
+    "depth_values": "depths",
+    "upper_bound": "depths",
+    "AtomicDistribution": "distributions",
+    "ContaminationSpec": "distributions",
+    "GPSpec": "distributions",
+    "Kernel": "distributions",
+    "mix": "distributions",
+    "sample_gp": "distributions",
+    "subseed": "distributions",
+    "GOLDEN": "properties",
+    "PROPERTY_IDS": "properties",
+    "AuditConfig": "properties",
+    "AuditReport": "properties",
+    "RiceSpec": "properties",
+    "Verdict": "properties",
+    "rice_expected_upcrossings": "properties",
+    "run_full_audit": "properties",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomicDistribution",
-    "AuditConfig",
-    "AuditReport",
-    "ContaminationSpec",
-    "Curve",
-    "DEPTH_IDS",
-    "DEPTH_LABELS",
-    "DepthParams",
-    "DepthResult",
-    "FunctionalSample",
-    "GOLDEN",
-    "GPSpec",
-    "Grid",
-    "InputError",
-    "Kernel",
-    "PROPERTY_IDS",
-    "ParameterError",
-    "RiceSpec",
-    "Verdict",
-    "depth_values",
-    "evaluate_depth",
-    "l2_distance",
-    "lebesgue_fraction",
-    "mix",
-    "rice_expected_upcrossings",
-    "run_full_audit",
-    "sample_gp",
-    "subseed",
-    "sup_distance",
-    "uniform_grid",
-    "upper_bound",
-    "__version__",
-]
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

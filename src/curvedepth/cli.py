@@ -160,6 +160,35 @@ def _emit(args, payload: dict, csv_rows, md_lines) -> None:
         print("\n".join(md_lines))
 
 
+def _read_json(path: str):
+    from curvedepth.core import InputError
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def load_audit_config(path: str | None, seed: int):
+    """The AuditConfig of ``audit --config``: defaults when ``path`` is None,
+    else the JSON object at ``path`` over the defaults, with ``seed`` unless
+    the file sets one.  Raises InputError for an unreadable file or a
+    malformed config, ParameterError for out-of-range values."""
+    from curvedepth.core import InputError
+    from curvedepth.properties import AuditConfig
+
+    if path is None:
+        return AuditConfig(seed=seed)
+    obj = _read_json(path)
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: audit config must be a JSON object")
+    obj.setdefault("seed", seed)
+    return AuditConfig.from_json(obj)
+
+
 def _fmt(v: float) -> str:
     from curvedepth.core import _FMT  # the CSV writer's float64 round-trip format
 
@@ -327,21 +356,9 @@ def _audit_exit_code(report) -> tuple[int, list[str]]:
 
 def _cmd_audit(args) -> int:
     from curvedepth.core import InputError
-    from curvedepth.properties import AuditConfig, run_full_audit
+    from curvedepth.properties import run_full_audit
 
-    config = AuditConfig(seed=args.seed)
-    if args.config is not None:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{args.config}: invalid JSON ({exc})") from exc
-        if isinstance(obj, dict):
-            obj.setdefault("seed", args.seed)
-        config = AuditConfig.from_json(obj)
-
+    config = load_audit_config(args.config, args.seed)
     # create the output directory first, so a bad path fails before the run
     try:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -367,7 +384,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_simulate_gp(args) -> int:
-    from curvedepth.core import InputError, uniform_grid, write_curves_csv
+    from curvedepth.core import uniform_grid, write_curves_csv
     from curvedepth.distributions import (
         GPSpec,
         Kernel,
@@ -376,14 +393,8 @@ def _cmd_simulate_gp(args) -> int:
     )
 
     if args.spec is not None:
-        try:
-            with open(args.spec, encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read {args.spec}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{args.spec}: invalid JSON ({exc})") from exc
-        spec = gpspec_from_json(obj, uniform_grid(args.a, args.b, args.m))
+        grid = uniform_grid(args.a, args.b, args.m)
+        spec = gpspec_from_json(_read_json(args.spec), grid)
     else:
         kernel = Kernel(args.kernel_type, args.variance, args.length_scale)
         spec = GPSpec(kernel, uniform_grid(args.a, args.b, args.m))

@@ -8,6 +8,14 @@ depth has one kernel over a (q, m) array of query curves, and
 to them: it validates the batch once and dispatches.  ``evaluate_depth``
 is that batch with one row, returned as a DepthResult.
 
+The rt and mbd kernels sort the sample once per batch (each direction's
+projections, each grid column) and read every query's tail or
+above/below counts off the sorted state with ``np.searchsorted``:
+O(n*m*k + (n+q)*k*log n) for rt with k directions and O((n+q)*m*log n)
+for mbd, for q queries against n curves on m grid points.  Their values
+equal, bit for bit, per-query masked weight sums and comparison counts.
+h, bd, hr and mhr still loop over queries or query chunks.
+
 Band-type depths come in two forms that must not be conflated:
 
 - sample form: without-replacement index combinations, exactly the
@@ -208,26 +216,67 @@ def draw_directions(
     return dirs / norms[:, None]
 
 
+def _uniform_masses(w0: float, n: int, counts: np.ndarray) -> np.ndarray:
+    """Mass of each count when all n sample weights are bitwise equal to w0.
+
+    A masked sum ``weights[mask].sum()`` of k equal weights is numpy's
+    pairwise sum of k copies of w0: its rounding depends on k alone, so
+    summing a k-prefix of equal weights reproduces it bit for bit.  One
+    sum per distinct count.
+    """
+    full = np.full(n, w0)
+    table = np.zeros(n + 1)
+    for c in np.unique(counts):
+        table[c] = full[:c].sum()
+    return table[counts]
+
+
+def _rt_unequal_weights(
+    proj_q: np.ndarray, proj_X: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """rt from (q, k) query and (n, k) sample projections when the sample
+    weights differ, as for an atomic distribution's few weighted atoms:
+    each tail mass is the masked weight sum in index order, one query and
+    direction at a time."""
+    return np.array(
+        [
+            min(halfspace_depth_1d(t, col, weights) for t, col in zip(row, proj_X.T))
+            for row in proj_q
+        ]
+    )
+
+
 def _rt_depth_values(
     queries: np.ndarray, sample: FunctionalSample, directions: np.ndarray
 ) -> np.ndarray:
     """min over the direction curves u of the 1-d halfspace depth of <u, x>.
 
-    The directions are shared by every query of the batch.
+    The directions are shared by every query of the batch.  Queries and
+    sample are projected through one stacked product, so a query equal to
+    a sample row projects bitwise like that row (exact ties at the closed
+    tails are meaningful).  Each direction's sample projections are sorted
+    once; the closed tail counts #{<u, X_i> <= t} and #{<u, X_i> >= t} of
+    the whole batch are two ``searchsorted`` calls per direction.  With
+    equal sample weights a count maps to the same float the masked weight
+    sum gives (``_uniform_masses``); unequal weights keep that masked sum
+    in index order.  Cost O(n*m*k + (n+q)*k*log n) for q queries, n
+    curves, m grid points and k directions.
     """
     wU = directions * sample.grid.weights  # (k, m): rows integrate against curves
-    out = np.empty(queries.shape[0])
-    for i, xv in enumerate(queries):
-        # project query and sample through one stacked product so that
-        # bitwise-equal curves get bitwise-equal projections (exact ties at
-        # the closed tails are semantically meaningful)
-        proj = np.vstack([xv[None, :], sample.values]) @ wU.T
-        proj_x, proj_X = proj[0], proj[1:]
-        out[i] = min(
-            halfspace_depth_1d(proj_x[j], proj_X[:, j], sample.weights)
-            for j in range(directions.shape[0])
-        )
-    return out
+    q, n = queries.shape[0], sample.n
+    proj = np.vstack([queries, sample.values]) @ wU.T
+    proj_q, proj_X = proj[:q], proj[q:]
+    w = sample.weights
+    if not np.all(w == w[0]):
+        return _rt_unequal_weights(proj_q, proj_X, w)
+    S = np.sort(proj_X.T, axis=1)  # (k, n): sorted projections per direction
+    lo = np.empty(proj_q.shape, dtype=np.intp)
+    hi = np.empty(proj_q.shape, dtype=np.intp)
+    for j, s in enumerate(S):
+        lo[:, j] = np.searchsorted(s, proj_q[:, j], side="right")
+        hi[:, j] = n - np.searchsorted(s, proj_q[:, j], side="left")
+    mass = _uniform_masses(float(w[0]), n, np.stack([lo, hi]))
+    return np.minimum(mass[0], mass[1]).min(axis=1)
 
 
 def _seed_echo(seed: Seed) -> list:
@@ -462,23 +511,30 @@ def _mbd_depth_values(
     strictly above x(v) or all strictly below, and those events are
     disjoint, so the number of j-subsets covering x at v is
     C(n, j) - C(a_v, j) - C(b_v, j) with a_v/b_v the strictly above/below
-    curve counts.  Counts past the int64 range stay exact as Python
-    integers.
+    curve counts.  Each grid column of the sample is sorted once, so a_v
+    and b_v for the whole batch are two ``searchsorted`` calls per column
+    (the rank trick of Sun, Genton & Nychka 2012): O((n+q)*m*log n) for q
+    queries.  Counts past the int64 range stay exact as Python integers.
     """
-    X = sample.values
     n = sample.n
     tables = []  # (C(n, j), [C(c, j) for c = 0..n]) for j = 2..J
     for j in range(2, J + 1):
         dtype = np.int64 if math.comb(n, j) <= _INT64_MAX else object
         tab = np.array([math.comb(c, j) for c in range(n + 1)], dtype=dtype)
         tables.append((math.comb(n, j), tab))
-    out = np.empty(queries.shape[0])
-    for i, xv in enumerate(queries):
-        a = (X > xv).sum(axis=0)
-        b = (X < xv).sum(axis=0)
-        counts = [total - tab[a] - tab[b] for total, tab in tables]
-        out[i] = _mbd_value_from_counts(counts, n, sample.grid)
-    return out
+    S = np.sort(sample.values.T, axis=1)  # (m, n): sorted grid columns
+    a = np.empty(queries.shape, dtype=np.intp)
+    b = np.empty(queries.shape, dtype=np.intp)
+    for v, s in enumerate(S):
+        a[:, v] = n - np.searchsorted(s, queries[:, v], side="right")
+        b[:, v] = np.searchsorted(s, queries[:, v], side="left")
+    counts = [total - tab[a] - tab[b] for total, tab in tables]
+    return np.array(
+        [
+            _mbd_value_from_counts([c[i] for c in counts], n, sample.grid)
+            for i in range(queries.shape[0])
+        ]
+    )
 
 
 def modified_band_depth_brute(

@@ -18,6 +18,8 @@ import json
 import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,6 +431,30 @@ def test_reconstruct_feeds_depth(tmp_path):
     code, out, _ = run_cli(["depth", dst, "mhr"])
     assert code == 0
     assert json.loads(out)["values"] == [1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("[1]", cli.EXIT_INPUT),
+        ('{"n": "abc"}', cli.EXIT_INPUT),
+        ('{"n": 0}', cli.EXIT_PARAMS),
+    ],
+)
+def test_run_audit_script_bad_config_exits_before_the_audit(tmp_path, text, code):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_audit.py"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out_dir = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, script, "--config", cfg, "--out-dir", out_dir],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from curvedepth.core import (
 from curvedepth.depths import (
     DEPTH_IDS,
     DepthParams,
+    _mbd_value_from_counts,
+    _uniform_masses,
     band_depth_atomic,
     band_depth_brute,
     depth_values,
@@ -534,6 +536,105 @@ def test_fuzz_batch_equals_batch_of_one(sq):
         for i, q in enumerate(Q):
             one = evaluate_depth(depth, Curve(q, sample.grid), sample, params).value
             assert vals[i] == one, (depth, i, vals[i], one)
+
+
+# ---------------------------------------------------------------------------
+# Sorted-sample rt and mbd kernels against per-query references
+# ---------------------------------------------------------------------------
+
+
+def rt_per_query(Q, sample, directions):
+    """rt with one stacked projection and masked tail sums per query."""
+    wU = directions * sample.grid.weights
+    out = []
+    for xv in Q:
+        proj = np.vstack([xv[None, :], sample.values]) @ wU.T
+        out.append(
+            min(
+                halfspace_depth_1d(proj[0, j], proj[1:, j], sample.weights)
+                for j in range(directions.shape[0])
+            )
+        )
+    return np.array(out)
+
+
+def mbd_per_query(Q, sample, J):
+    """mbd from per-query strictly above/below counts at each grid point."""
+    X, n = sample.values, sample.n
+    tabs = [np.array([math.comb(c, j) for c in range(n + 1)]) for j in range(2, J + 1)]
+    out = []
+    for xv in Q:
+        a, b = (X > xv).sum(axis=0), (X < xv).sum(axis=0)
+        counts = [tab[n] - tab[a] - tab[b] for tab in tabs]
+        out.append(_mbd_value_from_counts(counts, n, sample.grid))
+    return np.array(out)
+
+
+@st.composite
+def large_sample_and_queries(draw):
+    """n > 128 curves (numpy's pairwise sum works in blocks past 128 terms)
+    with tie-heavy values, plus queries: sample rows and fresh curves."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(min_value=129, max_value=700))
+    m = draw(st.integers(min_value=2, max_value=8))
+    X = rng.normal(size=(n, m))
+    if draw(st.booleans()):
+        X = np.round(X)
+    if draw(st.booleans()):
+        X = X[rng.integers(0, max(1, n // 3), size=n)]  # duplicated rows
+    fresh = np.round(rng.normal(size=(3, m)) * 2) / 2
+    Q = np.vstack([X[rng.integers(0, n, size=4)], fresh])
+    return FunctionalSample(X, uniform_grid(0, 1, m)), Q
+
+
+@settings(max_examples=N_FUZZ, deadline=None)
+@given(small_sample_and_query(), st.booleans(), st.data())
+def test_fuzz_rt_matches_per_query_reference(sq, weighted, data):
+    sample, x = sq
+    if weighted:
+        w = np.array(
+            data.draw(
+                st.lists(st.floats(0.01, 1.0), min_size=sample.n, max_size=sample.n)
+            )
+        )
+        sample = FunctionalSample(sample.values, sample.grid, weights=w / w.sum())
+    Q = np.vstack([x.values, sample.values])
+    dirs = draw_directions(sample.grid, 3, seed=1)
+    got = depth_values("rt", Q, sample, directions=dirs)
+    assert np.array_equal(got, rt_per_query(Q, sample, dirs)), (got, weighted)
+
+
+@settings(max_examples=N_FUZZ, deadline=None)
+@given(small_sample_and_query())
+def test_fuzz_mbd_matches_brute_per_query(sq):
+    sample, x = sq
+    Q = np.vstack([x.values, sample.values])
+    J = min(3, sample.n)
+    got = depth_values("mbd", Q, sample, DepthParams(J=J))
+    want = [modified_band_depth_brute(Curve(q, sample.grid), sample, J) for q in Q]
+    assert got.tolist() == [r.value for r in want]
+
+
+@settings(max_examples=N_FUZZ, deadline=None)
+@given(large_sample_and_queries())
+def test_fuzz_rt_mbd_large_sample_match_per_query(sq):
+    sample, Q = sq
+    dirs = draw_directions(sample.grid, 3, seed=2)
+    got = depth_values("rt", Q, sample, directions=dirs)
+    assert np.array_equal(got, rt_per_query(Q, sample, dirs))
+    got = depth_values("mbd", Q, sample, DepthParams(J=3))
+    assert np.array_equal(got, mbd_per_query(Q, sample, 3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 300, 1000, 5000, 9001])
+def test_uniform_masses_equal_masked_sums(n):
+    rng = np.random.default_rng(n)
+    for w0 in (1.0 / n, 0.1, 1.0 / 3.0):
+        w = np.full(n, w0)
+        masks = rng.random((40, n)) < rng.random((40, 1))
+        table = _uniform_masses(w0, n, masks.sum(axis=1))
+        want = [w[mask].sum() for mask in masks]
+        assert table.tolist() == want, (n, w0)
 
 
 @pytest.mark.parametrize("depth", DEPTH_IDS)
