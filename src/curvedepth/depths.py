@@ -14,7 +14,10 @@ above/below counts off the sorted state with ``np.searchsorted``:
 O(n*m*k + (n+q)*k*log n) for rt with k directions and O((n+q)*m*log n)
 for mbd, for q queries against n curves on m grid points.  Their values
 equal, bit for bit, per-query masked weight sums and comparison counts.
-h, bd, hr and mhr still loop over queries or query chunks.
+bd with J = 2 sorts the grid columns once per batch as well, to find the
+queries that tie some sample value; each query's pairs are then counted
+by a hashed, verified match of above patterns and their complements.
+h, hr, mhr and bd's pattern counts still loop over queries or chunks.
 
 Band-type depths come in two forms that must not be conflated:
 
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -57,9 +60,7 @@ __all__ = [
     "halfspace_depth_1d",
     "draw_directions",
     "band_depth_atomic",
-    "band_depth_brute",
     "modified_band_depth_atomic",
-    "modified_band_depth_brute",
     "evaluate_depth",
     "depth_values",
     "upper_bound",
@@ -85,7 +86,26 @@ MAX_ATOMIC_J = 4
 # Bound on the j-subsets (j = 4..J) that sample band depth of order J >= 4
 # may enumerate per query; its tuple search costs microseconds per subset.
 MAX_BAND_TUPLES = 10**6
+# Bound on the k * rows values a random Tukey array may hold: the k
+# direction curves (rows = m) and the projections of queries and sample
+# (rows = n + q), so a huge k fails fast instead of exhausting memory.
+MAX_RT_ELEMENTS = 5 * 10**7
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _splitmix64(k: int) -> int:
+    """Output k of the splitmix64 generator started at 0."""
+    z = (k + 1) * 0x9E3779B97F4A7C15 % 2**64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    return z ^ z >> 31
+
+
+# Fixed odd multipliers, one per packed 64-bit word (tiled past 64 words),
+# for the row hashes of the band depth's pair count.  A hash only proposes
+# a match; every match is verified word for word.  (Built without
+# numpy.random, whose import would slow every command's start-up.)
+_HASH_MULTIPLIERS = np.array([_splitmix64(k) | 1 for k in range(64)], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -205,6 +225,7 @@ def draw_directions(
     scaling of a projection preserves both tail masses) but keeps the
     projections on a readable scale.
     """
+    _check_rt_budget(k, grid.m)
     if law is None:
         law = GPSpec(kernel=Kernel("se", 1.0, 0.2), grid=grid)
     elif law.grid != grid:
@@ -214,6 +235,14 @@ def draw_directions(
     if np.any(norms < 1e-12):
         raise np.linalg.LinAlgError("degenerate direction draw (zero norm)")
     return dirs / norms[:, None]
+
+
+def _check_rt_budget(k: int, rows: int) -> None:
+    if k * rows > MAX_RT_ELEMENTS:
+        raise ParameterError(
+            f"random Tukey depth with k = {k} directions would hold {k} x {rows} "
+            f"values, more than {MAX_RT_ELEMENTS}; lower k"
+        )
 
 
 def _uniform_masses(w0: float, n: int, counts: np.ndarray) -> np.ndarray:
@@ -293,35 +322,58 @@ def _seed_echo(seed: Seed) -> list:
 def _pack_rows(mask: np.ndarray) -> np.ndarray:
     """Pack boolean rows into uint64 words (zero-padded past m bits)."""
     b = np.packbits(mask, axis=1)
-    pad = (-b.shape[1]) % 8
-    if pad:
-        b = np.pad(b, ((0, 0), (0, pad)))
-    return b.view(np.uint64)
+    out = np.zeros((b.shape[0], -(-b.shape[1] // 8) * 8), dtype=np.uint8)
+    out[:, : b.shape[1]] = b
+    return out.view(np.uint64)
 
 
-def _count_pairs_tie_free(above: np.ndarray) -> int:
-    """Number of index pairs whose band contains the query, assuming no
-    query/sample ties anywhere.
+def _row_hashes(W: np.ndarray) -> np.ndarray:
+    """One uint64 per row of packed words, in wrapping arithmetic: fold
+    each word's high half into its low half, multiply by the word's odd
+    multiplier and sum over the words.  Both steps are bijections of one
+    word, so rows of a single word never collide."""
+    M = _HASH_MULTIPLIERS
+    h = np.zeros(W.shape[0], dtype=np.uint64)
+    for k in range(W.shape[1]):
+        w = W[:, k]
+        h += (w ^ (w >> np.uint64(32))) * M[k % M.size]
+    return h
 
-    Without ties, below == ~above pointwise, and a pair (i, j) works iff
-    above_j is exactly the bitwise complement of above_i; counting hash
-    matches costs O(n) instead of O(n^2).
+
+def _count_complement_pairs(U: np.ndarray, pad: np.ndarray) -> int | None:
+    """Number of pairs i < j of packed rows with U_j == U_i ^ pad (U_j is
+    U_i's complement on the m valid bits); None if a hash collision leaves
+    the count unverified.
+
+    The row hashes are sorted once; their runs give the p distinct rows
+    and multiplicities c.  The sorted complement hashes of those rows find
+    their partners with one ``searchsorted``.  The count is exact: rows
+    sharing a hash must be equal, and each matched complement must equal
+    its partner, word for word.  No row is its own complement and the
+    relation is symmetric, so the sum of c_a * c_b over matched (a, b)
+    sees each pair twice.  O(n log n) for n rows.
     """
-    U = _pack_rows(above)
-    m = above.shape[1]
-    pad_bits = np.zeros(U.shape[1] * 64, dtype=np.uint8)
-    pad_bits[:m] = 1
-    padmask = _pack_rows(pad_bits[None, :])[0]
-    comp = (~U) & padmask
-    counts: dict[bytes, int] = {}
-    for row in U:
-        key = row.tobytes()
-        counts[key] = counts.get(key, 0) + 1
-    total = sum(counts.get(row.tobytes(), 0) for row in comp)
-    # each unordered pair is seen from both sides; i == j is impossible
-    # because no row equals its own complement
-    assert total % 2 == 0
-    return total // 2
+    n = U.shape[0]
+    h = _row_hashes(U)
+    order = np.argsort(h)
+    h, U = h[order], U[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = h[1:] != h[:-1]
+    if not np.array_equal(U[1:][~first[1:]], U[:-1][~first[1:]]):
+        return None
+    starts = np.flatnonzero(first)
+    P, keys, c = U[starts], h[starts], np.diff(starts, append=n)
+    comp = P ^ pad
+    hc = _row_hashes(comp)
+    corder = np.argsort(hc)
+    hc = hc[corder]
+    pos = np.searchsorted(keys, hc)
+    pos[pos == keys.size] = 0
+    hit = keys[pos] == hc
+    a, b = corder[hit], pos[hit]
+    if not np.array_equal(P[b], comp[a]):
+        return None
+    return int((c[a] * c[b]).sum()) // 2
 
 
 def _any_and(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -398,20 +450,38 @@ def _count_tuples_generic(U: np.ndarray, L: np.ndarray, j: int) -> int:
     return count
 
 
+def _count_pairs(xv: np.ndarray, X: np.ndarray, tied: bool, pad: np.ndarray) -> int:
+    """Exact number of index pairs of the rows of X whose band contains
+    the curve xv; ``tied`` says whether xv equals some X_iv, and ``pad``
+    has the m valid bits of a packed row set.
+
+    A row equal to xv puts it inside every band that row joins:
+    e * (n - e) + C(e, 2) pairs for e such copies.  The other rows, when
+    tie-free, have below == ~above, so a pair of them works iff one's
+    above pattern is the complement of the other's: a hashed complement
+    match, or the pattern count if that cannot verify.  Partial ties take
+    the pattern count over (above, below).
+    """
+    n = X.shape[0]
+    U = _pack_rows(X > xv)
+    e = 0
+    if tied:
+        eq = X == xv
+        copies = eq.all(axis=1)
+        if (eq.any(axis=1) & ~copies).any():
+            return _count_pattern_tuples(U, _pack_rows(X < xv), 2)[0]
+        e = int(copies.sum())
+        U = U[~copies]
+    pairs = _count_complement_pairs(U, pad)
+    if pairs is None:
+        pairs = _count_pattern_tuples(U, U ^ pad, 2)[0]
+    return e * (n - e) + math.comb(e, 2) + pairs
+
+
 def _band_counts(xv: np.ndarray, X: np.ndarray, J: int) -> list[int]:
     """Exact number of j-index-subsets of the rows of X whose band contains
-    the curve xv, j = 2..J."""
-    above = X > xv
-    eq = X == xv
-    copies = eq.all(axis=1)
-    partial_ties = bool((eq.any(axis=1) & ~copies).any())
-    if J == 2 and not partial_ties:
-        # a row equal to the query puts it inside every band it joins:
-        # e * (n - e) + C(e, 2) pairs; the remaining rows are tie-free
-        n, e = X.shape[0], int(copies.sum())
-        rest = above[~copies] if e else above
-        return [e * (n - e) + math.comb(e, 2) + _count_pairs_tie_free(rest)]
-    U = _pack_rows(above)
+    the curve xv, j = 2..J, for J >= 3."""
+    U = _pack_rows(X > xv)
     L = _pack_rows(X < xv)
     counts = _count_pattern_tuples(U, L, J)
     for j in range(4, J + 1):
@@ -451,37 +521,27 @@ def _bd_depth_values(
     """Fraction of j-curve bands (j = 2..J) that contain x at every grid point.
 
     sum_{j=2..J} C(n, j)^{-1} #{i_1 < ... < i_j : min <= x <= max pointwise},
-    with closed comparisons at the band boundaries.
+    with closed comparisons at the band boundaries.  For J = 2 each grid
+    column of the sample is sorted once per batch, and two
+    ``searchsorted`` calls per column mark the queries that equal some
+    sample value somewhere; only those compare X == x (``_count_pairs``).
     """
+    X, n = sample.values, sample.n
+    if J == 2:
+        tied = np.zeros(queries.shape[0], dtype=bool)
+        for v, s in enumerate(np.sort(X.T, axis=1)):
+            col = queries[:, v]
+            tied |= np.searchsorted(s, col, "left") != np.searchsorted(s, col, "right")
+        pad = _pack_rows(np.ones((1, X.shape[1]), dtype=bool))[0]
+        pairs = [_count_pairs(xv, X, t, pad) for xv, t in zip(queries, tied)]
+        return np.array([cnt / math.comb(n, 2) for cnt in pairs])
     out = np.empty(queries.shape[0])
     for i, xv in enumerate(queries):
         value = 0.0
-        for j, cnt in enumerate(_band_counts(xv, sample.values, J), start=2):
-            value += cnt / math.comb(sample.n, j)
+        for j, cnt in enumerate(_band_counts(xv, X, J), start=2):
+            value += cnt / math.comb(n, j)
         out[i] = value
     return out
-
-
-def band_depth_brute(x: Curve, sample: FunctionalSample, J: int = 2) -> DepthResult:
-    """Reference band depth by exhaustive combination enumeration.
-
-    Independent of the bitmask route: every j-subset is materialized and
-    its min/max envelope compared against the query directly.
-    """
-    _check_query(x, sample)
-    _check_band_order(J, sample.n)
-    _require_uniform_for_band(sample, "band depth")
-    X = sample.values
-    xv = x.values
-    value = 0.0
-    for j in range(2, J + 1):
-        cnt = 0
-        for idx in combinations(range(sample.n), j):
-            sub = X[list(idx)]
-            if np.all(sub.min(axis=0) <= xv) and np.all(xv <= sub.max(axis=0)):
-                cnt += 1
-        value += cnt / math.comb(sample.n, j)
-    return DepthResult(value, "bd", {"J": int(J)}, sample.n)
 
 
 # ---------------------------------------------------------------------------
@@ -535,31 +595,6 @@ def _mbd_depth_values(
             for i in range(queries.shape[0])
         ]
     )
-
-
-def modified_band_depth_brute(
-    x: Curve, sample: FunctionalSample, J: int = 2
-) -> DepthResult:
-    """Reference modified band depth by exhaustive enumeration.
-
-    Accumulates, per grid point, the integer number of covering subsets
-    from explicit min/max band tests, then applies the same
-    normalization as the optimized route.
-    """
-    _check_query(x, sample)
-    _check_band_order(J, sample.n)
-    _require_uniform_for_band(sample, "modified band depth")
-    X = sample.values
-    xv = x.values
-    counts = []
-    for j in range(2, J + 1):
-        cnt = np.zeros(sample.grid.m, dtype=np.int64)
-        for idx in combinations(range(sample.n), j):
-            sub = X[list(idx)]
-            cnt += (sub.min(axis=0) <= xv) & (xv <= sub.max(axis=0))
-        counts.append(cnt)
-    value = _mbd_value_from_counts(counts, sample.n, sample.grid)
-    return DepthResult(value, "mbd", {"J": int(J)}, sample.n)
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +729,8 @@ def depth_values(
     if depth == "h":
         return _h_depth_values(queries, sample, params.h)
     if depth == "rt":
+        k = params.k if directions is None else directions.shape[0]
+        _check_rt_budget(k, sample.n + queries.shape[0])
         if directions is None:
             directions = draw_directions(
                 sample.grid, params.k, params.seed, params.direction_law

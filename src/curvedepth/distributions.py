@@ -57,8 +57,12 @@ JITTER_CAP = 1e-6
 
 def _seed_key(seed: Seed) -> tuple[int, ...]:
     if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
+        key = (int(seed),)
+    else:
+        key = tuple(int(s) for s in seed)
+    if any(s < 0 for s in key):
+        raise ParameterError(f"seeds must be non-negative integers, got {seed!r}")
+    return key
 
 
 def subseed(seed: Seed, *tags: int) -> tuple[int, ...]:

@@ -32,11 +32,9 @@ from curvedepth.core import Curve, FunctionalSample, uniform_grid
 from curvedepth.depths import (
     DepthParams,
     band_depth_atomic,
-    band_depth_brute,
     depth_values,
     evaluate_depth,
     modified_band_depth_atomic,
-    modified_band_depth_brute,
 )
 from curvedepth.distributions import (
     ContaminationSpec,
@@ -50,6 +48,8 @@ from curvedepth.distributions import (
 )
 from curvedepth.properties import GOLDEN, rice_mc_diagnostic, run_full_audit
 from curvedepth.reconstruct import depth_stability
+
+from band_oracles import band_depth_brute, modified_band_depth_brute
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

@@ -234,6 +234,31 @@ def test_bd_tuple_budget_exits_3(tmp_path):
     assert "parameter error" in err
 
 
+def test_rt_direction_budget_exits_3(three_csv):
+    # 10**11 direction curves could never be allocated: fail before trying
+    code, _, err = run_cli(["depth", three_csv, "rt", "--k", 10**11])
+    assert code == cli.EXIT_PARAMS
+    assert "lower k" in err
+
+
+def test_negative_seed_exits_3(three_csv, tmp_path):
+    empty, negative = tmp_path / "empty.json", tmp_path / "negative.json"
+    empty.write_text("{}")
+    negative.write_text('{"seed": -1}')
+    out_csv = tmp_path / "out.csv"
+    for argv in (
+        ["--seed", -5, "depth", three_csv, "rt"],
+        ["--seed", -5, "simulate-gp", "--n", 2, out_csv],
+        ["--seed", -5, "audit", "--config", empty, "--out-dir", tmp_path],
+        ["audit", "--config", negative, "--out-dir", tmp_path],
+    ):
+        code, _, err = run_cli(argv)
+        assert code == cli.EXIT_PARAMS, argv
+        assert "seeds must be non-negative" in err, argv
+    assert not out_csv.exists()
+    assert not (tmp_path / "audit.json").exists()
+
+
 def test_threads_flag_overrides_inherited_environment(three_csv, monkeypatch):
     for var in cli._THREAD_ENV_VARS:
         monkeypatch.setenv(var, "7")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from curvedepth import depths
 from curvedepth.core import (
     Curve,
     FunctionalSample,
@@ -18,13 +19,11 @@ from curvedepth.depths import (
     _mbd_value_from_counts,
     _uniform_masses,
     band_depth_atomic,
-    band_depth_brute,
     depth_values,
     draw_directions,
     evaluate_depth,
     halfspace_depth_1d,
     modified_band_depth_atomic,
-    modified_band_depth_brute,
     upper_bound,
 )
 from curvedepth.distributions import (
@@ -35,6 +34,8 @@ from curvedepth.distributions import (
     counterexample_P5,
     sample_gp,
 )
+
+from band_oracles import band_depth_brute, modified_band_depth_brute
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -624,6 +625,98 @@ def test_fuzz_rt_mbd_large_sample_match_per_query(sq):
     assert np.array_equal(got, rt_per_query(Q, sample, dirs))
     got = depth_values("mbd", Q, sample, DepthParams(J=3))
     assert np.array_equal(got, mbd_per_query(Q, sample, 3))
+
+
+# ---------------------------------------------------------------------------
+# Band depth J = 2 on patterns of two or more packed words
+# ---------------------------------------------------------------------------
+
+
+def bd_pairs_reference(Q, X):
+    """bd with J = 2 from an O(n^2) check of every pair's band: the pair
+    misses x iff both curves lie strictly above x, or both strictly below,
+    at some grid point."""
+    iu = np.triu_indices(X.shape[0], 1)
+    out = []
+    for xv in Q:
+        A, B = (X > xv).astype(float), (X < xv).astype(float)
+        ok = ((A @ A.T) == 0) & ((B @ B.T) == 0)
+        out.append(int(ok[iu].sum()) / math.comb(X.shape[0], 2))
+    return np.array(out)
+
+
+@st.composite
+def multiword_band_case(draw, min_n, max_n):
+    """Low-rank curves on m > 64 grid points, so every packed above
+    pattern spans two or more words, with queries of every tie kind: fresh
+    curves, sample rows (copies, repeated when rows are duplicated) and
+    fresh curves that meet sample values at some grid points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(min_n, max_n))
+    m = draw(st.integers(65, 200))
+    t = np.linspace(0.0, 1.0, m)
+    basis = np.vstack([np.ones(m), t, np.sin(2 * np.pi * t)])
+    basis = basis[: draw(st.integers(1, 3))]
+    lattice = draw(st.booleans())
+
+    def curves(k):
+        c = rng.normal(size=(k, basis.shape[0])) @ basis
+        return np.round(c * 8) / 8 if lattice else c
+
+    X = curves(n)
+    if draw(st.booleans()):
+        X = X[rng.integers(0, max(1, n // 3), size=n)]  # duplicated rows
+    fresh = curves(3)
+    meet = np.where(
+        rng.random(fresh.shape) < 0.1,
+        X[rng.integers(0, n, size=fresh.shape), np.arange(m)],
+        fresh,
+    )
+    Q = np.vstack([fresh, X[rng.integers(0, n, size=3)], meet])
+    return FunctionalSample(X, uniform_grid(0, 1, m)), Q
+
+
+@settings(max_examples=40, deadline=None)
+@given(multiword_band_case(2, 14))
+def test_bd_multiword_patterns_match_brute(case):
+    sample, Q = case
+    got = depth_values("bd", Q, sample, DepthParams(J=2))
+    want = [band_depth_brute(Curve(q, sample.grid), sample, 2).value for q in Q]
+    assert got.tolist() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(multiword_band_case(129, 400))
+def test_bd_multiword_large_sample_matches_pair_check(case):
+    sample, Q = case
+    got = depth_values("bd", Q, sample, DepthParams(J=2))
+    assert np.array_equal(got, bd_pairs_reference(Q, sample.values))
+
+
+@pytest.mark.parametrize("table", ["zeros", "first-word-only"])
+def test_bd_hash_collisions_fall_back_to_exact_counts(monkeypatch, table):
+    # all-zero multipliers hash every row to 0; hashing only the first of
+    # three words makes rows that differ past grid point 64 collide.  The
+    # verification must reject such matches, and the counts stay exact.
+    rng = np.random.default_rng(8)
+    m = 130
+    lines = np.vstack([np.ones(m), np.linspace(0.0, 1.0, m)])
+    X = rng.normal(size=(200, 2)) @ lines
+    X = X[rng.integers(0, 150, size=200)]
+    Q = np.vstack([rng.normal(size=(3, 2)) @ lines, X[:3]])
+    sample = FunctionalSample(X, uniform_grid(0, 1, m))
+    # identical rows all above the query: one run, and no complement
+    above = FunctionalSample(np.ones((150, m)), sample.grid)
+    want = bd_pairs_reference(Q, X)
+    M = np.zeros(64, dtype=np.uint64)
+    if table == "first-word-only":
+        M[0] = 1
+    monkeypatch.setattr(depths, "_HASH_MULTIPLIERS", M)
+    U = depths._pack_rows(X > Q[0])
+    pad = depths._pack_rows(np.ones((1, m), dtype=bool))[0]
+    assert depths._count_complement_pairs(U, pad) is None
+    assert np.array_equal(depth_values("bd", Q, sample), want)
+    assert depth_values("bd", np.zeros(m), above).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 300, 1000, 5000, 9001])
