@@ -172,7 +172,7 @@ def _read_json(path: str):
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def load_audit_config(path: str | None, seed: int):
+def _load_audit_config(path: str | None, seed: int):
     """The AuditConfig of ``audit --config``: defaults when ``path`` is None,
     else the JSON object at ``path`` over the defaults, with ``seed`` unless
     the file sets one.  Raises InputError for an unreadable file or a
@@ -358,7 +358,7 @@ def _cmd_audit(args) -> int:
     from curvedepth.core import InputError
     from curvedepth.properties import run_full_audit
 
-    config = load_audit_config(args.config, args.seed)
+    config = _load_audit_config(args.config, args.seed)
     # create the output directory first, so a bad path fails before the run
     try:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -388,10 +388,12 @@ def _cmd_simulate_gp(args) -> int:
     from curvedepth.distributions import (
         GPSpec,
         Kernel,
+        _check_gp_budget,
         gpspec_from_json,
         sample_gp,
     )
 
+    _check_gp_budget(args.n, args.m)  # before uniform_grid allocates m points
     if args.spec is not None:
         grid = uniform_grid(args.a, args.b, args.m)
         spec = gpspec_from_json(_read_json(args.spec), grid)

@@ -116,16 +116,12 @@ class DepthParams:
     J : band-depth order (>= 2; at evaluation time also <= n).
     k : number of random projection directions (>= 1).
     seed : seed for drawing the directions.
-    direction_law : Gaussian process the directions are drawn from;
-        None means a zero-mean squared-exponential process with unit
-        variance and length scale 0.2 on the sample's grid.
     """
 
     h: float = 1.0
     J: int = 2
     k: int = 20
     seed: Seed = 0
-    direction_law: GPSpec | None = None
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.h) and self.h > 0):
@@ -216,21 +212,17 @@ def _h_depth_values(
 # ---------------------------------------------------------------------------
 
 
-def draw_directions(
-    grid: Grid, k: int, seed: Seed, law: GPSpec | None = None
-) -> np.ndarray:
-    """k direction curves from the given GP law, normalized to unit L2 norm.
+def draw_directions(grid: Grid, k: int, seed: Seed) -> np.ndarray:
+    """k direction curves, normalized to unit L2 norm, drawn from a
+    zero-mean squared-exponential process (unit variance, length scale 0.2)
+    on the grid.
 
     Normalization does not change projected halfspace depths (positive
     scaling of a projection preserves both tail masses) but keeps the
     projections on a readable scale.
     """
     _check_rt_budget(k, grid.m)
-    if law is None:
-        law = GPSpec(kernel=Kernel("se", 1.0, 0.2), grid=grid)
-    elif law.grid != grid:
-        raise InputError("direction law lives on a different grid")
-    dirs = sample_gp(law, k, seed).values
+    dirs = sample_gp(GPSpec(Kernel("se", 1.0, 0.2), grid), k, seed).values
     norms = np.sqrt(np.maximum((dirs * dirs) @ grid.weights, 0.0))
     if np.any(norms < 1e-12):
         raise np.linalg.LinAlgError("degenerate direction draw (zero norm)")
@@ -703,7 +695,6 @@ def depth_values(
     queries: np.ndarray,
     sample: FunctionalSample,
     params: DepthParams | None = None,
-    directions: np.ndarray | None = None,
 ) -> np.ndarray:
     """Depth of each query row against the sample, as a plain array.
 
@@ -711,7 +702,8 @@ def depth_values(
     is a (q, m) array of curves on the sample's grid (one curve may be
     passed as an (m,) array).  The batch is validated once, then handed
     to the depth's kernel.  The random-Tukey directions are drawn once
-    per batch unless given, so every query sees the same projection set.
+    per batch from ``params.k`` and ``params.seed``, so every query sees
+    the same projection set.
     """
     params = params or DepthParams()
     if depth not in DEPTH_IDS:
@@ -729,12 +721,8 @@ def depth_values(
     if depth == "h":
         return _h_depth_values(queries, sample, params.h)
     if depth == "rt":
-        k = params.k if directions is None else directions.shape[0]
-        _check_rt_budget(k, sample.n + queries.shape[0])
-        if directions is None:
-            directions = draw_directions(
-                sample.grid, params.k, params.seed, params.direction_law
-            )
+        _check_rt_budget(params.k, sample.n + queries.shape[0])
+        directions = draw_directions(sample.grid, params.k, params.seed)
         return _rt_depth_values(queries, sample, directions)
     if depth == "hr":
         return _hr_depth_values(queries, sample)
@@ -759,18 +747,16 @@ def evaluate_depth(
     x: Curve,
     sample: FunctionalSample,
     params: DepthParams | None = None,
-    directions: np.ndarray | None = None,
 ) -> DepthResult:
     """Depth of one curve: ``depth_values`` on a batch of one, with the
     depth id, a parameter echo and the sample size."""
     params = params or DepthParams()
     _check_query(x, sample)
-    value = float(_depth_values(depth, x.values, sample, params, directions)[0])
+    value = float(_depth_values(depth, x.values, sample, params)[0])
     if depth == "h":
         echo = {"h": params.h}
     elif depth == "rt":
-        k = params.k if directions is None else directions.shape[0]
-        echo = {"k": int(k), "seed": _seed_echo(params.seed)}
+        echo = {"k": int(params.k), "seed": _seed_echo(params.seed)}
     elif depth in ("bd", "mbd"):
         echo = {"J": int(params.J)}
     else:

@@ -54,6 +54,11 @@ KERNEL_TYPES = ("se", "cosine")
 JITTER_START = 1e-12
 JITTER_CAP = 1e-6
 
+#: Bound on the values one GP draw may hold in a single array: the (n, m)
+#: sample and the (m, m) kernel matrix, so a huge n or m fails fast
+#: instead of exhausting memory.
+MAX_GP_ELEMENTS = 5 * 10**7
+
 
 def _seed_key(seed: Seed) -> tuple[int, ...]:
     if isinstance(seed, (int, np.integer)):
@@ -161,6 +166,17 @@ def _cholesky_with_jitter(K: np.ndarray, variance: float) -> np.ndarray:
     )
 
 
+def _check_gp_budget(n: int, m: int) -> None:
+    """Reject n draws on m grid points past ``MAX_GP_ELEMENTS``; cheap
+    enough to run before the grid itself is built."""
+    size = max(n * m, m * m)
+    if size > MAX_GP_ELEMENTS:
+        raise ParameterError(
+            f"{n} Gaussian-process draws on {m} grid points would hold {size} "
+            f"values in one array, more than {MAX_GP_ELEMENTS}; lower n or m"
+        )
+
+
 def sample_gp(spec: GPSpec, n: int, seed: Seed) -> FunctionalSample:
     """Draw n independent GP paths: mean + L z with L the Cholesky factor.
 
@@ -169,6 +185,7 @@ def sample_gp(spec: GPSpec, n: int, seed: Seed) -> FunctionalSample:
     """
     if n < 1:
         raise ParameterError(f"need n >= 1 draws, got {n}")
+    _check_gp_budget(n, spec.grid.m)
     K = spec.kernel.matrix(spec.grid.points)
     L = _cholesky_with_jitter(K, spec.kernel.variance)
     z = _rng(seed).standard_normal(size=(n, spec.grid.m))

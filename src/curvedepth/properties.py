@@ -2,8 +2,8 @@
 
 Each ``audit_*`` function probes one property for one depth id and returns
 a :class:`Verdict` -- satisfied / violated / inapplicable -- carrying the
-probe inputs, depth values, margins, and a replay recipe, so that every
-violated cell can be recomputed bit-exactly from the stored seeds.
+probe inputs, depth values and margins.  A ``replay`` recipe in the
+evidence records the cell's seeds, parameters, grid and sample origin.
 
 ``run_full_audit`` assembles the complete 6 x 6 verdict matrix (six depths
 by properties P-1, P-2G, P-3, P-4, P-5, P-6) together with an upcrossing-
@@ -48,7 +48,6 @@ from .depths import (
     DepthParams,
     band_depth_atomic,
     depth_values,
-    draw_directions,
     evaluate_depth,
     modified_band_depth_atomic,
     upper_bound,
@@ -64,7 +63,6 @@ from .distributions import (
     counterexample_P3,
     counterexample_P3_RT,
     counterexample_P5,
-    gpspec_from_json,
     gpspec_to_json,
     mix,
     sample_gp,
@@ -78,7 +76,6 @@ __all__ = [
     "INAPPLICABLE",
     "MARKS",
     "PROPERTY_IDS",
-    "PROPERTY_TITLES",
     "RiceSpec",
     "SATISFIED",
     "VIOLATED",
@@ -91,8 +88,6 @@ __all__ = [
     "audit_P6",
     "count_upcrossings",
     "p1_transform",
-    "replay_matches",
-    "replay_verdict",
     "rice_expected_upcrossings",
     "rice_mc_diagnostic",
     "run_full_audit",
@@ -105,15 +100,6 @@ _STATUSES = (SATISFIED, VIOLATED, INAPPLICABLE)
 
 #: Report order of the audited properties.
 PROPERTY_IDS = ("P-1", "P-2G", "P-3", "P-4", "P-5", "P-6")
-
-PROPERTY_TITLES = {
-    "P-1": "invariance under distance-compatible maps",
-    "P-2G": "maximality at the mean of a Gaussian model",
-    "P-3": "strict decrease away from the deepest curve",
-    "P-4": "upper semicontinuity (finite probe)",
-    "P-5": "receptivity to hull-width shrinkage",
-    "P-6": "stability under sampling and contamination",
-}
 
 MARKS = {SATISFIED: "✓", VIOLATED: "✗", INAPPLICABLE: "–"}
 
@@ -179,26 +165,14 @@ def _params_echo(params: DepthParams) -> dict:
     }
 
 
-def _params_from_echo(obj: dict) -> DepthParams:
-    seed = obj.get("seed", 0)
-    if isinstance(seed, list):
-        seed = tuple(int(s) for s in seed)
-    return DepthParams(
-        h=float(obj.get("h", 1.0)),
-        J=int(obj.get("J", 2)),
-        k=int(obj.get("k", 20)),
-        seed=seed,
-    )
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of one audit cell.
 
     status : satisfied, violated, or inapplicable.
     evidence : structured record of the probe inputs, depth values and
-        margins; violated verdicts carry a concrete witness plus a
-        ``replay`` recipe sufficient to recompute the stored values.
+        margins; violated verdicts carry a concrete witness, and a
+        ``replay`` recipe records the inputs of each decided cell.
     tolerance : the numeric tolerance the decision used (None when the
         cell was decided by exact comparisons alone).
     """
@@ -821,12 +795,7 @@ def audit_P4(
     metric = "l2" if depth_id in L2_CLASS else "sup"
     mean = np.average(sample.values, axis=0, weights=sample.weights)
     probe_rows = np.vstack([mean[None, :], sample.values[: max(probes - 1, 0)]])
-    directions = None
-    if depth_id == "rt":
-        directions = draw_directions(
-            grid, params.k, params.seed, params.direction_law
-        )
-    base_vals = depth_values(depth_id, probe_rows, sample, params, directions)
+    base_vals = depth_values(depth_id, probe_rows, sample, params)
     records = []
     witness = None
     for pi in range(probe_rows.shape[0]):
@@ -842,7 +811,7 @@ def audit_P4(
                     subseed(seed, pi, ei, di),
                     grid,
                 )
-                vals = depth_values(depth_id, Y, sample, params, directions)
+                vals = depth_values(depth_id, Y, sample, params)
                 wi = int(np.argmax(vals))
                 last_worst = {
                     "delta": float(delta),
@@ -989,12 +958,6 @@ def audit_P5(
     elif depth_id == "mbd":
         vb = modified_band_depth_atomic(x, dist, params.J).value
         va = modified_band_depth_atomic(x_after, dist_after, params.J).value
-    elif depth_id == "rt":
-        dirs = draw_directions(g, params.k, params.seed, params.direction_law)
-        vb = evaluate_depth("rt", x, dist.as_sample(), params, dirs).value
-        va = evaluate_depth(
-            "rt", x_after, dist_after.as_sample(), params, dirs
-        ).value
     else:
         vb = evaluate_depth(depth_id, x, dist.as_sample(), params).value
         va = evaluate_depth(depth_id, x_after, dist_after.as_sample(), params).value
@@ -1074,17 +1037,9 @@ def _p6_measurements(
     """
     grid = base.grid
     zero = Curve(np.zeros(grid.m), grid)
-    directions_by_depth = {}
-    if "rt" in depth_ids:
-        p = params_by_depth["rt"]
-        directions_by_depth["rt"] = draw_directions(
-            grid, p.k, p.seed, p.direction_law
-        )
 
     def val(d, sample):
-        return evaluate_depth(
-            d, zero, sample, params_by_depth[d], directions_by_depth.get(d)
-        ).value
+        return evaluate_depth(d, zero, sample, params_by_depth[d]).value
 
     ref = sample_gp(base, ref_n, subseed(seed, 0))
     out = {
@@ -1262,188 +1217,6 @@ def audit_P6(
         witness["contamination"] = worst
     evidence["witness"] = witness
     return Verdict(VIOLATED, evidence, tolerance=c_max)
-
-
-# ---------------------------------------------------------------------------
-# Replay of stored witnesses
-# ---------------------------------------------------------------------------
-
-
-def _grid_from_recipe(rec: dict) -> Grid:
-    return Grid(np.asarray(rec["grid_points"], dtype=float))
-
-
-def _sample_from_recipe(rec: dict, grid: Grid) -> FunctionalSample:
-    src = rec["sample"]
-    if src.get("kind") == "gp":
-        spec = gpspec_from_json(src["spec"], grid)
-        sample = sample_gp(spec, int(src["n"]), _seed_from(src["seed"]))
-        rows = src.get("rows")
-        if rows is not None and int(rows) < sample.n:
-            return FunctionalSample(sample.values[: int(rows)], grid)
-        return sample
-    if src.get("kind") == "values":
-        return FunctionalSample(np.asarray(src["values"], dtype=float), grid)
-    raise ParameterError(f"unknown sample recipe {src.get('kind')!r}")
-
-
-def _seed_from(obj):
-    return tuple(int(s) for s in obj) if isinstance(obj, list) else int(obj)
-
-
-def replay_verdict(verdict: Verdict) -> dict:
-    """Recompute the depth values a verdict's evidence stores.
-
-    Returns ``{"stored": {...}, "replayed": {...}}`` with matching keys;
-    the module invariant is that for every violated verdict the two sides
-    agree bit-exactly (same seeds, same inputs, same arithmetic).
-    """
-    rec = verdict.evidence.get("replay")
-    if rec is None:
-        raise ParameterError("verdict carries no replay recipe")
-    kind = rec["kind"]
-    grid = _grid_from_recipe(rec)
-    params = _params_from_echo(rec["params"]) if "params" in rec else None
-
-    if kind == "p1":
-        sample = _sample_from_recipe(rec, grid)
-        queries = np.asarray(rec["queries"], dtype=float)
-        b = None if rec["b"] is None else np.asarray(rec["b"], dtype=float)
-        f_sample = FunctionalSample(
-            p1_transform(rec["depth"], sample.values, rec["a"], b),
-            grid,
-            sample.weights,
-        )
-        before = depth_values(rec["depth"], queries, sample, params)
-        after = depth_values(
-            rec["depth"],
-            p1_transform(rec["depth"], queries, rec["a"], b),
-            f_sample,
-            params,
-        )
-        return {
-            "stored": {
-                "values_before": verdict.evidence["values_before"],
-                "values_after": verdict.evidence["values_after"],
-            },
-            "replayed": {
-                "values_before": [float(v) for v in before],
-                "values_after": [float(v) for v in after],
-            },
-        }
-
-    if kind == "p2g":
-        spec = gpspec_from_json(rec["gp"], grid)
-        sample = sample_gp(spec, int(rec["n"]), _seed_from(rec["seed"]))
-        band_n = rec.get("band_n")
-        if rec["depth"] == "bd" and band_n is not None and band_n < sample.n:
-            eval_sample = FunctionalSample(sample.values[: int(band_n)], grid)
-        else:
-            eval_sample = sample
-        probes, _ = _p2g_probe_set(
-            spec, int(rec["n_draw_probes"]), subseed(_seed_from(rec["seed"]), 11)
-        )
-        vals = depth_values(rec["depth"], probes, eval_sample, params)
-        return {
-            "stored": {"values": verdict.evidence["values"]},
-            "replayed": {"values": [float(v) for v in vals]},
-        }
-
-    if kind == "p3_h":
-        fresh = audit_P3(
-            "h",
-            params=params,
-            n=int(rec["n"]),
-            seed=_seed_from(rec["seed"]),
-            grid=grid,
-        )
-        return {
-            "stored": {"triple_values": verdict.evidence["triple_values"]},
-            "replayed": {"triple_values": fresh.evidence["triple_values"]},
-        }
-
-    if kind == "p3_rt":
-        fresh = audit_P3("rt", params=params, grid=grid)
-        return {
-            "stored": {"values": verdict.evidence["values"]},
-            "replayed": {"values": fresh.evidence["values"]},
-        }
-
-    if kind == "p3":
-        fresh = audit_P3(rec["depth"], params=params, grid=grid)
-        return {
-            "stored": {"values": verdict.evidence["values"]},
-            "replayed": {"values": fresh.evidence["values"]},
-        }
-
-    if kind == "p5":
-        fresh = audit_P5(
-            rec["depth"],
-            params=params,
-            grid=grid,
-            delta=float(rec["delta"]),
-            factor=float(rec["factor"]),
-        )
-        return {
-            "stored": {
-                "value_before": verdict.evidence["value_before"],
-                "value_after": verdict.evidence["value_after"],
-            },
-            "replayed": {
-                "value_before": fresh.evidence["value_before"],
-                "value_after": fresh.evidence["value_after"],
-            },
-        }
-
-    if kind == "p4":
-        sample = _sample_from_recipe(rec, grid)
-        fresh = audit_P4(
-            rec["depth"],
-            sample,
-            probes=int(rec["probes"]),
-            delta_ladder=tuple(rec["delta_ladder"]),
-            eps=tuple(rec["eps"]),
-            n_perturb=int(rec["n_perturb"]),
-            seed=_seed_from(rec["seed"]),
-            params=params,
-        )
-        return {
-            "stored": {"records": verdict.evidence["records"]},
-            "replayed": {"records": fresh.evidence["records"]},
-        }
-
-    if kind == "p6":
-        spec = gpspec_from_json(rec["gp"], grid)
-        outlier = AtomicDistribution(
-            np.asarray(rec["outlier_values"], dtype=float),
-            np.asarray(rec["outlier_probs"], dtype=float),
-            grid,
-        )
-        fresh = audit_P6(
-            rec["depth"],
-            spec,
-            outlier,
-            eps_ladder=tuple(rec["eps_ladder"]),
-            n=int(rec["n"]),
-            seed=_seed_from(rec["seed"]),
-            params=params,
-            conv_ns=tuple(rec["conv_ns"]),
-            ref_n=int(rec["ref_n"]),
-            replicates=int(rec["replicates"]),
-        )
-        keys = ("ref_value", "medians", "c_fit")
-        return {
-            "stored": {k: verdict.evidence[k] for k in keys},
-            "replayed": {k: fresh.evidence[k] for k in keys},
-        }
-
-    raise ParameterError(f"unknown replay kind {kind!r}")
-
-
-def replay_matches(verdict: Verdict) -> bool:
-    """True iff the replayed values equal the stored ones exactly."""
-    res = replay_verdict(verdict)
-    return res["stored"] == res["replayed"]
 
 
 # ---------------------------------------------------------------------------
@@ -1630,9 +1403,11 @@ def _config_from_json(value, like, key: str):
     return value
 
 
-def _fingerprint(payload: dict) -> str:
+def _fingerprint(report_json: dict) -> str:
+    """sha256 of a report's JSON without its ``schema`` and ``timestamp``."""
+    content = {k: v for k, v in report_json.items() if k not in ("schema", "timestamp")}
     digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        json.dumps(content, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
     return f"sha256:{digest}"
 
@@ -1651,16 +1426,6 @@ class AuditReport:
     timestamp: str
     diagnostics: dict = field(default_factory=dict)
     notes: tuple = ()
-
-    def verdict(self, depth_id: str, property_id: str) -> Verdict:
-        return self.matrix[depth_id][property_id]
-
-    def pattern(self) -> dict:
-        """Status strings only: depth id -> tuple in PROPERTY_IDS order."""
-        return {
-            d: tuple(self.matrix[d][p].status for p in PROPERTY_IDS)
-            for d in DEPTH_IDS
-        }
 
     def mismatches(self, expected: dict | None = None) -> list:
         """Cells whose status differs from the expected pattern."""
@@ -1923,22 +1688,12 @@ def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
         "p6": _echo_seed(subseed(seed, 60)),
         "rice": _echo_seed(subseed(seed, 70)),
     }
-    params = config.to_json()
-    payload = {
-        "seeds": _jsonify(seeds),
-        "params": _jsonify(params),
-        "matrix": {
-            d: {p: matrix[d][p].to_json() for p in PROPERTY_IDS}
-            for d in DEPTH_IDS
-        },
-        "diagnostics": _jsonify(diagnostics),
-        "notes": list(_AUDIT_NOTES),
-    }
-    return AuditReport(
+    report = AuditReport(
         matrix=matrix,
         seeds=seeds,
-        params=params,
-        timestamp=_fingerprint(payload),
+        params=config.to_json(),
+        timestamp="",
         diagnostics=diagnostics,
         notes=_AUDIT_NOTES,
     )
+    return replace(report, timestamp=_fingerprint(report.to_json()))

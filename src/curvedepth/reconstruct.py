@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import FunctionalSample, Grid, InputError, ParameterError
-from .depths import DepthParams, depth_values, draw_directions
+from .depths import DepthParams, depth_values
 from .distributions import Seed, _rng, subseed
 
 __all__ = [
@@ -152,12 +152,7 @@ def depth_stability(
     probes = np.vstack(
         [full.values.mean(axis=0), full.values[: max(0, n_probes - 1)]]
     )
-    directions = None
-    if depth == "rt":
-        directions = draw_directions(
-            full.grid, params.k, params.seed, params.direction_law
-        )
-    base = depth_values(depth, probes, full, params, directions)
+    base = depth_values(depth, probes, full, params)
     devs = []
     for seed in seeds:
         rng = _rng(subseed(seed, 7))
@@ -166,7 +161,7 @@ def depth_stability(
             for i in range(full.n)
         ]
         rebuilt = reconstruct_linear(obs, full.grid)
-        vals = depth_values(depth, probes, rebuilt, params, directions)
+        vals = depth_values(depth, probes, rebuilt, params)
         devs.append(np.abs(vals - base))
     pool = np.concatenate(devs)
     return StabilityRecord(

@@ -18,8 +18,6 @@ import json
 import os
 import shutil
 import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,6 +386,19 @@ def test_simulate_gp_single_grid_point_exits_3(tmp_path):
     assert "parameter error" in err
 
 
+@pytest.mark.parametrize(
+    "sizes", [["--n", 10**11], ["--n", 5, "--m", 10**11]], ids=["huge-n", "huge-m"]
+)
+def test_simulate_gp_size_budget_exits_3(tmp_path, sizes):
+    # an (n, m) sample or (m, m) kernel matrix this large could never be
+    # allocated: fail before the grid is built
+    out_csv = tmp_path / "gp.csv"
+    code, _, err = run_cli(["simulate-gp", *sizes, out_csv])
+    assert code == cli.EXIT_PARAMS
+    assert "parameter error" in err
+    assert not out_csv.exists()
+
+
 def test_reconstruct_unwritable_output_exits_2(three_csv, tmp_path):
     code, _, err = run_cli(["reconstruct", three_csv, tmp_path])  # a directory
     assert code == cli.EXIT_INPUT
@@ -466,19 +477,13 @@ def test_reconstruct_feeds_depth(tmp_path):
         ('{"n": 0}', cli.EXIT_PARAMS),
     ],
 )
-def test_run_audit_script_bad_config_exits_before_the_audit(tmp_path, text, code):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_audit.py"
+def test_audit_cli_bad_config_exits_before_the_audit(tmp_path, text, code):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     out_dir = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, script, "--config", cfg, "--out-dir", out_dir],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == code, proc.stderr
-    assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1, proc.stderr
+    got, out, err = run_cli(["audit", "--config", cfg, "--out-dir", out_dir])
+    assert got == code, err
+    assert out == "" and len(err.splitlines()) == 1, err
     assert not out_dir.exists()
 
 

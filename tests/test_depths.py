@@ -600,9 +600,9 @@ def test_fuzz_rt_matches_per_query_reference(sq, weighted, data):
         )
         sample = FunctionalSample(sample.values, sample.grid, weights=w / w.sum())
     Q = np.vstack([x.values, sample.values])
-    dirs = draw_directions(sample.grid, 3, seed=1)
-    got = depth_values("rt", Q, sample, directions=dirs)
-    assert np.array_equal(got, rt_per_query(Q, sample, dirs)), (got, weighted)
+    got = depth_values("rt", Q, sample, DepthParams(k=3, seed=1))
+    want = rt_per_query(Q, sample, draw_directions(sample.grid, 3, seed=1))
+    assert np.array_equal(got, want), (got, weighted)
 
 
 @settings(max_examples=N_FUZZ, deadline=None)
@@ -620,9 +620,9 @@ def test_fuzz_mbd_matches_brute_per_query(sq):
 @given(large_sample_and_queries())
 def test_fuzz_rt_mbd_large_sample_match_per_query(sq):
     sample, Q = sq
-    dirs = draw_directions(sample.grid, 3, seed=2)
-    got = depth_values("rt", Q, sample, directions=dirs)
-    assert np.array_equal(got, rt_per_query(Q, sample, dirs))
+    got = depth_values("rt", Q, sample, DepthParams(k=3, seed=2))
+    want = rt_per_query(Q, sample, draw_directions(sample.grid, 3, seed=2))
+    assert np.array_equal(got, want)
     got = depth_values("mbd", Q, sample, DepthParams(J=3))
     assert np.array_equal(got, mbd_per_query(Q, sample, 3))
 

@@ -137,6 +137,12 @@ def test_sample_gp_rejects_bad_n():
         sample_gp(default_gp(), 0, seed=0)
 
 
+def test_sample_gp_size_budget():
+    # 10**9 draws on 101 points would hold 1.01e11 values: rejected unallocated
+    with pytest.raises(ParameterError, match="lower n or m"):
+        sample_gp(default_gp(), 10**9, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # Atomic distributions and the audit witnesses
 # ---------------------------------------------------------------------------

@@ -1,3 +1,8 @@
+import csv
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +160,24 @@ def test_stability_identity_pipeline(gp200):
     rec = depth_stability("mhr", gp200, sparse_rate=1.0, noise_sd=0.0, seeds=[1, 2])
     assert rec.max_dev == 0.0
     assert rec.median_dev == 0.0
+
+
+def test_sparse_depth_experiment_script(tmp_path):
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    script = scripts / "sparse_depth_experiment.py"
+    out = tmp_path / "records.csv"
+    argv = ["--n", "30", "--m", "21", "--depths", "rt", "mhr", "--rates", "0.5",
+            "1.0", "--noise", "0.0", "--n-seeds", "2", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, str(script), *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(out, newline="", encoding="utf-8") as fh:
+        records = list(csv.DictReader(fh))
+    assert len(records) == 4
+    full = [r for r in records if float(r["sparse_rate"]) == 1.0]
+    assert sorted(r["depth"] for r in full) == ["mhr", "rt"]
+    assert all(float(r["max_dev"]) == 0.0 for r in full)
 
 
 def test_stability_mhr_small_at_half_rate(gp200):
