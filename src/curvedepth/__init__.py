@@ -20,9 +20,7 @@ _EXPORTS = {
     "Grid": "core",
     "InputError": "core",
     "ParameterError": "core",
-    "l2_distance": "core",
     "lebesgue_fraction": "core",
-    "sup_distance": "core",
     "uniform_grid": "core",
     "DEPTH_IDS": "depths",
     "DEPTH_LABELS": "depths",

@@ -1,7 +1,7 @@
 """Grids, curves and curve samples on a shared one-dimensional domain.
 
 Numerical substrate for everything else in the package: trapezoid
-quadrature weights, L2/sup distances between discretized curves,
+quadrature weights, row-wise L2/sup norms of discretized curves,
 Lebesgue fractions of grid masks, and the CSV curve format shared with
 the command-line tools.
 
@@ -24,8 +24,6 @@ __all__ = [
     "Grid",
     "Curve",
     "FunctionalSample",
-    "l2_distance",
-    "sup_distance",
     "lebesgue_fraction",
     "l2_norm_rows",
     "sup_norm_rows",
@@ -227,28 +225,6 @@ class FunctionalSample:
 
     def __repr__(self) -> str:
         return f"FunctionalSample(n={self.n}, m={self.grid.m})"
-
-
-def _check_shared_grid(x: Curve, y: Curve) -> None:
-    if x.grid is not y.grid and x.grid != y.grid:
-        raise InputError("curves live on different grids")
-
-
-def l2_distance(x: Curve, y: Curve) -> float:
-    """L2(lambda) distance between two curves on the same grid.
-
-    sqrt( sum_i w_i (x(v_i) - y(v_i))^2 ) with the grid's quadrature
-    weights; symmetric, and zero iff the curves agree at every grid point.
-    """
-    _check_shared_grid(x, y)
-    d = x.values - y.values
-    return float(np.sqrt(max(float(d * d @ x.grid.weights), 0.0)))
-
-
-def sup_distance(x: Curve, y: Curve) -> float:
-    """Supremum distance max_i |x(v_i) - y(v_i)| on the shared grid."""
-    _check_shared_grid(x, y)
-    return float(np.max(np.abs(x.values - y.values)))
 
 
 def lebesgue_fraction(mask: np.ndarray, grid: Grid) -> float:

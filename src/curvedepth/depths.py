@@ -17,7 +17,11 @@ equal, bit for bit, per-query masked weight sums and comparison counts.
 bd with J = 2 sorts the grid columns once per batch as well, to find the
 queries that tie some sample value; each query's pairs are then counted
 by a hashed, verified match of above patterns and their complements.
-h, hr, mhr and bd's pattern counts still loop over queries or chunks.
+hr, mhr and bd's pattern counts still loop over queries.  h squares its
+query-minus-sample differences in place, in a buffer of a few queries
+that stays in cache, but keeps the summation order of its fixed chunks
+of queries exactly (see ``_h_depth_values``), so its values, and the
+audit bytes built on them, do not move.
 
 Band-type depths come in two forms that must not be conflated:
 
@@ -91,6 +95,10 @@ MAX_BAND_TUPLES = 10**6
 # (rows = n + q), so a huge k fails fast instead of exhausting memory.
 MAX_RT_ELEMENTS = 5 * 10**7
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Bytes of the h-depth difference buffer: a block of queries' differences
+# to the whole sample, sized to stay in cache while it is squared and
+# reduced.
+_H_BLOCK_BYTES = 256 * 1024
 
 
 def _splitmix64(k: int) -> int:
@@ -112,7 +120,8 @@ _HASH_MULTIPLIERS = np.array([_splitmix64(k) | 1 for k in range(64)], dtype=np.u
 class DepthParams:
     """Tuning parameters shared by the depth functions.
 
-    h : bandwidth of the Gaussian kernel h-depth (> 0).
+    h : bandwidth of the Gaussian kernel h-depth (> 0, and large enough
+        that 2 h^2 does not underflow to 0, about 1.6e-162).
     J : band-depth order (>= 2; at evaluation time also <= n).
     k : number of random projection directions (>= 1).
     seed : seed for drawing the directions.
@@ -126,6 +135,11 @@ class DepthParams:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.h) and self.h > 0):
             raise ParameterError(f"bandwidth h must be > 0, got {self.h}")
+        if 2.0 * self.h * self.h == 0.0:
+            # the kernel's exponent divides by 2 h^2, which would be 0 / 0
+            raise ParameterError(
+                f"bandwidth h = {self.h} is too small: 2 h^2 underflows to 0"
+            )
         if int(self.J) != self.J or self.J < 2:
             raise ParameterError(f"band order J must be an integer >= 2, got {self.J}")
         if int(self.k) != self.k or self.k < 1:
@@ -189,21 +203,40 @@ def _h_depth_values(
 
     (1/n) sum_i K_h(||x - X_i||_2) with K_h(t) = exp(-t^2/(2h^2)) / (h sqrt(2 pi));
     sample weights replace 1/n when non-uniform.
+
+    Squared L2 distances come from explicit differences, query minus
+    sample: a common shift of queries and sample cancels term by term (so
+    ranks of tied curves survive translation bit for bit), and close
+    curves far from the origin lose no precision to cancellation, unlike
+    the expanded product q.q + x.x - 2 q.x.
+
+    The differences are squared in place in one buffer of b queries that
+    fits in ``_H_BLOCK_BYTES``, so no (chunk, n, m) temporary streams
+    through memory.  Blocks split only the queries: each query's row of
+    ``d2`` stays one product over all n sample rows, because splitting
+    the rows of ``X @ w`` can change the rounding.  The outer chunk of
+    ``4_000_000 // X.size`` queries stays as it was for the same reason:
+    the final product with ``sample.weights`` rounds differently for
+    different row counts, and the audit's stored values rest on it.
     """
     w = sample.grid.weights
     X = sample.values
-    # squared L2 distances from explicit differences: a common shift of
-    # queries and sample cancels term by term (so ranks of tied curves
-    # survive translation bit-for-bit), and close curves far from the
-    # origin lose no precision to cancellation, unlike the expanded
-    # product q.q + x.x - 2 q.x.  Chunked to bound the difference tensor.
-    out = np.empty(queries.shape[0])
+    q = queries.shape[0]
+    out = np.empty(q)
     norm = 1.0 / (h * _SQRT_2PI)
     chunk = max(1, 4_000_000 // max(1, X.size))
-    for lo in range(0, queries.shape[0], chunk):
-        diff = queries[lo : lo + chunk, None, :] - X[None, :, :]
-        d2 = (diff * diff) @ w
-        out[lo : lo + chunk] = (np.exp(-d2 / (2.0 * h * h)) * norm) @ sample.weights
+    block = max(1, _H_BLOCK_BYTES // X.nbytes)
+    buf = np.empty((min(block, q), *X.shape))
+    d2 = np.empty((min(chunk, q), X.shape[0]))
+    for lo in range(0, q, chunk):
+        hi = min(lo + chunk, q)
+        for s in range(lo, hi, block):
+            e = min(s + block, hi)
+            blk = buf[: e - s]
+            np.subtract(queries[s:e, None, :], X[None], out=blk)
+            np.multiply(blk, blk, out=blk)
+            np.matmul(blk, w, out=d2[s - lo : e - lo])
+        out[lo:hi] = (np.exp(-d2[: hi - lo] / (2.0 * h * h)) * norm) @ sample.weights
     return out
 
 

@@ -18,6 +18,8 @@ import json
 import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from curvedepth.depths import DEPTH_IDS
 from test_properties import _reduced_config
 
 N_FUZZ = 1000
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv):
@@ -210,6 +213,14 @@ def test_unknown_depth_id_exits_3(three_csv):
 def test_bad_bandwidth_exits_3(three_csv):
     code, _, err = run_cli(["depth", three_csv, "h", "--h", "0"])
     assert code == cli.EXIT_PARAMS
+
+
+def test_tiny_bandwidth_exits_3(three_csv):
+    # 2 h^2 underflows to 0 below h ~ 1.6e-162: the kernel would be 0 / 0
+    code, out, err = run_cli(["depth", three_csv, "h", "--h", "1e-200"])
+    assert code == cli.EXIT_PARAMS
+    assert "parameter error" in err
+    assert out == ""
 
 
 def test_bad_alpha_exits_3(four_csv):
@@ -485,6 +496,36 @@ def test_audit_cli_bad_config_exits_before_the_audit(tmp_path, text, code):
     assert got == code, err
     assert out == "" and len(err.splitlines()) == 1, err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("n_curves", [3, 1000])
+def test_closed_stdout_exits_2_without_traceback(tmp_path, n_curves):
+    # 3 curves print less than one stdout buffer, so the write fails at the
+    # final flush; 1000 curves fail inside the print itself
+    path = tmp_path / "s.csv"
+    write_constant_curves(path, np.arange(float(n_curves)))
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH", "")) if p
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvedepth", "--format", "csv",
+             "depth", str(path), "h", "--h", "1e-5"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_INPUT, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

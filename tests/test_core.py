@@ -8,14 +8,14 @@ from curvedepth.core import (
     FunctionalSample,
     Grid,
     InputError,
-    l2_distance,
     l2_norm_rows,
     lebesgue_fraction,
     read_curves_csv,
-    sup_distance,
     uniform_grid,
     write_curves_csv,
 )
+
+from curve_distances import l2_distance, sup_distance
 
 # ---------------------------------------------------------------------------
 # Hand-computed oracle values

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -119,6 +120,9 @@ def test_h_depth_rejects_bad_bandwidth():
         evaluate_depth("h", const_curve(0.0, s.grid), s, DepthParams(h=0.0))
     with pytest.raises(ParameterError):
         DepthParams(h=-1.0)
+    with pytest.raises(ParameterError):  # 2 h^2 underflows to 0
+        DepthParams(h=1e-200)
+    assert DepthParams(h=1e-160).h == 1e-160
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +629,68 @@ def test_fuzz_rt_mbd_large_sample_match_per_query(sq):
     assert np.array_equal(got, want)
     got = depth_values("mbd", Q, sample, DepthParams(J=3))
     assert np.array_equal(got, mbd_per_query(Q, sample, 3))
+
+
+# ---------------------------------------------------------------------------
+# Blocked h-depth kernel against the chunked expression
+# ---------------------------------------------------------------------------
+
+
+def h_depth_chunked(Q, sample, h):
+    """h-depth with one (chunk, n, m) difference tensor per chunk of
+    4_000_000 // (n * m) queries, the expression the audit bytes rest on."""
+    w, X = sample.grid.weights, sample.values
+    out = np.empty(Q.shape[0])
+    norm = 1.0 / (h * SQRT_2PI)
+    chunk = max(1, 4_000_000 // max(1, X.size))
+    for lo in range(0, Q.shape[0], chunk):
+        diff = Q[lo : lo + chunk, None, :] - X[None, :, :]
+        d2 = (diff * diff) @ w
+        out[lo : lo + chunk] = (np.exp(-d2 / (2.0 * h * h)) * norm) @ sample.weights
+    return out
+
+
+@st.composite
+def h_kernel_case(draw):
+    """A sample, queries and a block budget for the h kernel: one query;
+    more queries than fit one block; or more than one outer chunk, which
+    needs n * m past 10**5.  Queries are fresh curves and sample rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a chunk case streams more than 4 * 10**6 differences: draw it rarely
+    regime = draw(st.sampled_from(["one"] * 2 + ["block"] * 7 + ["chunk"]))
+    if regime == "chunk":
+        m = draw(st.integers(min_value=40, max_value=300))
+        n = draw(st.integers(min_value=100_000 // m + 1, max_value=250_000 // m))
+        chunk = 4_000_000 // (n * m)
+        q = draw(st.integers(min_value=chunk + 1, max_value=chunk + 4))
+        block = draw(st.integers(min_value=1, max_value=3))
+    else:
+        m = draw(st.integers(min_value=2, max_value=60))
+        n = draw(st.integers(min_value=1, max_value=300))
+        q = 1 if regime == "one" else draw(st.integers(min_value=2, max_value=40))
+        block = draw(st.integers(min_value=1, max_value=max(1, q - 1)))
+    # any budget in [block, block + 1) rows of 8 * n * m bytes gives block
+    budget = 8 * n * m * block + draw(st.integers(0, 8 * n * m - 1))
+    X = rng.normal(size=(n, m)) * draw(st.sampled_from([0.1, 1.0, 30.0]))
+    if draw(st.booleans()):
+        X = X[rng.integers(0, max(1, n // 3), size=n)]  # duplicated rows
+    weights = None
+    if draw(st.booleans()):
+        weights = rng.random(n) + 0.05
+        weights /= weights.sum()
+    sample = FunctionalSample(X, uniform_grid(0, 1, m), weights=weights)
+    n_fresh = draw(st.integers(min_value=0, max_value=q))
+    Q = np.vstack([rng.normal(size=(n_fresh, m)), X[rng.integers(0, n, q - n_fresh)]])
+    return sample, rng.permutation(Q), budget
+
+
+@settings(max_examples=N_FUZZ, deadline=None)
+@given(h_kernel_case(), st.sampled_from([0.3, 1.0, 2.5]))
+def test_fuzz_h_blocked_kernel_matches_chunked_bits(case, h):
+    sample, Q, budget = case
+    with mock.patch.object(depths, "_H_BLOCK_BYTES", budget):
+        got = depth_values("h", Q, sample, DepthParams(h=h))
+    assert got.tobytes() == h_depth_chunked(Q, sample, h).tobytes()
 
 
 # ---------------------------------------------------------------------------
