@@ -25,7 +25,6 @@ _EXPORTS = {
     "DEPTH_IDS": "depths",
     "DEPTH_LABELS": "depths",
     "DepthParams": "depths",
-    "DepthResult": "depths",
     "evaluate_depth": "depths",
     "depth_values": "depths",
     "upper_bound": "depths",

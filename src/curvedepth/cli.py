@@ -168,6 +168,8 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
 
@@ -450,7 +452,16 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is not None and args.threads > 0:
+    # both flags apply to every subcommand, so they are checked once here
+    problem = None
+    if args.seed < 0:
+        problem = f"seeds must be non-negative integers, got {args.seed}"
+    elif args.threads is not None and args.threads < 1:
+        problem = f"--threads must be >= 1, got {args.threads}"
+    if problem is not None:
+        print(f"parameter error: {problem}", file=sys.stderr)
+        return EXIT_PARAMS
+    if args.threads is not None:
         # an explicit flag overrides values inherited from the environment
         for var in _THREAD_ENV_VARS:
             os.environ[var] = str(args.threads)

@@ -291,6 +291,8 @@ def read_curves_csv(
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
     rows: list[list[float]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

@@ -6,7 +6,7 @@ depth, plus the one-dimensional halfspace depth they build on.  Each
 depth has one kernel over a (q, m) array of query curves, and
 ``depth_values(depth, queries, sample, params)`` is the only entry point
 to them: it validates the batch once and dispatches.  ``evaluate_depth``
-is that batch with one row, returned as a DepthResult.
+is that batch with one row, returned as a float.
 
 The rt and mbd kernels sort the sample once per batch (each direction's
 projections, each grid column) and read every query's tail or
@@ -23,13 +23,19 @@ that stays in cache, but keeps the summation order of its fixed chunks
 of queries exactly (see ``_h_depth_values``), so its values, and the
 audit bytes built on them, do not move.
 
-Band-type depths come in two forms that must not be conflated:
+``depth_values`` takes the distribution P either as a
+``FunctionalSample`` (the empirical measure P_n) or as an
+``AtomicDistribution`` (a finitely supported P).  Band-type depths then
+take two forms that must not be conflated:
 
-- sample form: without-replacement index combinations, exactly the
+- on a sample: without-replacement index combinations, exactly the
   classical empirical formulas (uniform curve weights required);
-- atomic (population-exact) form on a finitely supported distribution:
-  with-replacement tuples weighted by probability products, which
-  reproduces closed-form population values exactly.
+- on an atomic distribution: with-replacement tuples of atoms weighted
+  by probability products, which reproduces closed-form population
+  values exactly.
+
+The other four depths evaluate an atomic distribution as the weighted
+sample of its atoms (``AtomicDistribution.as_sample``).
 
 All tuple counting is done in exact integer arithmetic, and the brute
 force reference implementations share only the final count-to-value
@@ -42,9 +48,8 @@ fixed input regardless of evaluation order elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
 
 import numpy as np
 
@@ -60,11 +65,8 @@ from .distributions import AtomicDistribution, GPSpec, Kernel, Seed, sample_gp
 __all__ = [
     "DEPTH_IDS",
     "DepthParams",
-    "DepthResult",
     "halfspace_depth_1d",
     "draw_directions",
-    "band_depth_atomic",
-    "modified_band_depth_atomic",
     "evaluate_depth",
     "depth_values",
     "upper_bound",
@@ -94,6 +96,9 @@ MAX_BAND_TUPLES = 10**6
 # direction curves (rows = m) and the projections of queries and sample
 # (rows = n + q), so a huge k fails fast instead of exhausting memory.
 MAX_RT_ELEMENTS = 5 * 10**7
+# Bound on the modified band depth's covering counts past the int64 range
+# (grid points x band orders) per query: each is an exact Python integer.
+MAX_MBD_BIG_COUNTS = 10**4
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # Bytes of the h-depth difference buffer: a block of queries' differences
 # to the whole sample, sized to stay in cache while it is squared and
@@ -144,19 +149,6 @@ class DepthParams:
             raise ParameterError(f"band order J must be an integer >= 2, got {self.J}")
         if int(self.k) != self.k or self.k < 1:
             raise ParameterError(f"direction count k must be >= 1, got {self.k}")
-
-
-@dataclass(frozen=True)
-class DepthResult:
-    """A single depth evaluation: value, which depth, parameter echo, n used."""
-
-    value: float
-    depth: str
-    params: dict
-    n: int
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def upper_bound(depth: str, *, h: float = 1.0, J: int = 2) -> float:
@@ -331,12 +323,6 @@ def _rt_depth_values(
         hi[:, j] = n - np.searchsorted(s, proj_q[:, j], side="left")
     mass = _uniform_masses(float(w[0]), n, np.stack([lo, hi]))
     return np.minimum(mass[0], mass[1]).min(axis=1)
-
-
-def _seed_echo(seed: Seed) -> list:
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed)]
-    return [int(s) for s in seed]
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +504,8 @@ def _require_uniform_for_band(sample: FunctionalSample, what: str) -> None:
     if not sample.is_uniform:
         raise ParameterError(
             f"{what} uses without-replacement index combinations and is only "
-            "defined for uniformly weighted samples; use the atomic "
-            "(population-exact) variant for weighted distributions"
+            "defined for uniformly weighted samples; pass a weighted "
+            "distribution as an AtomicDistribution (population-exact)"
         )
 
 
@@ -574,16 +560,33 @@ def _bd_depth_values(
 # ---------------------------------------------------------------------------
 
 
-def _mbd_value_from_counts(
-    counts_by_j: Sequence[np.ndarray], n: int, grid: Grid
-) -> float:
-    """Shared count-to-value normalization (keeps optimized == brute exact)."""
-    value = 0.0
-    for j, cnt in enumerate(counts_by_j, start=2):
-        value += float(np.dot(grid.weights, cnt.astype(np.float64))) / (
-            grid.length * math.comb(n, j)
-        )
-    return value
+def _mbd_term(cnt: np.ndarray, total: int, grid: Grid) -> float:
+    """One band order's share: grid-weighted covering counts over |T| C(n, j).
+
+    The count-to-value normalization the brute-force references share,
+    so optimized and exhaustive routes agree bit for bit."""
+    return float(np.dot(grid.weights, cnt.astype(np.float64))) / (grid.length * total)
+
+
+def _check_mbd_budget(n: int, J: int, grid: Grid) -> None:
+    # |T| C(n, j) must stay a finite float for the normalization
+    limit = float(np.finfo(np.float64).max) / max(grid.length, 1.0)
+    big = 0
+    for j in range(2, J + 1):
+        total = math.comb(n, j)
+        if total > limit:
+            raise ParameterError(
+                f"modified band depth of order J = {J} on n = {n} curves counts "
+                f"C({n}, {j}) bands, past the float range; lower J"
+            )
+        big += total > _INT64_MAX
+        if big * grid.m > MAX_MBD_BIG_COUNTS:
+            raise ParameterError(
+                f"modified band depth of order J = {J} on n = {n} curves and "
+                f"m = {grid.m} grid points would keep more than "
+                f"{MAX_MBD_BIG_COUNTS} band counts past the int64 range per "
+                "query; lower J"
+            )
 
 
 def _mbd_depth_values(
@@ -600,26 +603,24 @@ def _mbd_depth_values(
     and b_v for the whole batch are two ``searchsorted`` calls per column
     (the rank trick of Sun, Genton & Nychka 2012): O((n+q)*m*log n) for q
     queries.  Counts past the int64 range stay exact as Python integers.
+    Each query's value adds the terms of j = 2..J in turn, one band order
+    at a time, so only one order's (q, m) counts are held.
     """
     n = sample.n
-    tables = []  # (C(n, j), [C(c, j) for c = 0..n]) for j = 2..J
-    for j in range(2, J + 1):
-        dtype = np.int64 if math.comb(n, j) <= _INT64_MAX else object
-        tab = np.array([math.comb(c, j) for c in range(n + 1)], dtype=dtype)
-        tables.append((math.comb(n, j), tab))
     S = np.sort(sample.values.T, axis=1)  # (m, n): sorted grid columns
     a = np.empty(queries.shape, dtype=np.intp)
     b = np.empty(queries.shape, dtype=np.intp)
     for v, s in enumerate(S):
         a[:, v] = n - np.searchsorted(s, queries[:, v], side="right")
         b[:, v] = np.searchsorted(s, queries[:, v], side="left")
-    counts = [total - tab[a] - tab[b] for total, tab in tables]
-    return np.array(
-        [
-            _mbd_value_from_counts([c[i] for c in counts], n, sample.grid)
-            for i in range(queries.shape[0])
-        ]
-    )
+    out = np.zeros(queries.shape[0])
+    for j in range(2, J + 1):
+        total = math.comb(n, j)
+        dtype = np.int64 if total <= _INT64_MAX else object
+        tab = np.array([math.comb(c, j) for c in range(n + 1)], dtype=dtype)
+        for i, cnt in enumerate(total - tab[a] - tab[b]):
+            out[i] += _mbd_term(cnt, total, sample.grid)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -637,47 +638,33 @@ def _check_atomic_budget(dist: AtomicDistribution, J: int) -> None:
         )
 
 
-def band_depth_atomic(x: Curve, dist: AtomicDistribution, J: int = 2) -> DepthResult:
-    """Exact population band depth under a finitely supported distribution.
+def _atomic_band_values(
+    depth: str, queries: np.ndarray, dist: AtomicDistribution, J: int
+) -> np.ndarray:
+    """Exact population bd or mbd of each query under a finitely supported
+    distribution.
 
-    Enumerates j-tuples of atoms WITH replacement, weighting each tuple
-    by its probability product: sum_{j=2..J} P(x in band of j iid draws).
+    Enumerates j-tuples of atoms WITH replacement, in ``product`` order,
+    weighting each tuple by its probability product.  bd sums
+    P(x in band of j iid draws) over j = 2..J; mbd sums the expected
+    Lebesgue fraction of the domain the band covers.  Each query's sums
+    run tuple by tuple, so a row's value does not depend on its batch.
     """
-    _check_query(x, dist)
-    _check_atomic_budget(dist, J)
-    xv = x.values
-    V = dist.values
-    value = 0.0
-    for j in range(2, J + 1):
-        acc = 0.0
-        for tup in product(range(dist.n_atoms), repeat=j):
-            sub = V[list(tup)]
-            if np.all(sub.min(axis=0) <= xv) and np.all(xv <= sub.max(axis=0)):
-                acc += float(np.prod(dist.probs[list(tup)]))
-        value += acc
-    return DepthResult(value, "bd", {"J": int(J), "atomic": True}, dist.n_atoms)
-
-
-def modified_band_depth_atomic(
-    x: Curve, dist: AtomicDistribution, J: int = 2
-) -> DepthResult:
-    """Exact population modified band depth under a finitely supported
-    distribution: expected Lebesgue fraction of the domain covered by the
-    band of j iid draws, summed over j = 2..J."""
-    _check_query(x, dist)
-    _check_atomic_budget(dist, J)
-    xv = x.values
-    V = dist.values
+    V, probs = dist.values, dist.probs
     w_frac = dist.grid.weights / dist.grid.length
-    value = 0.0
+    out = np.zeros(queries.shape[0])
     for j in range(2, J + 1):
-        acc = 0.0
+        acc = np.zeros(queries.shape[0])
         for tup in product(range(dist.n_atoms), repeat=j):
             sub = V[list(tup)]
-            inside = (sub.min(axis=0) <= xv) & (xv <= sub.max(axis=0))
-            acc += float(np.prod(dist.probs[list(tup)])) * float(w_frac[inside].sum())
-        value += acc
-    return DepthResult(value, "mbd", {"J": int(J), "atomic": True}, dist.n_atoms)
+            prob = float(np.prod(probs[list(tup)]))
+            inside = (sub.min(axis=0) <= queries) & (queries <= sub.max(axis=0))
+            if depth == "bd":
+                acc[inside.all(axis=1)] += prob
+            else:
+                acc += prob * np.array([w_frac[row].sum() for row in inside])
+        out += acc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -726,14 +713,17 @@ def _check_query(x: Curve, holder) -> None:
 def depth_values(
     depth: str,
     queries: np.ndarray,
-    sample: FunctionalSample,
+    sample: FunctionalSample | AtomicDistribution,
     params: DepthParams | None = None,
 ) -> np.ndarray:
-    """Depth of each query row against the sample, as a plain array.
+    """Depth of each query row against a distribution, as a plain array.
 
     ``depth`` is one of 'h', 'rt', 'bd', 'mbd', 'hr', 'mhr'; ``queries``
-    is a (q, m) array of curves on the sample's grid (one curve may be
-    passed as an (m,) array).  The batch is validated once, then handed
+    is a (q, m) array of curves on the distribution's grid (one curve may
+    be passed as an (m,) array).  ``sample`` is a ``FunctionalSample`` (the
+    empirical distribution) or an ``AtomicDistribution``: bd and mbd count
+    its with-replacement atom tuples exactly, the other depths see its
+    atoms as a weighted sample.  The batch is validated once, then handed
     to the depth's kernel.  The random-Tukey directions are drawn once
     per batch from ``params.k`` and ``params.seed``, so every query sees
     the same projection set.
@@ -751,6 +741,11 @@ def depth_values(
         )
     if not np.all(np.isfinite(queries)):
         raise InputError("query curve values must be finite")
+    if isinstance(sample, AtomicDistribution):
+        if depth in ("bd", "mbd"):
+            _check_atomic_budget(sample, params.J)
+            return _atomic_band_values(depth, queries, sample, params.J)
+        sample = sample.as_sample()
     if depth == "h":
         return _h_depth_values(queries, sample, params.h)
     if depth == "rt":
@@ -766,6 +761,7 @@ def depth_values(
     if depth == "bd":
         _check_band_budget(sample.n, params.J)
         return _bd_depth_values(queries, sample, params.J)
+    _check_mbd_budget(sample.n, params.J, sample.grid)
     return _mbd_depth_values(queries, sample, params.J)
 
 
@@ -778,20 +774,9 @@ _depth_values = depth_values
 def evaluate_depth(
     depth: str,
     x: Curve,
-    sample: FunctionalSample,
+    sample: FunctionalSample | AtomicDistribution,
     params: DepthParams | None = None,
-) -> DepthResult:
-    """Depth of one curve: ``depth_values`` on a batch of one, with the
-    depth id, a parameter echo and the sample size."""
-    params = params or DepthParams()
+) -> float:
+    """Depth of one curve: ``depth_values`` on a batch of one."""
     _check_query(x, sample)
-    value = float(_depth_values(depth, x.values, sample, params)[0])
-    if depth == "h":
-        echo = {"h": params.h}
-    elif depth == "rt":
-        echo = {"k": int(params.k), "seed": _seed_echo(params.seed)}
-    elif depth in ("bd", "mbd"):
-        echo = {"J": int(params.J)}
-    else:
-        echo = {}
-    return DepthResult(value, depth, echo, sample.n)
+    return float(_depth_values(depth, x.values, sample, params)[0])

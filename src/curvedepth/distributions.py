@@ -374,6 +374,11 @@ def gpspec_from_json(obj: dict, grid: Grid | None = None) -> GPSpec:
         raise InputError(f"malformed GP spec JSON: {exc}") from exc
     mean = None
     if "mean_csv" in obj:
+        if not isinstance(obj["mean_csv"], str):
+            raise InputError(
+                f"malformed GP spec JSON: mean_csv must be a path string, "
+                f"got {obj['mean_csv']!r}"
+            )
         mgrid, mvalues = read_curves_csv(obj["mean_csv"])
         if mvalues.shape[0] != 1:
             raise InputError("mean CSV must contain exactly one curve row")

@@ -46,10 +46,8 @@ from .depths import (
     DEPTH_IDS,
     DEPTH_LABELS,
     DepthParams,
-    band_depth_atomic,
     depth_values,
     evaluate_depth,
-    modified_band_depth_atomic,
     upper_bound,
 )
 from .distributions import (
@@ -688,25 +686,10 @@ def audit_P3(
         }
         return Verdict(VIOLATED, evidence, tolerance=TIE_TOL)
 
-    dist = counterexample_P3(grid)
-    z = Curve(np.ones(m), grid)
-    x = Curve(0.2 * np.ones(m), grid)
-    y = Curve(0.1 * np.ones(m), grid)
-    if depth_id == "bd":
-        dz, dx, dy = (
-            band_depth_atomic(q, dist, params.J).value for q in (z, x, y)
-        )
-    elif depth_id == "mbd":
-        dz, dx, dy = (
-            modified_band_depth_atomic(q, dist, params.J).value
-            for q in (z, x, y)
-        )
-    else:
-        sample = dist.as_sample()
-        dz, dx, dy = (
-            evaluate_depth(depth_id, q, sample, params).value
-            for q in (z, x, y)
-        )
+    # the deepest curve z and the queries x, y at sup-distances 0.8 and 0.9
+    probes = np.stack([lv * np.ones(m) for lv in (1.0, 0.2, 0.1)])
+    vals = depth_values(depth_id, probes, counterexample_P3(grid), params)
+    dz, dx, dy = (float(v) for v in vals)
     evidence = {
         "depth": depth_id,
         "deepest_level": 1.0,
@@ -952,15 +935,8 @@ def audit_P5(
     x = dist.atom(0)
     x_after = apply_shrink(x, alpha)
 
-    if depth_id == "bd":
-        vb = band_depth_atomic(x, dist, params.J).value
-        va = band_depth_atomic(x_after, dist_after, params.J).value
-    elif depth_id == "mbd":
-        vb = modified_band_depth_atomic(x, dist, params.J).value
-        va = modified_band_depth_atomic(x_after, dist_after, params.J).value
-    else:
-        vb = evaluate_depth(depth_id, x, dist.as_sample(), params).value
-        va = evaluate_depth(depth_id, x_after, dist_after.as_sample(), params).value
+    vb = float(depth_values(depth_id, x.values, dist, params)[0])
+    va = float(depth_values(depth_id, x_after.values, dist_after, params)[0])
 
     margin = va - vb
     evidence = {
@@ -1039,7 +1015,7 @@ def _p6_measurements(
     zero = Curve(np.zeros(grid.m), grid)
 
     def val(d, sample):
-        return evaluate_depth(d, zero, sample, params_by_depth[d]).value
+        return evaluate_depth(d, zero, sample, params_by_depth[d])
 
     ref = sample_gp(base, ref_n, subseed(seed, 0))
     out = {

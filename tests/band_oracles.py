@@ -16,15 +16,23 @@ import numpy as np
 
 from curvedepth.core import Curve, FunctionalSample
 from curvedepth.depths import (
-    DepthResult,
     _check_band_order,
     _check_query,
-    _mbd_value_from_counts,
+    _mbd_term,
     _require_uniform_for_band,
 )
 
 
-def band_depth_brute(x: Curve, sample: FunctionalSample, J: int = 2) -> DepthResult:
+def mbd_value_from_counts(counts_by_j, n: int, grid) -> float:
+    """mbd from the covering counts per grid point of j = 2..J, summed in
+    order of j with the kernel's normalization."""
+    value = 0.0
+    for j, cnt in enumerate(counts_by_j, start=2):
+        value += _mbd_term(cnt, math.comb(n, j), grid)
+    return value
+
+
+def band_depth_brute(x: Curve, sample: FunctionalSample, J: int = 2) -> float:
     """Reference band depth by exhaustive combination enumeration."""
     _check_query(x, sample)
     _check_band_order(J, sample.n)
@@ -39,12 +47,12 @@ def band_depth_brute(x: Curve, sample: FunctionalSample, J: int = 2) -> DepthRes
             if np.all(sub.min(axis=0) <= xv) and np.all(xv <= sub.max(axis=0)):
                 cnt += 1
         value += cnt / math.comb(sample.n, j)
-    return DepthResult(value, "bd", {"J": int(J)}, sample.n)
+    return value
 
 
 def modified_band_depth_brute(
     x: Curve, sample: FunctionalSample, J: int = 2
-) -> DepthResult:
+) -> float:
     """Reference modified band depth by exhaustive enumeration.
 
     Accumulates, per grid point, the integer number of covering subsets
@@ -63,5 +71,4 @@ def modified_band_depth_brute(
             sub = X[list(idx)]
             cnt += (sub.min(axis=0) <= xv) & (xv <= sub.max(axis=0))
         counts.append(cnt)
-    value = _mbd_value_from_counts(counts, sample.n, sample.grid)
-    return DepthResult(value, "mbd", {"J": int(J)}, sample.n)
+    return mbd_value_from_counts(counts, sample.n, sample.grid)

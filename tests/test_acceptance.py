@@ -31,10 +31,8 @@ import numpy as np
 from curvedepth.core import Curve, FunctionalSample, uniform_grid
 from curvedepth.depths import (
     DepthParams,
-    band_depth_atomic,
     depth_values,
     evaluate_depth,
-    modified_band_depth_atomic,
 )
 from curvedepth.distributions import (
     ContaminationSpec,
@@ -93,11 +91,12 @@ def test_criterion_2_atomic_band_depths_exact():
     atom_hi = Curve(np.ones(g.m), g)
     atom_lo = Curve(-np.ones(g.m), g)
     interior = [Curve(np.full(g.m, c), g) for c in (-0.5, 0.0, 0.25, 0.9)]
+    queries = np.stack([x.values for x in [atom_hi, atom_lo] + interior])
+    want = [0.75, 0.75] + [0.5] * len(interior)
     checks = []
-    for fn in (band_depth_atomic, modified_band_depth_atomic):
-        checks += [fn(atom_hi, dist, J=2).value == 0.75]
-        checks += [fn(atom_lo, dist, J=2).value == 0.75]
-        checks += [fn(x, dist, J=2).value == 0.5 for x in interior]
+    for d in ("bd", "mbd"):
+        got = depth_values(d, queries, dist, DepthParams(J=2))
+        checks += [float(v) == w for v, w in zip(got, want)]
     ok = all(checks)
     _verdict(
         2,
@@ -121,7 +120,7 @@ def test_criterion_3_gp_centre_depths_near_half():
     params = DepthParams(k=20, seed=subseed(303, 1))
     devs = {}
     for d in ("rt", "mhr"):
-        value = evaluate_depth(d, zero, sample, params).value
+        value = evaluate_depth(d, zero, sample, params)
         devs[d] = abs(value - 0.5)
     ok = all(v <= 0.05 for v in devs.values())
     _verdict(
@@ -172,12 +171,12 @@ def test_criterion_5_brute_force_oracle_equivalence():
         J = int(rng.integers(2, 4))
         for x in queries:
             exact &= (
-                evaluate_depth("bd", x, s, DepthParams(J=J)).value
-                == band_depth_brute(x, s, J).value
+                evaluate_depth("bd", x, s, DepthParams(J=J))
+                == band_depth_brute(x, s, J)
             )
             exact &= (
-                evaluate_depth("mbd", x, s, DepthParams(J=J)).value
-                == modified_band_depth_brute(x, s, J).value
+                evaluate_depth("mbd", x, s, DepthParams(J=J))
+                == modified_band_depth_brute(x, s, J)
             )
             n_checks += 2
     elapsed = time.perf_counter() - t0
@@ -213,11 +212,11 @@ def test_criterion_6_contamination_robustness():
             seed = subseed(606, r)
             base = mix(ContaminationSpec(gp, outlier, 0.0), 2000, seed)
             vb = depth_values(d, base.values, base, params)
-            db = evaluate_depth(d, zero, base, params).value
+            db = evaluate_depth(d, zero, base, params)
             for e in eps_levels:
                 cont = mix(ContaminationSpec(gp, outlier, e), 2000, seed)
                 va = depth_values(d, base.values, cont, params)
-                da = evaluate_depth(d, zero, cont, params).value
+                da = evaluate_depth(d, zero, cont, params)
                 deltas[e].append(abs(da - db))
                 same[e] += int(np.argmax(vb) == np.argmax(va))
         c_fit = 0.0

@@ -56,3 +56,17 @@ def test_package_names_load_their_module_on_first_use():
         "print('curvedepth.properties' in sys.modules)"
     )
     assert _fresh_python(code) == "False"
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    # ``bench/run.py --trace 1`` wraps these module attributes by name, so
+    # a rename or deletion in the package must not leave one dangling
+    monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
+    tracing = importlib.import_module("tracing")
+    missing = [
+        f"{mod.__name__}.{attr}"
+        for modules, attr, *_ in tracing.TARGETS
+        for mod in modules
+        if not callable(getattr(mod, attr, None))
+    ]
+    assert not missing, f"trace targets missing from the package: {missing}"

@@ -218,6 +218,38 @@ def test_nan_in_dense_input_exits_2(tmp_path):
     assert code == cli.EXIT_INPUT
 
 
+NOT_UTF8 = b"\xff\xfe0.0,\x9c1.0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "{bad}", "h"],
+        ["depth", "{good}", "h", "--query", "{bad}"],
+        ["audit", "--config", "{bad}", "--out-dir", "{dir}"],
+        ["simulate-gp", "{dir}/out.csv", "--spec", "{bad}"],
+    ],
+)
+def test_non_utf8_input_exits_2(three_csv, tmp_path, argv):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(NOT_UTF8)
+    paths = {"bad": bad, "good": three_csv, "dir": tmp_path}
+    code, out, err = run_cli([a.format(**paths) for a in argv])
+    assert code == cli.EXIT_INPUT
+    assert "input error" in err and "UTF-8" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("mean_csv", [5, None, ["mean.csv"]])
+def test_simulate_gp_non_string_mean_csv_exits_2(tmp_path, mean_csv):
+    spec = tmp_path / "spec.json"
+    kernel = {"type": "se", "variance": 1.0, "length_scale": 0.2}
+    spec.write_text(json.dumps({"kernel": kernel, "mean_csv": mean_csv}))
+    code, _, err = run_cli(["simulate-gp", tmp_path / "out.csv", "--spec", spec])
+    assert code == cli.EXIT_INPUT
+    assert "mean_csv" in err
+
+
 def test_unknown_depth_id_exits_3(three_csv):
     code, _, err = run_cli(["depth", three_csv, "xx"])
     assert code == cli.EXIT_PARAMS
@@ -271,6 +303,8 @@ def test_negative_seed_exits_3(three_csv, tmp_path):
     out_csv = tmp_path / "out.csv"
     for argv in (
         ["--seed", -5, "depth", three_csv, "rt"],
+        ["--seed", -1, "rank", three_csv, "h"],
+        ["--seed", -1, "outliers", three_csv, "mhr"],
         ["--seed", -5, "simulate-gp", "--n", 2, out_csv],
         ["--seed", -5, "audit", "--config", empty, "--out-dir", tmp_path],
         ["audit", "--config", negative, "--out-dir", tmp_path],
@@ -280,6 +314,28 @@ def test_negative_seed_exits_3(three_csv, tmp_path):
         assert "seeds must be non-negative" in err, argv
     assert not out_csv.exists()
     assert not (tmp_path / "audit.json").exists()
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_non_positive_threads_exits_3(three_csv, threads, monkeypatch):
+    for var in cli._THREAD_ENV_VARS:
+        monkeypatch.setenv(var, "7")
+    code, out, err = run_cli(["--threads", threads, "rank", three_csv, "mhr"])
+    assert code == cli.EXIT_PARAMS
+    assert "--threads must be >= 1" in err
+    assert out == ""
+    assert all(os.environ[var] == "7" for var in cli._THREAD_ENV_VARS)
+
+
+def test_mbd_big_count_budget_exits_3(tmp_path):
+    # n = 2000 curves on 101 points with J = 300: 294 band orders count
+    # past int64 at every grid point; refused before any counting starts
+    path = tmp_path / "many.csv"
+    write_constant_curves(path, np.arange(2000.0), m=101)
+    code, out, err = run_cli(["rank", path, "mbd", "--J", 300])
+    assert code == cli.EXIT_PARAMS
+    assert "int64" in err
+    assert out == ""
 
 
 def test_threads_flag_overrides_inherited_environment(three_csv, monkeypatch):

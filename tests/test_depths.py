@@ -17,14 +17,11 @@ from curvedepth.core import (
 from curvedepth.depths import (
     DEPTH_IDS,
     DepthParams,
-    _mbd_value_from_counts,
     _uniform_masses,
-    band_depth_atomic,
     depth_values,
     draw_directions,
     evaluate_depth,
     halfspace_depth_1d,
-    modified_band_depth_atomic,
     upper_bound,
 )
 from curvedepth.distributions import (
@@ -36,7 +33,11 @@ from curvedepth.distributions import (
     sample_gp,
 )
 
-from band_oracles import band_depth_brute, modified_band_depth_brute
+from band_oracles import (
+    band_depth_brute,
+    mbd_value_from_counts,
+    modified_band_depth_brute,
+)
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -89,7 +90,7 @@ def test_h_depth_own_single_curve():
     x = Curve(np.sin(g.points), g)
     s = FunctionalSample(x.values[None, :], g)
     r = evaluate_depth("h", x, s, DepthParams(h=1.0))
-    assert abs(r.value - 1.0 / SQRT_2PI) < 1e-9  # K_1(0) = 0.3989422804014327
+    assert abs(r - 1.0 / SQRT_2PI) < 1e-9  # K_1(0) = 0.3989422804014327
 
 
 def test_h_depth_two_atoms_hand_value():
@@ -98,7 +99,7 @@ def test_h_depth_two_atoms_hand_value():
     s = constants_sample([0.0, 1.0], m=101)
     x = const_curve(0.0, s.grid)
     expected = (1 + math.exp(-0.5)) / (2 * SQRT_2PI)
-    assert abs(evaluate_depth("h", x, s, DepthParams(h=1.0)).value - expected) < 1e-6
+    assert abs(evaluate_depth("h", x, s, DepthParams(h=1.0)) - expected) < 1e-6
     assert expected == pytest.approx(0.3204565, abs=1e-6)
 
 
@@ -109,9 +110,9 @@ def test_h_depth_changes_under_scaling():
     scaled = FunctionalSample(s.values * math.sqrt(2), s.grid)
     x = const_curve(0.0, s.grid)
     expected = (1 + math.exp(-1.0)) / (2 * SQRT_2PI)
-    got = evaluate_depth("h", x, scaled, DepthParams(h=1.0)).value
+    got = evaluate_depth("h", x, scaled, DepthParams(h=1.0))
     assert abs(got - expected) < 1e-6
-    assert abs(got - evaluate_depth("h", x, s, DepthParams(h=1.0)).value) > 0.04
+    assert abs(got - evaluate_depth("h", x, s, DepthParams(h=1.0))) > 0.04
 
 
 def test_h_depth_rejects_bad_bandwidth():
@@ -134,7 +135,7 @@ def test_rt_single_curve_is_one():
     g = uniform_grid(0, 1, 31)
     x = Curve(np.cos(g.points), g)
     s = FunctionalSample(x.values[None, :], g)
-    assert evaluate_depth("rt", x, s, DepthParams(k=7, seed=1)).value == 1.0
+    assert evaluate_depth("rt", x, s, DepthParams(k=7, seed=1)) == 1.0
 
 
 def test_rt_two_atom_tie():
@@ -146,15 +147,15 @@ def test_rt_two_atom_tie():
     params = DepthParams(k=20, seed=5)
     for c in (-0.5, 0.0, 0.3, 0.6, 1.5, 2.0):
         r = evaluate_depth("rt", const_curve(c, d.grid), s_unif, params)
-        assert r.value == 0.5, f"c={c}: {r.value}"
+        assert r == 0.5, f"c={c}: {r}"
     # the weighted two-atom sample gives the same tie
-    assert evaluate_depth("rt", const_curve(0.3, d.grid), s, params).value == 0.5
+    assert evaluate_depth("rt", const_curve(0.3, d.grid), s, params) == 0.5
 
 
 def test_rt_zero_curve_near_half_on_gp(gp_sample):
     params = DepthParams(k=20, seed=2)
     r = evaluate_depth("rt", const_curve(0.0, gp_sample.grid), gp_sample, params)
-    assert abs(r.value - 0.5) < 0.05, r.value
+    assert abs(r - 0.5) < 0.05, r
 
 
 def test_rt_directions_deterministic():
@@ -175,14 +176,14 @@ def test_bd_own_curve_two_sample():
     g = uniform_grid(0, 1, 11)
     rng = np.random.default_rng(0)
     s = FunctionalSample(rng.normal(size=(2, 11)), g)
-    assert evaluate_depth("bd", s.curve(0), s, DepthParams(J=2)).value == 1.0
+    assert evaluate_depth("bd", s.curve(0), s, DepthParams(J=2)) == 1.0
 
 
 def test_bd_sample_level_counterexample():
     d = counterexample_P3()
     s = FunctionalSample(d.values, d.grid)  # one curve per atom, uniform
     x = const_curve(0.0, d.grid)
-    assert evaluate_depth("bd", x, s, DepthParams(J=2)).value == 1.0
+    assert evaluate_depth("bd", x, s, DepthParams(J=2)) == 1.0
 
 
 def test_bd_rejects_bad_order_and_weights():
@@ -193,9 +194,9 @@ def test_bd_rejects_bad_order_and_weights():
     with pytest.raises(ParameterError):
         evaluate_depth("bd", const_curve(0.0, d.grid), s, DepthParams(J=1))
     weighted = FunctionalSample(d.values, d.grid, weights=np.array([0.3, 0.7]))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="AtomicDistribution"):
         evaluate_depth("bd", const_curve(0.0, d.grid), weighted, DepthParams(J=2))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="AtomicDistribution"):
         evaluate_depth("mbd", const_curve(0.0, d.grid), weighted, DepthParams(J=2))
 
 
@@ -206,15 +207,15 @@ def test_bd_matches_brute_on_random_sample():
     x = Curve(rng.normal(size=15), g)
     for J in (2, 3):
         assert (
-            evaluate_depth("bd", x, s, DepthParams(J=J)).value
-            == band_depth_brute(x, s, J).value
+            evaluate_depth("bd", x, s, DepthParams(J=J))
+            == band_depth_brute(x, s, J)
         )
     # and for a query with ties (an actual sample curve)
     q = s.curve(4)
     for J in (2, 3):
         assert (
-            evaluate_depth("bd", q, s, DepthParams(J=J)).value
-            == band_depth_brute(q, s, J).value
+            evaluate_depth("bd", q, s, DepthParams(J=J))
+            == band_depth_brute(q, s, J)
         )
 
 
@@ -224,8 +225,8 @@ def test_bd_high_order_tuple_budget():
     small = constants_sample(np.arange(30.0))
     x = const_curve(14.5, small.grid)
     assert (
-        evaluate_depth("bd", x, small, DepthParams(J=4)).value
-        == band_depth_brute(x, small, J=4).value
+        evaluate_depth("bd", x, small, DepthParams(J=4))
+        == band_depth_brute(x, small, J=4)
     )
     with pytest.raises(ParameterError):
         evaluate_depth("bd", x, constants_sample(np.arange(80.0)), DepthParams(J=4))
@@ -243,8 +244,8 @@ def test_mbd_constants_hand_values():
     one = const_curve(1.0, s.grid)
     zero = const_curve(0.0, s.grid)
     params = DepthParams(J=2)
-    assert evaluate_depth("mbd", one, s, params).value == pytest.approx(1.0, abs=1e-12)
-    assert evaluate_depth("mbd", zero, s, params).value == pytest.approx(
+    assert evaluate_depth("mbd", one, s, params) == pytest.approx(1.0, abs=1e-12)
+    assert evaluate_depth("mbd", zero, s, params) == pytest.approx(
         2 / 3, abs=1e-12
     )
 
@@ -256,8 +257,8 @@ def test_mbd_matches_brute_on_random_sample():
     x = Curve(rng.normal(size=9), g)
     for J in (2, 3):
         assert (
-            evaluate_depth("mbd", x, s, DepthParams(J=J)).value
-            == modified_band_depth_brute(x, s, J).value
+            evaluate_depth("mbd", x, s, DepthParams(J=J))
+            == modified_band_depth_brute(x, s, J)
         )
 
 
@@ -272,7 +273,7 @@ def test_mbd_counts_past_int64_stay_exact():
         (math.comb(n, j) - math.comb(a, j) - math.comb(b, j)) / math.comb(n, j)
         for j in range(2, 6)
     )
-    got = evaluate_depth("mbd", x, s, DepthParams(J=5)).value
+    got = evaluate_depth("mbd", x, s, DepthParams(J=5))
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -283,8 +284,8 @@ def test_mbd_at_least_band_depth():
     for _ in range(5):
         x = Curve(rng.normal(size=21), g)
         assert (
-            evaluate_depth("mbd", x, s, DepthParams(J=2)).value
-            >= evaluate_depth("bd", x, s, DepthParams(J=2)).value - 1e-12
+            evaluate_depth("mbd", x, s, DepthParams(J=2))
+            >= evaluate_depth("bd", x, s, DepthParams(J=2)) - 1e-12
         )
 
 
@@ -296,12 +297,12 @@ def test_mbd_at_least_band_depth():
 def test_atomic_band_depth_exact_counterexample_values():
     d = counterexample_P3()
     x1 = d.atom(0)
-    assert band_depth_atomic(x1, d, J=2).value == 0.75
-    assert modified_band_depth_atomic(x1, d, J=2).value == 0.75
+    assert evaluate_depth("bd", x1, d, DepthParams(J=2)) == 0.75
+    assert evaluate_depth("mbd", x1, d, DepthParams(J=2)) == 0.75
     for c in (0.0, 0.1, 0.2, -0.3):
         q = const_curve(c, d.grid)
-        assert band_depth_atomic(q, d, J=2).value == 0.5
-        assert modified_band_depth_atomic(q, d, J=2).value == 0.5
+        assert evaluate_depth("bd", q, d, DepthParams(J=2)) == 0.5
+        assert evaluate_depth("mbd", q, d, DepthParams(J=2)) == 0.5
 
 
 def test_atomic_band_depth_single_atom():
@@ -309,14 +310,14 @@ def test_atomic_band_depth_single_atom():
 
     d = constant_distribution(3.0, uniform_grid(0, 1, 7))
     x = d.atom(0)
-    assert band_depth_atomic(x, d, J=2).value == 1.0
-    assert modified_band_depth_atomic(x, d, J=2).value == 1.0
+    assert evaluate_depth("bd", x, d, DepthParams(J=2)) == 1.0
+    assert evaluate_depth("mbd", x, d, DepthParams(J=2)) == 1.0
 
 
 def test_atomic_band_depth_p5_value():
     # tuples containing the top atom: (u,u), (u,z)x2, (u,l)x2 -> 5/9
     d = counterexample_P5()
-    assert band_depth_atomic(d.atom(0), d, J=2).value == pytest.approx(
+    assert evaluate_depth("bd", d.atom(0), d, DepthParams(J=2)) == pytest.approx(
         5 / 9, abs=1e-12
     )
 
@@ -329,10 +330,54 @@ def test_atomic_budget_errors():
         np.arange(27.0).reshape(9, 3), np.full(9, 1 / 9), g
     )
     with pytest.raises(ParameterError):
-        band_depth_atomic(const_curve(0.0, g), big, J=2)
+        evaluate_depth("bd", const_curve(0.0, g), big, DepthParams(J=2))
     d = counterexample_P3()
     with pytest.raises(ParameterError):
-        modified_band_depth_atomic(const_curve(0.0, d.grid), d, J=5)
+        evaluate_depth("mbd", const_curve(0.0, d.grid), d, DepthParams(J=5))
+
+
+def atomic_queries(dist):
+    """The atoms, constants between and beyond them, and a half-way curve."""
+    consts = [np.full(dist.grid.m, c) for c in (-2.0, -0.3, 0.0, 0.1, 0.25, 0.9, 3.0)]
+    mid = 0.5 * (dist.values[0] + dist.values[-1])
+    return np.vstack([dist.values, *consts, mid])
+
+
+@pytest.mark.parametrize("make", [counterexample_P3, counterexample_P5])
+@pytest.mark.parametrize("depth", ["h", "rt", "hr", "mhr"])
+def test_atomic_distribution_is_its_weighted_sample(make, depth):
+    # h, rt, hr and mhr see an atomic distribution as its weighted atoms
+    dist = make()
+    Q = atomic_queries(dist)
+    params = DepthParams(h=0.7, J=3, k=5, seed=2)
+    got = depth_values(depth, Q, dist, params)
+    want = depth_values(depth, Q, dist.as_sample(), params)
+    assert np.array_equal(got, want), (got, want)
+
+
+@pytest.mark.parametrize("make", [counterexample_P3, counterexample_P5])
+@pytest.mark.parametrize("depth", ["bd", "mbd", "hr", "mhr"])
+@pytest.mark.parametrize("J", [2, 3])
+def test_atomic_batch_equals_each_row_alone(make, depth, J):
+    dist = make()
+    Q = atomic_queries(dist)
+    params = DepthParams(J=J)
+    vals = depth_values(depth, Q, dist, params)
+    for i, q in enumerate(Q):
+        assert vals[i] == depth_values(depth, q, dist, params)[0], (depth, i)
+        assert vals[i] == evaluate_depth(depth, Curve(q, dist.grid), dist, params)
+
+
+def test_mbd_big_count_budget():
+    # 294 band orders past int64 at each of 101 grid points
+    s = constants_sample(np.arange(2000.0), m=101)
+    with pytest.raises(ParameterError, match="int64"):
+        depth_values("mbd", s.values[:1], s, DepthParams(J=300))
+    # few grid points keep the int64 budget, but C(2000, j) passes the
+    # float range before j = 300
+    s2 = constants_sample(np.arange(2000.0), m=2)
+    with pytest.raises(ParameterError, match="float range"):
+        depth_values("mbd", s2.values[:1], s2, DepthParams(J=300))
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +389,15 @@ def test_hr_own_single_curve():
     g = uniform_grid(0, 1, 13)
     x = Curve(np.exp(g.points), g)
     s = FunctionalSample(x.values[None, :], g)
-    assert evaluate_depth("hr", x, s).value == 1.0
-    assert evaluate_depth("mhr", x, s).value == 1.0
+    assert evaluate_depth("hr", x, s) == 1.0
+    assert evaluate_depth("mhr", x, s) == 1.0
 
 
 def test_hr_constants_hand_value():
     s = constants_sample([0.0, 1.0, 2.0])
     one = const_curve(1.0, s.grid)
-    assert evaluate_depth("hr", one, s).value == pytest.approx(2 / 3)
-    assert evaluate_depth("mhr", one, s).value == pytest.approx(2 / 3)
+    assert evaluate_depth("hr", one, s) == pytest.approx(2 / 3)
+    assert evaluate_depth("mhr", one, s) == pytest.approx(2 / 3)
 
 
 def test_hr_zero_beats_far_constant_on_gp(gp_sample):
@@ -361,15 +406,15 @@ def test_hr_zero_beats_far_constant_on_gp(gp_sample):
     # half-region depth dominates that of a far constant
     zero = const_curve(0.0, gp_sample.grid)
     far = const_curve(1.5, gp_sample.grid)
-    d_zero = evaluate_depth("hr", zero, gp_sample).value
-    d_far = evaluate_depth("hr", far, gp_sample).value
+    d_zero = evaluate_depth("hr", zero, gp_sample)
+    d_far = evaluate_depth("hr", far, gp_sample)
     assert d_zero > d_far, (d_zero, d_far)
     assert d_zero > 0.0
 
 
 def test_mhr_zero_near_half_on_gp(gp_sample):
     r = evaluate_depth("mhr", const_curve(0.0, gp_sample.grid), gp_sample)
-    assert abs(r.value - 0.5) < 0.05, r.value
+    assert abs(r - 0.5) < 0.05, r
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +470,7 @@ def test_fuzz_range_bounds(sq):
     J = min(3, sample.n)
     params = DepthParams(h=0.7, J=J, k=3, seed=1)
     for depth in ("h", "rt", "bd", "mbd", "hr", "mhr"):
-        v = evaluate_depth(depth, x, sample, params).value
+        v = evaluate_depth(depth, x, sample, params)
         hi = upper_bound(depth, h=params.h, J=params.J)
         assert -1e-12 <= v <= hi + 1e-12, (depth, v, hi)
 
@@ -436,12 +481,12 @@ def test_fuzz_brute_force_equivalence(sq):
     sample, x = sq
     for J in range(2, min(4, sample.n) + 1):
         assert (
-            evaluate_depth("bd", x, sample, DepthParams(J=J)).value
-            == band_depth_brute(x, sample, J).value
+            evaluate_depth("bd", x, sample, DepthParams(J=J))
+            == band_depth_brute(x, sample, J)
         )
         assert (
-            evaluate_depth("mbd", x, sample, DepthParams(J=J)).value
-            == modified_band_depth_brute(x, sample, J).value
+            evaluate_depth("mbd", x, sample, DepthParams(J=J))
+            == modified_band_depth_brute(x, sample, J)
         )
 
 
@@ -458,8 +503,8 @@ def test_fuzz_weight_consistency_duplicate_halve(sq):
     dup = FunctionalSample(dup_vals, sample.grid, weights=dup_w)
     params = DepthParams(h=0.7, k=3, seed=1)
     for depth in ("h", "rt", "hr", "mhr"):
-        a = evaluate_depth(depth, x, sample, params).value
-        b = evaluate_depth(depth, x, dup, params).value
+        a = evaluate_depth(depth, x, sample, params)
+        b = evaluate_depth(depth, x, dup, params)
         assert abs(a - b) <= 1e-12, (depth, a, b)
 
 
@@ -474,8 +519,8 @@ def test_fuzz_translation_invariance(sq):
     J = min(3, sample.n)
     params = DepthParams(h=0.7, J=J, k=3, seed=1)
     for depth in ("h", "rt", "bd", "mbd", "hr", "mhr"):
-        a = evaluate_depth(depth, x, sample, params).value
-        b = evaluate_depth(depth, xs, shifted, params).value
+        a = evaluate_depth(depth, x, sample, params)
+        b = evaluate_depth(depth, xs, shifted, params)
         assert abs(a - b) <= 1e-10, (depth, a, b)
 
 
@@ -490,8 +535,8 @@ def test_fuzz_scale_invariance_except_h(sq, a):
     J = min(3, sample.n)
     params = DepthParams(h=0.7, J=J, k=3, seed=1)
     for depth in ("rt", "bd", "mbd", "hr", "mhr"):
-        av = evaluate_depth(depth, x, sample, params).value
-        bv = evaluate_depth(depth, xs, scaled, params).value
+        av = evaluate_depth(depth, x, sample, params)
+        bv = evaluate_depth(depth, xs, scaled, params)
         assert abs(av - bv) <= 1e-10, (depth, av, bv)
 
 
@@ -509,8 +554,8 @@ def test_fuzz_h_depth_scale_sensitivity(sq, a):
     h = float(d.max())
     scaled = FunctionalSample(sample.values * a, sample.grid)
     xs = Curve(x.values * a, sample.grid)
-    av = evaluate_depth("h", x, sample, DepthParams(h=h)).value
-    bv = evaluate_depth("h", xs, scaled, DepthParams(h=h)).value
+    av = evaluate_depth("h", x, sample, DepthParams(h=h))
+    bv = evaluate_depth("h", xs, scaled, DepthParams(h=h))
     assert abs(av - bv) > 1e-13 * max(av, bv), (av, bv)
 
 
@@ -522,7 +567,7 @@ def test_fuzz_monotone_h(sq):
     sample, x = sq
     prev = -np.inf
     for h in (0.25, 0.5, 1.0, 2.0, 4.0):
-        v = evaluate_depth("h", x, sample, DepthParams(h=h)).value * h * SQRT_2PI
+        v = evaluate_depth("h", x, sample, DepthParams(h=h)) * h * SQRT_2PI
         assert v >= prev - 1e-12, (h, v, prev)
         prev = v
 
@@ -539,7 +584,7 @@ def test_fuzz_batch_equals_batch_of_one(sq):
     for depth in ("rt", "bd", "mbd", "hr", "mhr"):
         vals = depth_values(depth, Q, sample, params)
         for i, q in enumerate(Q):
-            one = evaluate_depth(depth, Curve(q, sample.grid), sample, params).value
+            one = evaluate_depth(depth, Curve(q, sample.grid), sample, params)
             assert vals[i] == one, (depth, i, vals[i], one)
 
 
@@ -571,7 +616,7 @@ def mbd_per_query(Q, sample, J):
     for xv in Q:
         a, b = (X > xv).sum(axis=0), (X < xv).sum(axis=0)
         counts = [tab[n] - tab[a] - tab[b] for tab in tabs]
-        out.append(_mbd_value_from_counts(counts, n, sample.grid))
+        out.append(mbd_value_from_counts(counts, n, sample.grid))
     return np.array(out)
 
 
@@ -617,7 +662,7 @@ def test_fuzz_mbd_matches_brute_per_query(sq):
     J = min(3, sample.n)
     got = depth_values("mbd", Q, sample, DepthParams(J=J))
     want = [modified_band_depth_brute(Curve(q, sample.grid), sample, J) for q in Q]
-    assert got.tolist() == [r.value for r in want]
+    assert got.tolist() == [r for r in want]
 
 
 @settings(max_examples=N_FUZZ, deadline=None)
@@ -747,7 +792,7 @@ def multiword_band_case(draw, min_n, max_n):
 def test_bd_multiword_patterns_match_brute(case):
     sample, Q = case
     got = depth_values("bd", Q, sample, DepthParams(J=2))
-    want = [band_depth_brute(Curve(q, sample.grid), sample, 2).value for q in Q]
+    want = [band_depth_brute(Curve(q, sample.grid), sample, 2) for q in Q]
     assert got.tolist() == want
 
 
@@ -816,13 +861,13 @@ def test_atomic_band_depth_atom_order_invariant():
 
     perm = AtomicDistribution(d.values[::-1], d.probs[::-1], d.grid)
     q = const_curve(0.25, d.grid)
-    for fn in (band_depth_atomic, modified_band_depth_atomic):
-        assert abs(fn(q, d, 2).value - fn(q, perm, 2).value) <= 1e-12
+    for depth in ("bd", "mbd"):
+        a = evaluate_depth(depth, q, d, DepthParams(J=2))
+        assert abs(a - evaluate_depth(depth, q, perm, DepthParams(J=2))) <= 1e-12
 
 
-def test_depth_result_json_shape():
+def test_evaluate_depth_returns_a_float():
     s = constants_sample([0.0, 1.0])
     r = evaluate_depth("h", const_curve(0.0, s.grid), s, DepthParams(h=1.0))
-    obj = r.to_json()
-    assert set(obj) == {"depth", "value", "params", "n"}
-    assert obj["depth"] == "h" and obj["n"] == 2
+    assert type(r) is float
+    assert r == depth_values("h", np.zeros((1, s.grid.m)), s, DepthParams(h=1.0))[0]
