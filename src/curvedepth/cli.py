@@ -9,7 +9,8 @@ depth id, bandwidth, ...), 4 audit mismatch or under-powered audit cells.
 
 ``--threads`` must take effect before the numeric libraries initialize
 their thread pools, so everything that imports numpy is imported lazily
-inside the command handlers.
+inside the command handlers.  ``audit`` and ``simulate-gp`` run one
+thread unless ``--threads`` is given.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ _THREAD_ENV_VARS = (
     "VECLIB_MAXIMUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
+
+#: Subcommands whose output bytes depend on the BLAS thread count (a
+#: multi-threaded product rounds differently).  They run one thread unless
+#: ``--threads`` is given, so inherited thread settings leave their files
+#: unchanged.
+_PINNED_COMMANDS = ("audit", "simulate-gp")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -44,7 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="cap BLAS/OpenMP thread pools (set before numpy loads; "
-        "overrides inherited *_NUM_THREADS values)",
+        "overrides inherited *_NUM_THREADS values; audit and simulate-gp "
+        "default to 1)",
     )
     parser.add_argument(
         "--format",
@@ -213,9 +221,7 @@ def _cmd_depth(args) -> int:
         from curvedepth.depths import depth_values
 
         qgrid, qvalues = read_curves_csv(args.query)
-        if qgrid.m != sample.grid.m or not (
-            qgrid.points == sample.grid.points
-        ).all():
+        if qgrid != sample.grid:
             raise InputError("query CSV grid differs from the sample grid")
         params = _depth_params(args)
         values = depth_values(args.depth_id, qvalues, sample, params)
@@ -420,13 +426,12 @@ def _cmd_reconstruct(args) -> int:
     import numpy as np
 
     from curvedepth.core import read_curves_csv, write_curves_csv
-    from curvedepth.reconstruct import reconstruct_linear, sparse_from_values
+    from curvedepth.reconstruct import reconstruct_linear
 
     grid, values = read_curves_csv(args.input_csv, allow_nan=True)
-    obs = sparse_from_values(values)
-    full = reconstruct_linear(obs, grid)
+    full = reconstruct_linear(values, grid)
     write_curves_csv(args.out_csv, grid, full.values)
-    observed = [float(np.mean(~np.isnan(row))) for row in np.atleast_2d(values)]
+    observed = [float(np.mean(~np.isnan(row))) for row in values]
     payload = {
         "schema": 1,
         "command": "reconstruct",
@@ -461,10 +466,13 @@ def main(argv=None) -> int:
     if problem is not None:
         print(f"parameter error: {problem}", file=sys.stderr)
         return EXIT_PARAMS
-    if args.threads is not None:
-        # an explicit flag overrides values inherited from the environment
+    threads = args.threads
+    if threads is None and args.command in _PINNED_COMMANDS:
+        threads = 1
+    if threads is not None:
+        # an explicit flag or a pin overrides values inherited from the environment
         for var in _THREAD_ENV_VARS:
-            os.environ[var] = str(args.threads)
+            os.environ[var] = str(threads)
     # imported here so --threads is honored by the BLAS thread pools
     from curvedepth.core import InputError, ParameterError
 

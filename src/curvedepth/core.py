@@ -3,7 +3,9 @@
 Numerical substrate for everything else in the package: trapezoid
 quadrature weights, row-wise L2/sup norms of discretized curves,
 Lebesgue fractions of grid masks, and the CSV curve format shared with
-the command-line tools.
+the command-line tools.  Every in-memory structure is one the CSV format
+holds: a grid is its points (its weights are derived from them), and a
+partially observed curve is a row with NaN in its unobserved cells.
 
 All container types are immutable after construction (arrays are marked
 read-only) and all operations are pure, so values can be shared freely
@@ -65,20 +67,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Ordered abscissae v_1 < ... < v_m with positive quadrature weights.
+    """Ordered abscissae v_1 < ... < v_m, m >= 2.
 
-    Parameters
-    ----------
-    points : array_like, shape (m,)
-        Strictly increasing evaluation points, m >= 2.
-    weights : array_like, shape (m,), optional
-        Quadrature weights for Lebesgue measure on [v_1, v_m].  Default:
-        trapezoid weights.  Must be strictly positive and sum to
-        v_m - v_1 within 1e-12 relative.
+    A grid is its points: its ``weights`` attribute, the quadrature
+    weights for Lebesgue measure on [v_1, v_m], is always
+    ``trapezoid_weights(points)``.
     """
 
     points: np.ndarray
-    weights: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -88,21 +84,9 @@ class Grid:
             raise InputError("grid points must be finite")
         if not np.all(np.diff(pts) > 0):
             raise InputError("grid points must be strictly increasing")
-        if self.weights is None:
-            w = trapezoid_weights(pts)
-            if not np.all(w > 0):  # underflow from denormal point spacing
-                raise InputError("grid spacing too small for positive weights")
-        else:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != pts.shape:
-                raise InputError(f"weights shape {w.shape} != points shape {pts.shape}")
-            if not np.all(np.isfinite(w)) or not np.all(w > 0):
-                raise InputError("quadrature weights must be finite and strictly positive")
-            total = pts[-1] - pts[0]
-            if abs(w.sum() - total) > WEIGHT_RTOL * max(total, 1.0):
-                raise InputError(
-                    f"weights sum {w.sum()!r} != domain length {total!r}"
-                )
+        w = trapezoid_weights(pts)
+        if not np.all(w > 0):  # underflow from denormal point spacing
+            raise InputError("grid spacing too small for positive weights")
         object.__setattr__(self, "points", _readonly(pts))
         object.__setattr__(self, "weights", _readonly(w))
 
@@ -118,12 +102,10 @@ class Grid:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grid):
             return NotImplemented
-        return np.array_equal(self.points, other.points) and np.array_equal(
-            self.weights, other.weights
-        )
+        return np.array_equal(self.points, other.points)
 
     def __hash__(self) -> int:
-        return hash((self.points.tobytes(), self.weights.tobytes()))
+        return hash(self.points.tobytes())
 
     def __repr__(self) -> str:
         return f"Grid(m={self.m}, domain=[{self.points[0]:g}, {self.points[-1]:g}])"
@@ -258,7 +240,8 @@ def sup_norm_rows(rows: np.ndarray) -> np.ndarray:
 # CSV curve format (shared with the CLI): row 1 = grid points, each following
 # row = one curve's values.  UTF-8, comma separator, '.' decimal point.  NaN
 # cells are legal only in the sparse-observation files consumed by the
-# reconstruction tools, where they mean "unobserved here".
+# reconstruction tools, where they mean "unobserved here"; such a file reads
+# back as the NaN-masked (n, m) array that ``reconstruct_linear`` takes.
 # ---------------------------------------------------------------------------
 
 _FMT = "%.17g"  # round-trips every float64 exactly

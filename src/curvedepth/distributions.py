@@ -49,10 +49,12 @@ Seed = Union[int, Sequence[int]]
 
 KERNEL_TYPES = ("se", "cosine")
 
-#: Jitter ladder for Cholesky factorization: start, multiplier, cap
-#: (all relative to the kernel variance).
+#: Jitter ladder for Cholesky factorization: start and cap relative to the
+#: kernel variance, doubling in between.  The step count is fixed, so a
+#: variance whose start jitter underflows to 0 still ends the ladder.
 JITTER_START = 1e-12
 JITTER_CAP = 1e-6
+JITTER_STEPS = int(np.log2(JITTER_CAP / JITTER_START)) + 1
 
 #: Bound on the values one GP draw may hold in a single array: the (n, m)
 #: sample and the (m, m) kernel matrix, so a huge n or m fails fast
@@ -110,6 +112,14 @@ class Kernel:
             raise ParameterError(
                 f"kernel length_scale must be > 0, got {self.length_scale}"
             )
+        if self.type == "se":
+            with np.errstate(over="ignore"):
+                two_ls2 = 2.0 * np.float64(self.length_scale) ** 2
+            if not 0 < two_ls2 < np.inf:
+                raise ParameterError(
+                    f"se length_scale {self.length_scale} puts 2 ls^2 = {two_ls2} "
+                    "outside float64 range"
+                )
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """Covariance at lag t (stationary: depends on |t| only)."""
@@ -154,15 +164,15 @@ def _cholesky_with_jitter(K: np.ndarray, variance: float) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     jitter = JITTER_START * variance
-    cap = JITTER_CAP * variance
     eye = np.eye(K.shape[0])
-    while jitter <= cap * (1 + 1e-12):
+    for _ in range(JITTER_STEPS):
         try:
             return np.linalg.cholesky(K + jitter * eye)
         except np.linalg.LinAlgError:
             jitter *= 2.0
-    raise np.linalg.LinAlgError(
-        f"kernel matrix not positive definite even with jitter {cap:g}"
+    raise ParameterError(
+        f"kernel matrix not positive definite even with jitter "
+        f"{JITTER_CAP:g} x variance; change the kernel parameters"
     )
 
 
@@ -180,8 +190,8 @@ def _check_gp_budget(n: int, m: int) -> None:
 def sample_gp(spec: GPSpec, n: int, seed: Seed) -> FunctionalSample:
     """Draw n independent GP paths: mean + L z with L the Cholesky factor.
 
-    Deterministic given the seed.  Raises ``numpy.linalg.LinAlgError`` if
-    the kernel matrix stays non-PSD through the whole jitter ladder.
+    Deterministic given the seed.  Raises ``ParameterError`` if the kernel
+    matrix stays non-positive-definite through the whole jitter ladder.
     """
     if n < 1:
         raise ParameterError(f"need n >= 1 draws, got {n}")

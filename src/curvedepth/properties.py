@@ -1347,7 +1347,8 @@ def _config_from_json(value, like, key: str):
     """Check ``value``'s JSON type against ``like``, the field's default.
 
     Ints take an int but not a bool, floats an int within float64 range
-    or a float, tuples a list (each item checked against the default's
+    or a float (returned as a float, so ``1`` and ``1.0`` build and write
+    the same config), tuples a list (each item checked against the default's
     first item), kernels an object whose absent keys keep ``like``'s values.
     """
     if isinstance(like, Kernel):
@@ -1358,9 +1359,7 @@ def _config_from_json(value, like, key: str):
             if name not in parts:
                 raise InputError(f"unknown audit config key '{key}.{name}'")
             parts[name] = _config_from_json(v, parts[name], f"{key}.{name}")
-        return Kernel(
-            parts["type"], float(parts["variance"]), float(parts["length_scale"])
-        )
+        return Kernel(**parts)
     if isinstance(like, tuple):
         if not isinstance(value, list):
             raise InputError(f"audit config key {key!r} must be a list, got {value!r}")
@@ -1376,7 +1375,7 @@ def _config_from_json(value, like, key: str):
         raise InputError(
             f"audit config key {key!r} must be {_JSON_KINDS[type(like)]}, got {value!r}"
         )
-    return value
+    return float(value) if isinstance(like, float) else value
 
 
 def _fingerprint(report_json: dict) -> str:

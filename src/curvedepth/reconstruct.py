@@ -1,11 +1,13 @@
 """Sparse-observation reconstruction and depth-stability experiments.
 
-Curves observed at a subset of grid points (possibly with additive
-noise) are rebuilt by piecewise-linear interpolation with constant
-extrapolation beyond the first/last observation — deterministic,
-parameter-free, and exact on the trapezoid quadrature model.  The
-stability experiment compares depths against the reconstructed sample
-with depths against the fully observed one over a fixed probe set.
+A partially observed curve is a grid row with NaN in its unobserved
+cells, the same shape the curve CSV format stores.  Such rows (possibly
+with additive noise on the observed cells) are rebuilt by
+piecewise-linear interpolation with constant extrapolation beyond the
+first/last observation — deterministic, parameter-free, and exact on
+the trapezoid quadrature model.  The stability experiment compares
+depths against the reconstructed sample with depths against the fully
+observed one over a fixed probe set.
 """
 
 from __future__ import annotations
@@ -20,78 +22,36 @@ from .depths import DepthParams, depth_values
 from .distributions import Seed, _rng, subseed
 
 __all__ = [
-    "SparseObservation",
     "StabilityRecord",
     "reconstruct_linear",
-    "sparse_from_values",
     "depth_stability",
 ]
 
 
-@dataclass(frozen=True)
-class SparseObservation:
-    """One curve's partial record: sorted grid indices and observed values."""
+def reconstruct_linear(values: np.ndarray, grid: Grid) -> FunctionalSample:
+    """Piecewise-linear interpolation of each NaN-masked row onto the grid.
 
-    obs_idx: np.ndarray  # sorted, unique indices into the target grid
-    obs_values: np.ndarray
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.obs_idx, dtype=np.int64)
-        vals = np.asarray(self.obs_values, dtype=float)
-        if idx.ndim != 1 or idx.size < 2:
-            raise InputError(
-                f"need at least 2 observed points per curve, got {idx.size}"
-            )
-        if vals.shape != idx.shape:
-            raise InputError("observation indices and values differ in length")
-        if np.any(np.diff(idx) <= 0):
-            raise InputError("observation indices must be sorted and unique")
-        if idx[0] < 0:
-            raise InputError("negative observation index")
-        if not np.all(np.isfinite(vals)):
-            raise InputError("observed values must be finite")
-        i = np.array(idx, copy=True)
-        i.flags.writeable = False
-        v = np.array(vals, copy=True)
-        v.flags.writeable = False
-        object.__setattr__(self, "obs_idx", i)
-        object.__setattr__(self, "obs_values", v)
-
-
-def reconstruct_linear(
-    obs: Sequence[SparseObservation], target: Grid
-) -> FunctionalSample:
-    """Piecewise-linear interpolation of each sparse record onto the grid.
-
-    Beyond the first/last observed point the value is held constant
-    (numpy.interp's edge behavior).  Exact for curves that are linear
-    between their observed points.
+    ``values`` is (n, m) with NaN marking an unobserved cell, the shape
+    ``read_curves_csv(..., allow_nan=True)`` returns.  Each row needs at
+    least two observed points, all finite.  Beyond the first/last
+    observed point the value is held constant (numpy.interp's edge
+    behavior).  Exact for curves that are linear between their observed
+    points.
     """
-    if len(obs) == 0:
-        raise InputError("need at least one observed curve")
-    out = np.empty((len(obs), target.m))
-    for i, ob in enumerate(obs):
-        if ob.obs_idx[-1] >= target.m:
-            raise InputError(
-                f"curve {i}: observation index {ob.obs_idx[-1]} outside grid "
-                f"of size {target.m}"
-            )
-        out[i] = np.interp(
-            target.points, target.points[ob.obs_idx], ob.obs_values
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[0] == 0 or values.shape[1] != grid.m:
+        raise InputError(
+            f"sparse values shape {values.shape} != (n >= 1, {grid.m})"
         )
-    return FunctionalSample(out, target)
-
-
-def sparse_from_values(values: np.ndarray) -> list[SparseObservation]:
-    """Split a (curves x grid) array with NaN = unobserved into sparse records."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    out = []
+    out = np.empty(values.shape)
     for i, row in enumerate(values):
-        idx = np.flatnonzero(~np.isnan(row))
-        if idx.size < 2:
-            raise InputError(f"curve {i} has {idx.size} observed points, need >= 2")
-        out.append(SparseObservation(idx, row[idx]))
-    return out
+        seen = ~np.isnan(row)
+        if seen.sum() < 2:
+            raise InputError(f"curve {i} has {seen.sum()} observed points, need >= 2")
+        if not np.all(np.isfinite(row[seen])):
+            raise InputError(f"curve {i}: observed values must be finite")
+        out[i] = np.interp(grid.points, grid.points[seen], row[seen])
+    return FunctionalSample(out, grid)
 
 
 @dataclass(frozen=True)
@@ -113,16 +73,16 @@ class StabilityRecord:
 
 def _subsample_one(
     values: np.ndarray, rate: float, noise_sd: float, rng: np.random.Generator
-) -> SparseObservation:
-    m = values.size
-    keep = rng.uniform(size=m) < rate
+) -> np.ndarray:
+    """One curve's NaN-masked partial record."""
+    keep = rng.uniform(size=values.size) < rate
     if keep.sum() < 2:
         keep[0] = keep[-1] = True  # repair: endpoints guarantee two points
-    idx = np.flatnonzero(keep)
-    vals = values[idx]
+    row = np.full(values.size, np.nan)
+    row[keep] = values[keep]
     if noise_sd > 0:
-        vals = vals + rng.normal(scale=noise_sd, size=idx.size)
-    return SparseObservation(idx, vals)
+        row[keep] += rng.normal(scale=noise_sd, size=int(keep.sum()))
+    return row
 
 
 def depth_stability(
@@ -156,11 +116,10 @@ def depth_stability(
     devs = []
     for seed in seeds:
         rng = _rng(subseed(seed, 7))
-        obs = [
-            _subsample_one(full.values[i], sparse_rate, noise_sd, rng)
-            for i in range(full.n)
-        ]
-        rebuilt = reconstruct_linear(obs, full.grid)
+        masked = np.stack(
+            [_subsample_one(row, sparse_rate, noise_sd, rng) for row in full.values]
+        )
+        rebuilt = reconstruct_linear(masked, full.grid)
         vals = depth_values(depth, probes, rebuilt, params)
         devs.append(np.abs(vals - base))
     pool = np.concatenate(devs)

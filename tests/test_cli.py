@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 import curvedepth.properties as P
 from curvedepth import cli
-from curvedepth.core import read_curves_csv, uniform_grid, write_curves_csv
+from curvedepth.core import Grid, read_curves_csv, uniform_grid, write_curves_csv
 from curvedepth.depths import DEPTH_IDS
 from test_properties import _reduced_config
 
@@ -106,6 +106,14 @@ def test_depth_query_file_matches_self(three_csv, tmp_path):
 def test_depth_query_grid_mismatch_is_input_error(three_csv, tmp_path):
     other = tmp_path / "other.csv"
     write_constant_curves(other, [1.0], m=7)
+    code, _, err = run_cli(["depth", three_csv, "mhr", "--query", other])
+    assert code == cli.EXIT_INPUT
+    assert "grid" in err
+    # same width, one point moved
+    grid, values = write_constant_curves(other, [1.0])
+    points = grid.points.copy()
+    points[5] += 0.01
+    write_curves_csv(other, Grid(points), values)
     code, _, err = run_cli(["depth", three_csv, "mhr", "--query", other])
     assert code == cli.EXIT_INPUT
     assert "grid" in err
@@ -411,6 +419,22 @@ def test_audit_cli_reduced_config_writes_deterministic_artifacts(tmp_path):
     assert "| depth |" in out1
 
 
+def test_audit_cli_int_and_float_config_write_equal_bytes(tmp_path):
+    # a JSON integer in a float field is read as that float
+    outputs = []
+    for i, text in enumerate(
+        [_reduced_config_text(h=1, p4_deltas=[1, 0.1, 0.01]),
+         _reduced_config_text(h=1.0, p4_deltas=[1.0, 0.1, 0.01])]
+    ):
+        cfg, out_dir = tmp_path / f"cfg{i}.json", tmp_path / f"run{i}"
+        cfg.write_text(text)
+        code, _, err = run_cli(["audit", "--config", cfg, "--out-dir", out_dir])
+        assert code in (cli.EXIT_OK, cli.EXIT_AUDIT), err
+        outputs.append((out_dir / "audit.json").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["params"]["h"] == 1.0
+
+
 #: Config texts that must fail at the parse boundary, before any audit work:
 #: unparseable JSON, values of the wrong JSON type, unknown keys.
 BAD_CONFIGS = [
@@ -478,6 +502,71 @@ def test_simulate_gp_size_budget_exits_3(tmp_path, sizes):
     assert code == cli.EXIT_PARAMS
     assert "parameter error" in err
     assert not out_csv.exists()
+
+
+def _reduced_config_text(**overrides) -> str:
+    obj = _reduced_config().to_json()
+    obj.update(overrides)
+    return json.dumps(obj)
+
+
+#: Kernel parameters that break the covariance matrix.  The first case's
+#: jitter start underflows to 0; before the ladder had a fixed step count it
+#: looped for ever, so every case runs in a child process under a timeout.
+BAD_KERNELS = {
+    "tiny-variance": ["--variance", "5e-324"],
+    "se-huge-ls": ["--length-scale", "1e200"],
+    "se-tiny-ls": ["--length-scale", "1e-200"],
+    "cosine-tiny-period": ["--kernel-type", "cosine", "--length-scale", "1e-9"],
+    "audit-se-huge-ls": {"kernel": {"length_scale": 1e200}},
+    "audit-tiny-variance": {
+        "p2g_kernels": [{"type": "se", "variance": 5e-324, "length_scale": 0.2}]
+    },
+}
+
+
+@pytest.mark.parametrize("case", BAD_KERNELS.values(), ids=BAD_KERNELS.keys())
+def test_bad_kernel_exits_3_without_traceback(tmp_path, case):
+    if isinstance(case, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(_reduced_config_text(**case))
+        argv = ["audit", "--config", str(cfg), "--out-dir", str(tmp_path)]
+    else:
+        argv = ["simulate-gp", str(tmp_path / "gp.csv"), "--n", "2", "--m", "50", *case]
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvedepth", *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_PARAMS, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "parameter error" in proc.stderr
+
+
+def test_simulate_gp_ignores_inherited_thread_count(tmp_path):
+    # a 3000 x 201 draw rounds differently with two BLAS threads than with
+    # one; the CLI pins one thread, so both runs write the same bytes.  A
+    # 1-core box cannot show the difference, and there this test passes
+    # without exercising the pin.
+    outputs = []
+    for threads in ("1", "2"):
+        env = child_env()
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        out_csv = tmp_path / f"gp{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvedepth", "simulate-gp", str(out_csv),
+             "--n", "3000", "--m", "201"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out_csv.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_reconstruct_unwritable_output_exits_2(three_csv, tmp_path):

@@ -11,6 +11,7 @@ from curvedepth.core import (
     l2_norm_rows,
     lebesgue_fraction,
     read_curves_csv,
+    trapezoid_weights,
     uniform_grid,
     write_curves_csv,
 )
@@ -94,12 +95,14 @@ def test_grid_rejects_non_increasing():
         Grid(np.array([1.0]))
 
 
-def test_grid_rejects_bad_weights():
-    pts = np.linspace(0, 1, 5)
-    with pytest.raises(InputError):
-        Grid(pts, weights=np.array([0.25, 0.25, 0.25, 0.25, 0.25]))  # sums to 1.25
-    with pytest.raises(InputError):
-        Grid(pts, weights=np.array([0.5, -0.1, 0.2, 0.2, 0.2]))
+def test_grid_is_its_points():
+    pts = np.array([0.0, 0.1, 0.35, 0.4, 1.0])
+    g = Grid(pts)
+    assert g.weights.tobytes() == trapezoid_weights(pts).tobytes()
+    same = Grid(pts.copy())
+    assert same == g and hash(same) == hash(g)
+    other = Grid(np.array([0.0, 0.1, 0.35, 0.45, 1.0]))
+    assert other != g
 
 
 def test_curve_rejects_nonfinite_and_wrong_length():

@@ -524,13 +524,14 @@ def test_audit_config_json_round_trip():
 
 
 def test_audit_config_from_json_checks_types():
-    # floats take ints, kernels keep the default for absent keys; values
-    # are not converted, so the config echo in audit.json keeps them as given
+    # floats take ints and hold them as floats, so the config echo in
+    # audit.json does not depend on how a number was written; kernels keep
+    # the default for absent keys
     cfg = AuditConfig.from_json(
         {"h": 2, "c_max": 1.5, "grid": {"b": 3}, "kernel": {"length_scale": 0.1}}
     )
-    assert cfg.h == 2 and isinstance(cfg.h, int)
-    assert cfg.b == 3 and cfg.c_max == 1.5
+    assert cfg.h == 2 and isinstance(cfg.h, float)
+    assert cfg.b == 3 and isinstance(cfg.b, float) and cfg.c_max == 1.5
     assert cfg.kernel == Kernel("se", 1.0, 0.1)
     for bad in (
         {"J": False},

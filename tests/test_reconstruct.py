@@ -18,12 +18,15 @@ from curvedepth.core import (
 )
 from curvedepth.depths import DepthParams
 from curvedepth.distributions import GPSpec, Kernel, sample_gp
-from curvedepth.reconstruct import (
-    SparseObservation,
-    depth_stability,
-    reconstruct_linear,
-    sparse_from_values,
-)
+from curvedepth.reconstruct import depth_stability, reconstruct_linear
+
+
+def _masked(m: int, idx, vals) -> np.ndarray:
+    """One NaN-masked row of width m observed at ``idx``."""
+    row = np.full((1, m), np.nan)
+    row[0, idx] = vals
+    return row
+
 
 # ---------------------------------------------------------------------------
 # reconstruct_linear
@@ -33,15 +36,13 @@ from curvedepth.reconstruct import (
 def test_fully_observed_is_identity():
     g = uniform_grid(0, 1, 101)
     vals = np.sin(5 * g.points)
-    obs = [SparseObservation(np.arange(101), vals)]
-    rec = reconstruct_linear(obs, g)
+    rec = reconstruct_linear(vals[None, :], g)
     np.testing.assert_array_equal(rec.values[0], vals)
 
 
 def test_linear_curve_from_two_endpoints():
     g = uniform_grid(0, 1, 101)
-    obs = [SparseObservation(np.array([0, 100]), np.array([0.0, 1.0]))]
-    rec = reconstruct_linear(obs, g)
+    rec = reconstruct_linear(_masked(101, [0, 100], [0.0, 1.0]), g)
     np.testing.assert_allclose(rec.values[0], g.points, atol=1e-15)
 
 
@@ -50,32 +51,36 @@ def test_sine_error_bound_eleven_points():
     g = uniform_grid(0, 1, 101)
     idx = np.arange(0, 101, 10)
     truth = np.sin(2 * np.pi * g.points)
-    obs = [SparseObservation(idx, truth[idx])]
-    rec = reconstruct_linear(obs, g)
+    rec = reconstruct_linear(_masked(101, idx, truth[idx]), g)
     assert np.max(np.abs(rec.values[0] - truth)) <= 0.0494
 
 
 def test_constant_extrapolation_at_ends():
     g = uniform_grid(0, 1, 11)
-    obs = [SparseObservation(np.array([3, 7]), np.array([5.0, -5.0]))]
-    rec = reconstruct_linear(obs, g)
+    rec = reconstruct_linear(_masked(11, [3, 7], [5.0, -5.0]), g)
     assert np.all(rec.values[0][:4] >= rec.values[0][3] - 1e-15)
     np.testing.assert_array_equal(rec.values[0][:3], 5.0)
     np.testing.assert_array_equal(rec.values[0][8:], -5.0)
 
 
-def test_sparse_observation_validation():
+@pytest.mark.parametrize(
+    "rows",
+    [
+        _masked(11, [], []),  # no observed point
+        _masked(11, [4], [1.0]),  # one observed point
+        _masked(11, [0, 4, 9], [0.0, np.inf, 1.0]),
+        _masked(11, [0, 4, 9], [0.0, -np.inf, 1.0]),
+        _masked(12, [0, 11], [0.0, 1.0]),  # wider than the grid
+        _masked(10, [0, 9], [0.0, 1.0]),  # narrower than the grid
+        np.zeros((0, 11)),
+        np.vstack([_masked(11, [0, 10], [0.0, 1.0]), _masked(11, [3], [2.0])]),
+    ],
+    ids=["0-points", "1-point", "+inf", "-inf", "wide", "narrow", "no-rows",
+         "1-point-in-row-2"],
+)
+def test_reconstruct_rejects_bad_rows(rows):
     with pytest.raises(InputError):
-        SparseObservation(np.array([4]), np.array([1.0]))
-    with pytest.raises(InputError):
-        SparseObservation(np.array([4, 4]), np.array([1.0, 2.0]))
-    with pytest.raises(InputError):
-        SparseObservation(np.array([5, 3]), np.array([1.0, 2.0]))
-    with pytest.raises(InputError):
-        reconstruct_linear(
-            [SparseObservation(np.array([0, 200]), np.array([0.0, 1.0]))],
-            uniform_grid(0, 1, 11),
-        )
+        reconstruct_linear(rows, uniform_grid(0, 1, 11))
 
 
 def test_sparse_csv_round_trip(tmp_path):
@@ -88,17 +93,11 @@ def test_sparse_csv_round_trip(tmp_path):
     )
     path = tmp_path / "sparse.csv"
     write_curves_csv(path, g, vals)
-    _, loaded = read_curves_csv(path, allow_nan=True)
-    obs = sparse_from_values(loaded)
-    assert [o.obs_idx.tolist() for o in obs] == [[0, 2, 5], [1, 3, 4]]
-    for o, row in zip(obs, vals):
-        np.testing.assert_array_equal(o.obs_values, row[~np.isnan(row)])
-
-
-def test_sparse_from_values_rejects_single_point_rows():
-    vals = np.array([[np.nan, 1.0, np.nan]])
-    with pytest.raises(InputError):
-        sparse_from_values(vals)
+    grid, loaded = read_curves_csv(path, allow_nan=True)
+    np.testing.assert_array_equal(loaded, vals)  # NaN cells compare equal
+    rec = reconstruct_linear(loaded, grid)
+    np.testing.assert_allclose(rec.values[0], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], atol=1e-12)
+    np.testing.assert_allclose(rec.values[1], [1.0, 1.0, 2.0, 3.0, 4.0, 4.0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +138,7 @@ def test_fuzz_exact_on_piecewise_linear(data):
     )
     # the ground truth is itself a linear interpolation of the knots
     truth = np.interp(g.points, g.points[idx], knot_vals)
-    rec = reconstruct_linear([SparseObservation(idx, knot_vals)], g)
+    rec = reconstruct_linear(_masked(m, idx, knot_vals), g)
     np.testing.assert_array_equal(rec.values[0], truth)
     # observed points are reproduced exactly
     np.testing.assert_array_equal(rec.values[0][idx], knot_vals)
@@ -211,6 +210,15 @@ def test_stability_deterministic_in_seeds(gp200):
     a = depth_stability("mbd", gp200, 0.5, 0.1, seeds=[3, 4], params=DepthParams(J=2))
     b = depth_stability("mbd", gp200, 0.5, 0.1, seeds=[3, 4], params=DepthParams(J=2))
     assert a == b
+
+
+def test_stability_record_pinned(gp200):
+    # computed before partial records became NaN-masked rows; equality to the
+    # last bit shows that _subsample_one keeps the RNG draws and their order
+    rec = depth_stability("mbd", gp200, 0.5, 0.1, seeds=[3, 4], params=DepthParams(J=2))
+    assert rec.max_dev == 0.008122110552763795
+    assert rec.median_dev == 0.004207914572864291
+    assert (rec.n, rec.n_seeds, rec.n_probes) == (200, 2, 10)
 
 
 def test_stability_record_json(gp200):
