@@ -6,6 +6,10 @@ Lebesgue fractions of grid masks, and the CSV curve format shared with
 the command-line tools.  Every in-memory structure is one the CSV format
 holds: a grid is its points (its weights are derived from them), and a
 partially observed curve is a row with NaN in its unobserved cells.
+The CSV reader streams the file's non-blank lines into ``np.loadtxt``,
+which parses every cell in C with the same correctly rounded conversion
+as ``float()``; the writer formats one row at a time with ``%.17g``, so
+a write-then-read round trip is bit-exact.
 
 All container types are immutable after construction (arrays are marked
 read-only) and all operations are pure, so values can be shared freely
@@ -238,10 +242,10 @@ def sup_norm_rows(rows: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # CSV curve format (shared with the CLI): row 1 = grid points, each following
-# row = one curve's values.  UTF-8, comma separator, '.' decimal point.  NaN
-# cells are legal only in the sparse-observation files consumed by the
-# reconstruction tools, where they mean "unobserved here"; such a file reads
-# back as the NaN-masked (n, m) array that ``reconstruct_linear`` takes.
+# row = one curve's values.  UTF-8, comma separator, '.' decimal point, blank
+# lines skipped, streamed both ways.  NaN cells are legal only in the sparse-
+# observation files read by reconstruction ("unobserved here"); such a file
+# reads back as the NaN-masked (n, m) array that ``reconstruct_linear`` takes.
 # ---------------------------------------------------------------------------
 
 _FMT = "%.17g"  # round-trips every float64 exactly
@@ -252,53 +256,53 @@ def write_curves_csv(path: str | Path, grid: Grid, values: np.ndarray) -> None:
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[1] != grid.m:
         raise InputError(f"values shape {values.shape} != (n, {grid.m})")
+    row_format = ",".join([_FMT] * grid.m) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(_FMT % p for p in grid.points) + "\n")
-            for row in values:
-                fh.write(",".join(_FMT % v for v in row) + "\n")
+            fh.write(row_format % tuple(grid.points.tolist()))
+            fh.writelines(row_format % tuple(row.tolist()) for row in values)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def read_curves_csv(
-    path: str | Path, allow_nan: bool = False
-) -> tuple[Grid, np.ndarray]:
+def read_curves_csv(path: str | Path, allow_nan: bool = False) -> tuple[Grid, np.ndarray]:
     """Read the CSV curve format back into (grid, values) with rows as curves.
 
     With ``allow_nan=False`` (the default) any NaN cell is rejected;
     sparse-observation files are read with ``allow_nan=True``.
     """
+
+    def data_lines(fh) -> Iterator[str]:  # breaks lines where str.splitlines does
+        width = None  # comma count of the grid row
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            if width is None:
+                width = line.count(",")
+            if line.count(",") != width:
+                cells = line.count(",") + 1
+                raise InputError(f"{path}:{lineno}: {cells} cells, expected {width + 1}")
+            yield line
+        if width is None:  # raised here, as numpy would only warn of no data
+            raise InputError(f"{path}: need a grid row plus at least one curve row")
+
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            rows = np.loadtxt(data_lines(fh), delimiter=",", comments=None, ndmin=2)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # a ValueError, so caught first
         raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: unparseable cell ({exc})") from exc
-    if len(rows) < 2:
+    except InputError:  # from data_lines, and a ValueError too
+        raise
+    except ValueError as exc:
+        raise InputError(f"{path}: unparseable cell ({exc})") from exc
+    if rows.shape[0] < 2:
         raise InputError(f"{path}: need a grid row plus at least one curve row")
-    m = len(rows[0])
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) != m:
-            raise InputError(
-                f"{path}: row {lineno} has {len(row)} cells, expected {m}"
-            )
-    grid_pts = np.array(rows[0], dtype=float)
-    if np.isnan(grid_pts).any():
+    if np.isnan(rows[0]).any():
         raise InputError(f"{path}: grid row may not contain NaN")
-    values = np.array(rows[1:], dtype=float)
-    if not allow_nan and np.isnan(values).any():
-        raise InputError(
-            f"{path}: NaN cells are only allowed in sparse-observation files"
-        )
-    return Grid(grid_pts), values
+    if not allow_nan and np.isnan(rows[1:]).any():
+        raise InputError(f"{path}: NaN cells are only allowed in sparse-observation files")
+    return Grid(rows[0]), rows[1:]

@@ -113,9 +113,11 @@ class Kernel:
                 f"kernel length_scale must be > 0, got {self.length_scale}"
             )
         if self.type == "se":
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", divide="ignore"):
                 two_ls2 = 2.0 * np.float64(self.length_scale) ** 2
-            if not 0 < two_ls2 < np.inf:
+                inverse = 1.0 / two_ls2
+            # a subnormal 2 ls^2 is positive, but lags divided by it overflow
+            if not (0 < two_ls2 < np.inf and inverse < np.inf):
                 raise ParameterError(
                     f"se length_scale {self.length_scale} puts 2 ls^2 = {two_ls2} "
                     "outside float64 range"

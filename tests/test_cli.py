@@ -13,6 +13,7 @@ comparisons are bit-for-bit reproducible.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -224,6 +225,41 @@ def test_nan_in_dense_input_exits_2(tmp_path):
     bad.write_text("0.0,0.5,1.0\n1.0,nan,2.0\n0.0,0.0,0.0\n")
     code, _, err = run_cli(["depth", bad, "mhr"])
     assert code == cli.EXIT_INPUT
+
+
+# each is a bad curve CSV: (which file it is, its bytes, the message it must give)
+CSV_INPUT_ERRORS = {
+    "empty": ("sample", b"", "need a grid row"),
+    "all-blank": ("sample", b"\n  \n\t\r\n", "need a grid row"),
+    "0xff-after-64KiB": (
+        "sample", b"0,0.5,1\n" + b"0.25,0.5,0.75\n" * 5000 + b"\xff\n", "not UTF-8 text"
+    ),
+    "grid-row-only": ("sample", b"\n0,0.5,1\n\n", "need a grid row"),
+    "ragged-after-two-blanks": (
+        "sample", b"0,0.5,1\r\n\r\n \n1,2\n", "bad.csv:4: 2 cells, expected 3"
+    ),
+    "garbage-query-cell": ("query", b"0,0.5,1\n1,fish,2\n", "unparseable cell"),
+}
+
+
+@pytest.mark.parametrize("case", CSV_INPUT_ERRORS.values(), ids=CSV_INPUT_ERRORS.keys())
+def test_bad_csv_exits_2_with_one_line(three_csv, tmp_path, case):
+    which, data, message = case
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data)
+    sample, query = (bad, three_csv) if which == "sample" else (three_csv, bad)
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvedepth", "depth", str(sample), "h", "--query", str(query)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_INPUT, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "UserWarning" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("input error: ") and message in line, line
 
 
 NOT_UTF8 = b"\xff\xfe0.0,\x9c1.0\n"
@@ -517,6 +553,7 @@ BAD_KERNELS = {
     "tiny-variance": ["--variance", "5e-324"],
     "se-huge-ls": ["--length-scale", "1e200"],
     "se-tiny-ls": ["--length-scale", "1e-200"],
+    "se-subnormal-ls": ["--length-scale", "1e-160"],
     "cosine-tiny-period": ["--kernel-type", "cosine", "--length-scale", "1e-9"],
     "audit-se-huge-ls": {"kernel": {"length_scale": 1e200}},
     "audit-tiny-variance": {
@@ -542,6 +579,7 @@ def test_bad_kernel_exits_3_without_traceback(tmp_path, case):
     )
     assert proc.returncode == cli.EXIT_PARAMS, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert "parameter error" in proc.stderr
 
 
@@ -582,6 +620,25 @@ def test_simulate_gp_is_byte_deterministic(tmp_path):
     assert run_cli(["--seed", 8, "simulate-gp", c, "--n", 4, "--m", 31])[0] == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
+
+
+#: sha256 of ``--seed 7 simulate-gp out.csv --n 2000 --m 101``, recorded
+#: from the per-cell CSV writer in ``tests/csv_reference.py``
+SIMULATE_GP_SEED7_SHA256 = "d120534c26b54e3340f6116e93324429bbb1d052c4dd791d295caad07bcca33f"
+
+
+def test_simulate_gp_bytes_pinned(tmp_path):
+    out_csv = tmp_path / "out.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvedepth", "--seed", "7", "simulate-gp", str(out_csv),
+         "--n", "2000", "--m", "101"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == SIMULATE_GP_SEED7_SHA256
 
 
 def test_simulate_gp_spec_file(tmp_path):

@@ -16,6 +16,7 @@ from curvedepth.core import (
     write_curves_csv,
 )
 
+import csv_reference
 from curve_distances import l2_distance, sup_distance
 
 # ---------------------------------------------------------------------------
@@ -300,3 +301,121 @@ def test_csv_rejects_ragged_and_garbage(tmp_path):
     path.write_text("0,1,2\n1,2,fish\n", encoding="utf-8")
     with pytest.raises(InputError):
         read_curves_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# CSV reader and writer against the per-cell reference (tests/csv_reference.py)
+# ---------------------------------------------------------------------------
+
+# cells the float() grammar accepts, in the spellings a file may hold
+GOOD_CELLS = [
+    "0", "1", "-1", "+2.5", "-0.0", "0.0", ".5", "5.", "1e-3", "2.5E+2", "-7e0",
+    "nan", "NaN", "-nan", "+NAN", "inf", "-inf", "Infinity", "-Infinity",
+    "1e500", "-1e500", "1e-400", "5e-324", "-4.9406564584124654e-324",
+    "2.2250738585072009e-308", "1.7976931348623157e308", "0.1", "3.14159",
+]
+# cells it rejects
+BAD_CELLS = ["", "fish", "1 2", "--1", "1e", "e5", "0x10", ".", "+", "1;", "nan(1)", "\ufeff1",
+             '"1"', "1#"]
+PADDING = ["", " ", "  ", "\t", "\xa0", "\u2003"]
+BLANK_LINES = ["", " ", "\t ", "\xa0"]
+# every line break str.splitlines knows; a file iterator knows only the first three
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+@st.composite
+def cell_texts(draw):
+    # Hypothesis draws the bounds of a range often, so the rare kinds sit inside
+    kind = draw(st.integers(0, 39))  # about one cell in forty is garbage
+    if kind == 20:
+        core = draw(st.sampled_from(BAD_CELLS))
+    elif kind < 16:
+        core = draw(st.sampled_from(GOOD_CELLS))
+    elif kind < 30:
+        core = "%.17g" % draw(st.floats(allow_nan=False, allow_infinity=False))
+    else:
+        core = repr(draw(st.floats(width=32, allow_nan=False, allow_infinity=False)))
+    return draw(st.sampled_from(PADDING)) + core + draw(st.sampled_from(PADDING))
+
+
+@st.composite
+def csv_texts(draw):
+    """Curve-CSV-like texts: mostly well formed, with every kind of damage."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    if draw(st.integers(0, 3)):  # a valid grid row, else free cells (NaN, garbage, ...)
+        grid = [" %.17g" % v for v in sorted(draw(
+            st.lists(st.integers(-50, 50), min_size=m, max_size=m, unique=True)
+        ))]
+    else:
+        grid = draw(st.lists(cell_texts(), min_size=m, max_size=m))
+    lines = [",".join(grid)]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(BLANK_LINES)))
+        width = draw(st.integers(1, 6)) if draw(st.integers(0, 9)) == 5 else m  # ragged
+        line = ",".join(draw(st.lists(cell_texts(), min_size=width, max_size=width)))
+        lines.append(line + ("," if draw(st.integers(0, 19)) == 10 else ""))
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(BLANK_LINES)))
+    breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines),
+                           max_size=len(lines)))
+    return "".join(line + br for line, br in zip(lines, breaks))
+
+
+def _read_outcome(reader, path, allow_nan):
+    """The bits a reader returns, or None when it raises InputError."""
+    try:
+        grid, values = reader(path, allow_nan=allow_nan)
+    except InputError:
+        return None
+    return grid.points.tobytes(), values.shape, values.tobytes()
+
+
+@settings(max_examples=N_FUZZ, deadline=None)
+@given(csv_texts(), st.booleans())
+def test_fuzz_csv_reader_matches_reference_bits(roundtrip_dir, text, allow_nan):
+    path = roundtrip_dir / "diff.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _read_outcome(csv_reference.read_curves_csv, path, allow_nan)
+    assert _read_outcome(read_curves_csv, path, allow_nan) == expected, repr(text)
+
+
+@pytest.mark.parametrize("cell", ["1_0", "١", "１", "1٠"])
+def test_csv_reader_rejects_what_only_float_accepts(tmp_path, cell):
+    # float() takes digit-group underscores and non-ASCII decimal digits;
+    # numpy's parser does not, so such a file is an input error now
+    path = tmp_path / "digits.csv"
+    path.write_text(f"0,1\n2,{cell}\n", encoding="utf-8")
+    csv_reference.read_curves_csv(path)  # accepted there
+    with pytest.raises(InputError, match="unparseable cell"):
+        read_curves_csv(path)
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_csv_reader_breaks_lines_like_splitlines(tmp_path, brk):
+    # breaks a file iterator does not know still end a row
+    path = tmp_path / "breaks.csv"
+    path.write_bytes(f"0,1{brk}2,3{brk}{brk}4,5".encode("utf-8"))
+    grid, values = read_curves_csv(path)
+    assert grid.points.tolist() == [0.0, 1.0]
+    assert values.tolist() == [[2.0, 3.0], [4.0, 5.0]]
+
+
+special_floats = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+     1.7976931348623157e308, np.nan, np.inf, -np.inf, 0.1, 1 / 3]
+)
+
+
+@settings(max_examples=N_FUZZ, deadline=None)
+@given(grid_and_curves(), st.data())
+def test_fuzz_csv_writer_matches_reference_bytes(roundtrip_dir, gc, data):
+    g, curves = gc
+    values = np.stack([c.values for c in curves])
+    for idx in data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, g.m - 1)))):
+        values[idx] = data.draw(st.one_of(special_floats, st.floats()))
+    ours, ref = roundtrip_dir / "ours.csv", roundtrip_dir / "ref.csv"
+    write_curves_csv(ours, g, values)
+    csv_reference.write_curves_csv(ref, g, values)
+    assert ours.read_bytes() == ref.read_bytes()
