@@ -18,6 +18,7 @@ across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -272,7 +273,10 @@ def read_curves_csv(path: str | Path, allow_nan: bool = False) -> tuple[Grid, np
     sparse-observation files are read with ``allow_nan=True``.
     """
 
+    lineno = 0  # file line last handed to numpy, which pulls one at a time
+
     def data_lines(fh) -> Iterator[str]:  # breaks lines where str.splitlines does
+        nonlocal lineno
         width = None  # comma count of the grid row
         lines = (line for chunk in fh for line in chunk.splitlines())
         for lineno, line in enumerate(lines, start=1):
@@ -298,7 +302,9 @@ def read_curves_csv(path: str | Path, allow_nan: bool = False) -> tuple[Grid, np
     except InputError:  # from data_lines, and a ValueError too
         raise
     except ValueError as exc:
-        raise InputError(f"{path}: unparseable cell ({exc})") from exc
+        # numpy's "at row N" counts non-blank lines from 0: name the file line
+        reason = re.sub(r" at row \d+, (column \d+)\.$", r" in \1", str(exc))
+        raise InputError(f"{path}:{lineno}: unparseable cell ({reason})") from exc
     if rows.shape[0] < 2:
         raise InputError(f"{path}: need a grid row plus at least one curve row")
     if np.isnan(rows[0]).any():

@@ -8,20 +8,23 @@ depth has one kernel over a (q, m) array of query curves, and
 to them: it validates the batch once and dispatches.  ``evaluate_depth``
 is that batch with one row, returned as a float.
 
-The rt and mbd kernels sort the sample once per batch (each direction's
-projections, each grid column) and read every query's tail or
-above/below counts off the sorted state with ``np.searchsorted``:
-O(n*m*k + (n+q)*k*log n) for rt with k directions and O((n+q)*m*log n)
-for mbd, for q queries against n curves on m grid points.  Their values
-equal, bit for bit, per-query masked weight sums and comparison counts.
-bd with J = 2 sorts the grid columns once per batch as well, to find the
-queries that tie some sample value; each query's pairs are then counted
-by a hashed, verified match of above patterns and their complements.
-hr, mhr and bd's pattern counts still loop over queries.  h squares its
-query-minus-sample differences in place, in a buffer of a few queries
-that stays in cache, but keeps the summation order of its fixed chunks
-of queries exactly (see ``_h_depth_values``), so its values, and the
-audit bytes built on them, do not move.
+The rt kernel sorts each direction's sample projections once per batch
+and reads every query's tail counts off them with ``np.searchsorted``:
+O(n*m*k + (n+q)*k*log n) for q queries against n curves on m grid points
+with k directions.  mbd, bd's J = 2 tie screen, hr and mhr share one
+per-batch table of the sorted grid columns (``_column_counts``): every
+query's closed counts le and lt per grid point in O((n+q)*m*log n), and
+for hr and mhr each sample value's rank in its column, so their closed
+comparisons run on small integers.  Small batches and small samples
+compare hr and mhr queries with the sample directly, as the sort would
+cost more there (``_ranked_batch``).  All these values equal, bit for
+bit, per-query masked weight sums and comparison counts.  bd with J = 2
+counts each query's pairs by a hashed, verified match of above patterns
+and their complements; its J >= 3 pattern counts still loop over
+queries.  h squares its query-minus-sample differences in place, in a
+buffer of a few queries that stays in cache, but keeps the summation
+order of its fixed chunks of queries exactly (see ``_h_depth_values``),
+so its values, and the audit bytes built on them, do not move.
 
 ``depth_values`` takes the distribution P either as a
 ``FunctionalSample`` (the empirical measure P_n) or as an
@@ -100,6 +103,15 @@ MAX_RT_ELEMENTS = 5 * 10**7
 # (grid points x band orders) per query: each is an exact Python integer.
 MAX_MBD_BIG_COUNTS = 10**4
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# hr and mhr read a batch's comparisons off a rank table of the sorted
+# grid columns (``_column_counts``) only for at least this many queries
+# against at least this many curves, and otherwise compare each query with
+# the sample directly.  Measured on 101 grid points (2-core box, one BLAS
+# thread): the table costs about as much as 25 to 60 direct queries at
+# n = 300..5000, and the ranked loop saves nothing per query below about
+# 200 curves for hr and 500 for mhr, at batch sizes up to 1000.
+_RANKED_MIN_QUERIES = 32
+_RANKED_MIN_CURVES = 512
 # Bytes of the h-depth difference buffer: a block of queries' differences
 # to the whole sample, sized to stay in cache while it is squared and
 # reduced.
@@ -326,6 +338,50 @@ def _rt_depth_values(
 
 
 # ---------------------------------------------------------------------------
+# Sorted grid columns: closed per-point counts for the rank-type depths
+# ---------------------------------------------------------------------------
+
+
+def _ranked_batch(queries: np.ndarray, sample: FunctionalSample) -> bool:
+    """Whether hr and mhr should build the rank table for this batch."""
+    return queries.shape[0] >= _RANKED_MIN_QUERIES and sample.n >= _RANKED_MIN_CURVES
+
+
+def _column_counts(
+    queries: np.ndarray, X: np.ndarray, ranks: bool = False
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Closed per-point counts of a (q, m) batch against the (n, m) sample.
+
+    Each grid column of the sample is sorted once, and two
+    ``searchsorted`` calls per column give le[i, v] = #{j : X_jv <= x_iv}
+    and lt[i, v] = #{j : X_jv < x_iv} for the whole batch (the rank trick
+    of Sun, Genton & Nychka 2012): O((n+q)*m*log n).  With ``ranks`` the
+    columns are argsorted instead, and R[v, j], the position of X_jv in
+    its sorted column, is returned as an (m, n) table, else None.  Tied
+    values sit side by side in a sorted column, so X_jv <= x_iv iff
+    R[v, j] < le[i, v] and X_jv >= x_iv iff R[v, j] >= lt[i, v]: the
+    closed comparisons become exact ones between small integers.  R, le
+    and lt are int16 when n < 2**15 and int32 otherwise.
+    """
+    n, m = X.shape
+    dtype = np.int16 if n < 2**15 else np.int32
+    R = None
+    if ranks:
+        order = np.argsort(X.T, axis=1)
+        S = np.take_along_axis(X.T, order, axis=1)
+        R = np.empty((m, n), dtype=dtype)
+        np.put_along_axis(R, order, np.arange(n, dtype=dtype)[None], axis=1)
+    else:
+        S = np.sort(X.T, axis=1)
+    le = np.empty(queries.shape, dtype=dtype)
+    lt = np.empty(queries.shape, dtype=dtype)
+    for v, s in enumerate(S):
+        le[:, v] = np.searchsorted(s, queries[:, v], side="right")
+        lt[:, v] = np.searchsorted(s, queries[:, v], side="left")
+    return R, le, lt
+
+
+# ---------------------------------------------------------------------------
 # Band depth (sample form): exact integer tuple counting
 # ---------------------------------------------------------------------------
 
@@ -532,17 +588,15 @@ def _bd_depth_values(
     """Fraction of j-curve bands (j = 2..J) that contain x at every grid point.
 
     sum_{j=2..J} C(n, j)^{-1} #{i_1 < ... < i_j : min <= x <= max pointwise},
-    with closed comparisons at the band boundaries.  For J = 2 each grid
-    column of the sample is sorted once per batch, and two
-    ``searchsorted`` calls per column mark the queries that equal some
-    sample value somewhere; only those compare X == x (``_count_pairs``).
+    with closed comparisons at the band boundaries.  For J = 2 the closed
+    counts of ``_column_counts`` mark the queries that equal some sample
+    value somewhere (le != lt at some grid point); only those compare
+    X == x (``_count_pairs``).
     """
     X, n = sample.values, sample.n
     if J == 2:
-        tied = np.zeros(queries.shape[0], dtype=bool)
-        for v, s in enumerate(np.sort(X.T, axis=1)):
-            col = queries[:, v]
-            tied |= np.searchsorted(s, col, "left") != np.searchsorted(s, col, "right")
+        _, le, lt = _column_counts(queries, X)
+        tied = (le != lt).any(axis=1)
         pad = _pack_rows(np.ones((1, X.shape[1]), dtype=bool))[0]
         pairs = [_count_pairs(xv, X, t, pad) for xv, t in zip(queries, tied)]
         return np.array([cnt / math.comb(n, 2) for cnt in pairs])
@@ -599,20 +653,15 @@ def _mbd_depth_values(
     strictly above x(v) or all strictly below, and those events are
     disjoint, so the number of j-subsets covering x at v is
     C(n, j) - C(a_v, j) - C(b_v, j) with a_v/b_v the strictly above/below
-    curve counts.  Each grid column of the sample is sorted once, so a_v
-    and b_v for the whole batch are two ``searchsorted`` calls per column
-    (the rank trick of Sun, Genton & Nychka 2012): O((n+q)*m*log n) for q
-    queries.  Counts past the int64 range stay exact as Python integers.
+    curve counts, a_v = n - le_v and b_v = lt_v in the closed counts of
+    ``_column_counts``: O((n+q)*m*log n) for q queries.  Counts past the
+    int64 range stay exact as Python integers.
     Each query's value adds the terms of j = 2..J in turn, one band order
     at a time, so only one order's (q, m) counts are held.
     """
     n = sample.n
-    S = np.sort(sample.values.T, axis=1)  # (m, n): sorted grid columns
-    a = np.empty(queries.shape, dtype=np.intp)
-    b = np.empty(queries.shape, dtype=np.intp)
-    for v, s in enumerate(S):
-        a[:, v] = n - np.searchsorted(s, queries[:, v], side="right")
-        b[:, v] = np.searchsorted(s, queries[:, v], side="left")
+    _, le, b = _column_counts(queries, sample.values)
+    a = n - le
     out = np.zeros(queries.shape[0])
     for j in range(2, J + 1):
         total = math.comb(n, j)
@@ -673,30 +722,65 @@ def _atomic_band_values(
 
 
 def _hr_depth_values(queries: np.ndarray, sample: FunctionalSample) -> np.ndarray:
-    """min of the sample fractions entirely below-or-equal / above-or-equal x."""
-    X = sample.values
-    out = np.empty(queries.shape[0])
-    for i, xv in enumerate(queries):
-        in_hypo = (X <= xv).all(axis=1)
-        in_epi = (X >= xv).all(axis=1)
-        out[i] = min(
-            float(sample.weights[in_hypo].sum()), float(sample.weights[in_epi].sum())
-        )
-    return out
+    """min of the sample fractions entirely below-or-equal / above-or-equal x.
+
+    A large batch (``_ranked_batch``) against equally weighted curves
+    reads the closed comparisons off the rank table of
+    ``_column_counts``: a curve lies below x iff each of its m ranks is
+    under the column's ``le`` count, and above x iff each is at least the
+    ``lt`` count.  Per query that compares n*m small integers, not floats,
+    and the two curve counts map to masses as in rt (``_uniform_masses``),
+    bit for bit the masked weight sums.  Small batches and samples, and
+    unequal weights (an atomic distribution's atoms), compare each query
+    with the sample directly and sum the masked weights.  Either way the
+    cost is O(q*n*m) for q queries against n curves on m grid points,
+    plus O(n*m*log n) for the table.
+    """
+    X, w = sample.values, sample.weights
+    if not _ranked_batch(queries, sample) or not np.all(w == w[0]):
+        out = np.empty(queries.shape[0])
+        for i, xv in enumerate(queries):
+            in_hypo = (X <= xv).all(axis=1)
+            in_epi = (X >= xv).all(axis=1)
+            out[i] = min(float(w[in_hypo].sum()), float(w[in_epi].sum()))
+        return out
+    R, le, lt = _column_counts(queries, X, ranks=True)
+    buf = np.empty(R.shape, dtype=bool)
+    counts = np.empty((2, queries.shape[0]), dtype=np.intp)
+    for i in range(queries.shape[0]):
+        np.less(R, le[i, :, None], out=buf)
+        counts[0, i] = np.count_nonzero(np.logical_and.reduce(buf, axis=0))
+        np.greater_equal(R, lt[i, :, None], out=buf)
+        counts[1, i] = np.count_nonzero(np.logical_and.reduce(buf, axis=0))
+    mass = _uniform_masses(float(w[0]), sample.n, counts)
+    return np.minimum(mass[0], mass[1])
 
 
 def _mhr_depth_values(queries: np.ndarray, sample: FunctionalSample) -> np.ndarray:
-    """min of the mean Lebesgue fractions where curves sit below / above x."""
-    X = sample.values
-    w = sample.grid.weights
+    """min of the mean Lebesgue fractions where curves sit below / above x.
+
+    Each query's (n, m) masks of X <= x and X >= x meet the grid weights
+    in one product per mask, and the sample weights in one dot product.
+    A large batch (``_ranked_batch``) builds those masks from the rank
+    table of ``_column_counts``, comparing small integers instead of
+    floats; the masks, and so every product and every value, are bit for
+    bit those of the direct comparison that small batches make.  O(q*n*m)
+    for q queries against n curves on m grid points, plus O(n*m*log n)
+    for the table.
+    """
+    X, w = sample.values, sample.grid.weights
     lam = sample.grid.length
+    if not _ranked_batch(queries, sample):
+        masks = ((X <= xv, X >= xv) for xv in queries)
+    else:
+        R, le, lt = _column_counts(queries, X, ranks=True)
+        R = np.ascontiguousarray(R.T)  # (n, m), the layout of X <= x
+        masks = ((R < le[i], R >= lt[i]) for i in range(queries.shape[0]))
     out = np.empty(queries.shape[0])
-    for i, xv in enumerate(queries):
-        frac_le = ((X <= xv) @ w) / lam
-        frac_ge = ((X >= xv) @ w) / lam
-        out[i] = min(
-            float(sample.weights @ frac_le), float(sample.weights @ frac_ge)
-        )
+    for i, (below, above) in enumerate(masks):
+        frac_le = (below @ w) / lam
+        frac_ge = (above @ w) / lam
+        out[i] = min(float(sample.weights @ frac_le), float(sample.weights @ frac_ge))
     return out
 
 

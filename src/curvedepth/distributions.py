@@ -153,6 +153,18 @@ class GPSpec:
     def __post_init__(self) -> None:
         if self.mean is not None and self.mean.grid != self.grid:
             raise InputError("GP mean curve lives on a different grid")
+        if self.kernel.type == "se":
+            # the covariance divides squared lags by 2 ls^2; the largest
+            # lag, the domain length, must keep that quotient finite
+            ls = self.kernel.length_scale
+            with np.errstate(over="ignore"):
+                lag = np.float64(self.grid.length)
+                ratio = lag * lag / (2.0 * ls**2)
+            if not np.isfinite(ratio):
+                raise ParameterError(
+                    f"se length_scale {ls} is too small for a domain of length "
+                    f"{self.grid.length}: lag^2 / (2 ls^2) overflows float64"
+                )
 
     def mean_values(self) -> np.ndarray:
         if self.mean is None:

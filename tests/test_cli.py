@@ -554,6 +554,8 @@ BAD_KERNELS = {
     "se-huge-ls": ["--length-scale", "1e200"],
     "se-tiny-ls": ["--length-scale", "1e-200"],
     "se-subnormal-ls": ["--length-scale", "1e-160"],
+    # 1 / (2 ls^2) is finite, but the domain's largest lag squared over it is not
+    "se-lag-overflow": ["--length-scale", "1e-154", "--b", "100"],
     "cosine-tiny-period": ["--kernel-type", "cosine", "--length-scale", "1e-9"],
     "audit-se-huge-ls": {"kernel": {"length_scale": 1e200}},
     "audit-tiny-variance": {

@@ -303,6 +303,20 @@ def test_csv_rejects_ragged_and_garbage(tmp_path):
         read_curves_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("0,1\n\n1,fish\n", 3), ("0,1\n\n1,2\n \n1,2\n3,x\n4,5\n", 6), ("0,+\n1,2\n", 1)],
+)
+def test_csv_bad_cell_names_its_file_line(tmp_path, text, line):
+    # the same 1-based file line a ragged row's message names, blank
+    # lines counted; numpy's own row index skips them and starts at 0
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError, match=f"bad.csv:{line}: unparseable cell") as err:
+        read_curves_csv(path)
+    assert "row" not in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # CSV reader and writer against the per-cell reference (tests/csv_reference.py)
 # ---------------------------------------------------------------------------

@@ -739,6 +739,130 @@ def test_fuzz_h_blocked_kernel_matches_chunked_bits(case, h):
 
 
 # ---------------------------------------------------------------------------
+# Sorted-column counts and the ranked hr and mhr kernels
+# ---------------------------------------------------------------------------
+
+
+def hr_per_query(Q, sample):
+    """hr from each query's closed comparisons and masked weight sums."""
+    X, w = sample.values, sample.weights
+    return np.array(
+        [min(w[(X <= xv).all(axis=1)].sum(), w[(X >= xv).all(axis=1)].sum())
+         for xv in Q]
+    )
+
+
+def mhr_per_query(Q, sample):
+    """mhr from each query's closed comparison masks, one product each."""
+    X, w, lam = sample.values, sample.grid.weights, sample.grid.length
+    p = sample.weights
+    return np.array(
+        [min(p @ (((X <= xv) @ w) / lam), p @ (((X >= xv) @ w) / lam)) for xv in Q]
+    )
+
+
+def rank_kernel_values(depth, Q, sample, ranked):
+    """depth_values with the ranked path forced on or off."""
+    threshold = 0 if ranked else 10**9
+    with mock.patch.multiple(
+        depths, _RANKED_MIN_QUERIES=threshold, _RANKED_MIN_CURVES=threshold
+    ):
+        return depth_values(depth, Q, sample)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 129, 700])
+def test_column_counts_equal_direct_counts(n):
+    rng = np.random.default_rng(n)
+    X = np.round(rng.normal(size=(n, 7)))
+    X[: n // 2] = X[rng.integers(0, n, size=n // 2)]  # duplicated rows
+    fresh = np.round(rng.normal(size=(40, 7)) * 2) / 2
+    Q = np.vstack([X[rng.integers(0, n, size=3)], fresh])
+    le = np.array([(X <= x).sum(axis=0) for x in Q])
+    lt = np.array([(X < x).sum(axis=0) for x in Q])
+    for ranks in (False, True):
+        R, got_le, got_lt = depths._column_counts(Q, X, ranks=ranks)
+        assert got_le.dtype == got_lt.dtype == np.int16
+        assert np.array_equal(got_le, le) and np.array_equal(got_lt, lt)
+        if not ranks:
+            assert R is None
+            continue
+        assert R.shape == (7, n) and R.dtype == np.int16
+        for v in range(7):
+            assert np.array_equal(np.sort(R[v]), np.arange(n))
+            # the closed comparisons of every query, read off the ranks
+            x, r = Q[:, v, None], R[v][None, :]
+            assert np.array_equal(r < le[:, v, None], X[:, v] <= x)
+            assert np.array_equal(r >= lt[:, v, None], X[:, v] >= x)
+
+
+@st.composite
+def rank_kernel_case(draw):
+    """A tie-heavy sample and q queries, each on either side of the
+    ranked-path thresholds: sample rows (repeated when rows are
+    duplicated), fresh curves, and fresh curves that meet sample values at
+    some grid points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(min_value=1, max_value=2 * depths._RANKED_MIN_CURVES))
+    m = draw(st.integers(min_value=2, max_value=12))
+    X = rng.normal(size=(n, m))
+    if draw(st.booleans()):
+        X = np.round(X)  # many exact ties
+    if draw(st.booleans()):
+        X = X[rng.integers(0, max(1, n // 3), size=n)]  # duplicated rows
+    q = draw(st.integers(min_value=1, max_value=2 * depths._RANKED_MIN_QUERIES))
+    fresh = np.round(rng.normal(size=(q, m)) * 2) / 2
+    rows = X[rng.integers(0, n, size=q)]
+    met = X[rng.integers(0, n, size=(q, m)), np.arange(m)]
+    meet = np.where(rng.random((q, m)) < 0.3, met, fresh)
+    Q = np.choose(rng.integers(0, 3, size=q)[:, None], [fresh, rows, meet])
+    return FunctionalSample(X, uniform_grid(0, 1, m)), Q
+
+
+@settings(max_examples=N_FUZZ, deadline=None)
+@given(rank_kernel_case())
+def test_fuzz_hr_mhr_ranked_and_direct_paths_agree(case):
+    sample, Q = case
+    for depth, reference in (("hr", hr_per_query), ("mhr", mhr_per_query)):
+        want = reference(Q, sample)
+        assert np.array_equal(depth_values(depth, Q, sample), want), depth
+        for ranked in (True, False):
+            got = rank_kernel_values(depth, Q, sample, ranked)
+            assert np.array_equal(got, want), (depth, ranked)
+
+
+def test_hr_unequal_weights_keep_masked_sums():
+    # counts cannot give a mass when curves weigh differently: hr keeps the
+    # masked sums however large the batch, and mhr reads the weights as is
+    rng = np.random.default_rng(5)
+    X = np.round(rng.normal(size=(60, 6)))
+    w = rng.random(60) + 0.05
+    sample = FunctionalSample(X, uniform_grid(0, 1, 6), weights=w / w.sum())
+    Q = np.vstack([X, np.round(rng.normal(size=(20, 6)))])
+    with mock.patch.object(depths, "_column_counts", side_effect=AssertionError):
+        got = rank_kernel_values("hr", Q, sample, ranked=True)
+    assert np.array_equal(got, hr_per_query(Q, sample))
+    got = rank_kernel_values("mhr", Q, sample, ranked=True)
+    assert np.array_equal(got, mhr_per_query(Q, sample))
+
+
+def test_rank_table_past_int16_uses_int32():
+    rng = np.random.default_rng(15)
+    n = 2**15 + 3
+    X = np.round(rng.normal(size=(n, 3)) * 4)
+    sample = FunctionalSample(X, uniform_grid(0, 1, 3))
+    # the constant 100 curve lies above every sample curve: le = n there
+    fresh = np.round(rng.normal(size=(19, 3)) * 4)
+    Q = np.vstack([X[:20], fresh, np.full((1, 3), 100.0)])
+    R, le, lt = depths._column_counts(Q, X, ranks=True)
+    assert R.dtype == le.dtype == lt.dtype == np.int32
+    assert le.max() == n and np.array_equal(np.sort(R[0]), np.arange(n))
+    assert np.array_equal(depth_values("hr", Q, sample), hr_per_query(Q, sample))
+    assert np.array_equal(depth_values("mhr", Q, sample), mhr_per_query(Q, sample))
+    got = depth_values("mbd", Q, sample, DepthParams(J=2))
+    assert np.array_equal(got, mbd_per_query(Q, sample, 2))
+
+
+# ---------------------------------------------------------------------------
 # Band depth J = 2 on patterns of two or more packed words
 # ---------------------------------------------------------------------------
 

@@ -79,6 +79,18 @@ def test_kernel_validation():
         Kernel("se", 1.0, 0.0)
 
 
+def test_gpspec_rejects_se_lags_that_overflow():
+    # 1 / (2 ls^2) is finite at ls = 1e-154, but a lag of 100 squared over
+    # 2 ls^2 is not; on the unit interval the same kernel is fine
+    tiny = Kernel("se", 1.0, 1e-154)
+    with pytest.raises(ParameterError, match="domain of length 100"):
+        GPSpec(tiny, uniform_grid(0, 100, 50))
+    unit = GPSpec(tiny, uniform_grid(0, 1, 50)).grid
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        assert np.isfinite(tiny.matrix(unit.points)).all()
+    GPSpec(Kernel("cosine", 1.0, 1e-154), uniform_grid(0, 100, 50))  # no squared lag
+
+
 # ---------------------------------------------------------------------------
 # GP sampling
 # ---------------------------------------------------------------------------
