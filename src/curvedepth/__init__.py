@@ -20,7 +20,6 @@ _EXPORTS = {
     "Grid": "core",
     "InputError": "core",
     "ParameterError": "core",
-    "lebesgue_fraction": "core",
     "uniform_grid": "core",
     "DEPTH_IDS": "depths",
     "DEPTH_LABELS": "depths",

@@ -1,11 +1,11 @@
 """Grids, curves and curve samples on a shared one-dimensional domain.
 
 Numerical substrate for everything else in the package: trapezoid
-quadrature weights, row-wise L2/sup norms of discretized curves,
-Lebesgue fractions of grid masks, and the CSV curve format shared with
-the command-line tools.  Every in-memory structure is one the CSV format
-holds: a grid is its points (its weights are derived from them), and a
-partially observed curve is a row with NaN in its unobserved cells.
+quadrature weights, row-wise L2/sup norms of discretized curves, and the
+CSV curve format shared with the command-line tools.  Every in-memory
+structure is one the CSV format holds: a grid is its points (its weights
+are derived from them), and a partially observed curve is a row with NaN
+in its unobserved cells.
 The CSV reader streams the file's non-blank lines into ``np.loadtxt``,
 which parses every cell in C with the same correctly rounded conversion
 as ``float()``; the writer formats one row at a time with ``%.17g``, so
@@ -31,7 +31,6 @@ __all__ = [
     "Grid",
     "Curve",
     "FunctionalSample",
-    "lebesgue_fraction",
     "l2_norm_rows",
     "sup_norm_rows",
     "read_curves_csv",
@@ -201,29 +200,8 @@ class FunctionalSample:
     def is_uniform(self) -> bool:
         return bool(np.allclose(self.weights, 1.0 / self.n, rtol=0, atol=1e-12))
 
-    def curve(self, i: int) -> Curve:
-        return Curve(self.values[i], self.grid)
-
-    def __iter__(self) -> Iterator[Curve]:
-        return (self.curve(i) for i in range(self.n))
-
-    def __len__(self) -> int:
-        return self.n
-
     def __repr__(self) -> str:
         return f"FunctionalSample(n={self.n}, m={self.grid.m})"
-
-
-def lebesgue_fraction(mask: np.ndarray, grid: Grid) -> float:
-    """Fraction of the domain's Lebesgue measure carried by masked grid points.
-
-    Returns sum of quadrature weights where ``mask`` is true, divided by
-    the domain length.  Monotone under mask inclusion.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (grid.m,):
-        raise InputError(f"mask shape {mask.shape} != ({grid.m},)")
-    return float(grid.weights[mask].sum() / grid.length)
 
 
 # Array-level workhorses used by the depth implementations; rows are curves.

@@ -648,7 +648,7 @@ def _mbd_depth_values(
 ) -> np.ndarray:
     """Average fraction of the domain where x lies inside j-curve bands.
 
-    sum_{j=2..J} C(n, j)^{-1} sum_{i_1<...<i_j} lebesgue_fraction(min <= x <= max).
+    sum_{j=2..J} C(n, j)^{-1} sum_{i_1<...<i_j} |{v : min <= x(v) <= max}| / |T|.
     A subset's band misses x at grid point v iff all its members are
     strictly above x(v) or all strictly below, and those events are
     disjoint, so the number of j-subsets covering x at v is

@@ -2,7 +2,7 @@
 
 Finitely supported distributions (including the hand-built witness
 distributions used by the property audits), stationary Gaussian-process
-samplers, empirical resampling, and contamination mixtures.
+samplers, and contamination mixtures.
 
 Seeds are integers or tuples of integers (entropy keys for numpy's
 ``default_rng``); every sampler is a pure function of its seed, so
@@ -22,6 +22,7 @@ from .core import (
     Grid,
     InputError,
     ParameterError,
+    _readonly,
     read_curves_csv,
     uniform_grid,
 )
@@ -142,6 +143,47 @@ class Kernel:
         return self.variance * (2.0 * np.pi / self.length_scale) ** 2
 
 
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string"}
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _from_json_like(value, like, key: str):
+    """Check ``value``'s JSON type against ``like`` and return it typed.
+
+    The JSON reader of kernels and audit-config fields: ``like`` is the
+    field's default.  Ints take an int but not a bool, floats an int within
+    float64 range or a float (returned as a float, so ``1`` and ``1.0``
+    build the same value), tuples a list (each item checked against
+    ``like``'s first item), kernels an object whose absent keys keep
+    ``like``'s values.  ``key`` names the value in error messages.
+    """
+    if isinstance(like, Kernel):
+        if not isinstance(value, dict):
+            raise InputError(f"JSON key {key!r} must be an object, got {value!r}")
+        parts = asdict(like)
+        for name, v in value.items():
+            if name not in parts:
+                raise InputError(f"unknown JSON key '{key}.{name}'")
+            parts[name] = _from_json_like(v, parts[name], f"{key}.{name}")
+        return Kernel(**parts)
+    if isinstance(like, tuple):
+        if not isinstance(value, list):
+            raise InputError(f"JSON key {key!r} must be a list, got {value!r}")
+        return tuple(
+            _from_json_like(v, like[0], f"{key}[{i}]") for i, v in enumerate(value)
+        )
+    kinds = (int, float) if isinstance(like, float) else type(like)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kinds)
+        or isinstance(like, float) and isinstance(value, int) and abs(value) > _FLOAT_MAX
+    ):
+        raise InputError(
+            f"JSON key {key!r} must be {_JSON_KINDS[type(like)]}, got {value!r}"
+        )
+    return float(value) if isinstance(like, float) else value
+
+
 @dataclass(frozen=True)
 class GPSpec:
     """A stationary Gaussian process on a grid: mean curve plus kernel."""
@@ -239,12 +281,8 @@ class AtomicDistribution:
             for j in range(i + 1, vals.shape[0]):
                 if np.array_equal(vals[i], vals[j]):
                     raise InputError(f"atoms {i} and {j} coincide as grid vectors")
-        v = np.array(vals, copy=True)
-        v.flags.writeable = False
-        q = np.array(p, copy=True)
-        q.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "probs", q)
+        object.__setattr__(self, "values", _readonly(vals))
+        object.__setattr__(self, "probs", _readonly(p))
 
     @property
     def n_atoms(self) -> int:
@@ -266,24 +304,15 @@ def sample_atomic(dist: AtomicDistribution, n: int, seed: Seed) -> FunctionalSam
     return FunctionalSample(dist.values[idx], dist.grid)
 
 
-CurveDistribution = Union[GPSpec, AtomicDistribution, FunctionalSample]
+CurveDistribution = Union[GPSpec, AtomicDistribution]
 
 
 def draw_from(dist: CurveDistribution, n: int, seed: Seed) -> FunctionalSample:
-    """n iid draws from any supported distribution.
-
-    A ``FunctionalSample`` is treated as the empirical measure it
-    represents (resampling rows by the sample weights).
-    """
+    """n iid draws from a Gaussian process or an atomic distribution."""
     if isinstance(dist, GPSpec):
         return sample_gp(dist, n, seed)
     if isinstance(dist, AtomicDistribution):
         return sample_atomic(dist, n, seed)
-    if isinstance(dist, FunctionalSample):
-        if n < 1:
-            raise ParameterError(f"need n >= 1 draws, got {n}")
-        idx = _rng(seed).choice(dist.n, size=n, p=dist.weights)
-        return FunctionalSample(dist.values[idx], dist.grid)
     raise InputError(f"not a curve distribution: {type(dist).__name__}")
 
 
@@ -382,20 +411,23 @@ def gpspec_to_json(spec: GPSpec) -> dict:
 def gpspec_from_json(obj: dict, grid: Grid | None = None) -> GPSpec:
     """Rebuild a GPSpec from its JSON form.
 
+    The kernel object needs all three keys, each of its JSON type, and no
+    key outside ``kernel`` and ``mean_csv`` is allowed (``InputError``).
     The grid comes from the referenced mean CSV when present, otherwise
     from the ``grid`` argument.
     """
-    try:
-        k = obj["kernel"]
-        kernel = Kernel(
-            type=str(k["type"]),
-            variance=float(k["variance"]),
-            length_scale=float(k["length_scale"]),
+    if not isinstance(obj, dict):
+        raise InputError("malformed GP spec JSON: expected an object")
+    for key in obj:
+        if key not in ("kernel", "mean_csv"):
+            raise InputError(f"malformed GP spec JSON: unknown key {key!r}")
+    k = obj.get("kernel")
+    like = Kernel("se", 1.0, 1.0)  # each key is required, so only its type counts
+    if not isinstance(k, dict) or any(key not in k for key in asdict(like)):
+        raise InputError(
+            "malformed GP spec JSON: 'kernel' needs type, variance and length_scale"
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ParameterError):
-            raise
-        raise InputError(f"malformed GP spec JSON: {exc}") from exc
+    kernel = _from_json_like(k, like, "kernel")
     mean = None
     if "mean_csv" in obj:
         if not isinstance(obj["mean_csv"], str):

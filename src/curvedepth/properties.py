@@ -56,6 +56,8 @@ from .distributions import (
     GPSpec,
     Kernel,
     Seed,
+    _check_gp_budget,
+    _from_json_like,
     _rng,
     constant_distribution,
     counterexample_P3,
@@ -141,12 +143,8 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _jsonify(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):  # numpy scalar -> the Python scalar
+        return obj.item()
     return obj
 
 
@@ -154,13 +152,35 @@ def _echo_seed(seed: Seed):
     return list(seed) if not isinstance(seed, (int, np.integer)) else int(seed)
 
 
-def _params_echo(params: DepthParams) -> dict:
-    return {
-        "h": float(params.h),
-        "J": int(params.J),
-        "k": int(params.k),
-        "seed": _echo_seed(params.seed),
+def _replay(
+    kind: str,
+    grid: Grid,
+    params: DepthParams,
+    sample: FunctionalSample | None = None,
+    origin: dict | None = None,
+    **fields,
+) -> dict:
+    """A cell's replay recipe: its kind, grid points and depth parameters,
+    the cell's own ``fields``, and for a sample cell the sample's origin
+    (else its values)."""
+    recipe = {
+        "kind": kind,
+        "grid_points": _jsonify(grid.points),
+        "params": {
+            "h": float(params.h),
+            "J": int(params.J),
+            "k": int(params.k),
+            "seed": _echo_seed(params.seed),
+        },
+        **fields,
     }
+    if sample is not None:
+        recipe["sample"] = (
+            origin
+            if origin is not None
+            else {"kind": "values", "values": _jsonify(sample.values)}
+        )
+    return recipe
 
 
 @dataclass(frozen=True)
@@ -391,11 +411,12 @@ def audit_P1(
     worst = int(np.argmax(diffs))
     order_before = _centre_outward_order(before)
     order_after = _centre_outward_order(after)
+    b_echo = None if use_b is None else _jsonify(np.asarray(use_b, float))
     evidence = {
         "depth": depth_id,
         "map": "l2-scale" if depth_id in L2_CLASS else "sup-affine",
         "a": float(a),
-        "b": None if use_b is None else _jsonify(np.asarray(use_b, float)),
+        "b": b_echo,
         "values_before": [float(v) for v in before],
         "values_after": [float(v) for v in after],
         "max_abs_diff": float(diffs[worst]),
@@ -403,18 +424,17 @@ def audit_P1(
         "order_before": order_before,
         "order_after": order_after,
         "order_preserved": order_before == order_after,
-        "replay": {
-            "kind": "p1",
-            "depth": depth_id,
-            "a": float(a),
-            "b": None if use_b is None else _jsonify(np.asarray(use_b, float)),
-            "params": _params_echo(params),
-            "queries": _jsonify(probes),
-            "sample": sample_origin
-            if sample_origin is not None
-            else {"kind": "values", "values": _jsonify(base_sample.values)},
-            "grid_points": _jsonify(base_sample.grid.points),
-        },
+        "replay": _replay(
+            "p1",
+            base_sample.grid,
+            params,
+            base_sample,
+            sample_origin,
+            depth=depth_id,
+            a=float(a),
+            b=b_echo,
+            queries=_jsonify(probes),
+        ),
     }
     if depth_id == "h":
         rays = _p1_ray_probes(base_sample)
@@ -443,8 +463,7 @@ def _p2g_probe_set(gp: GPSpec, n_draws: int, seed: Seed):
     rows = [np.zeros(m)] + [lv * sd * np.ones(m) for lv in levels]
     labels = ["zero"] + [f"const({lv:+.1f} sd)" for lv in levels]
     draws = sample_gp(gp, n_draws, seed)
-    for i in range(n_draws):
-        labels.append(f"draw[{i}]")
+    labels += [f"draw[{i}]" for i in range(n_draws)]
     return np.vstack([np.stack(rows), draws.values]), labels
 
 
@@ -516,17 +535,17 @@ def audit_P2G(
         "margin": float(margin),
         "se_bound": float(se),
         "grid_tol": float(grid_tol),
-        "replay": {
-            "kind": "p2g",
-            "depth": depth_id,
-            "gp": gpspec_to_json(GPSpec(gp.kernel, gp.grid)),
-            "grid_points": _jsonify(gp.grid.points),
-            "n": int(n),
-            "seed": _echo_seed(seed),
-            "band_n": None if band_n is None else int(band_n),
-            "n_draw_probes": int(n_draw_probes),
-            "params": _params_echo(params),
-        },
+        "replay": _replay(
+            "p2g",
+            gp.grid,
+            params,
+            depth=depth_id,
+            gp=gpspec_to_json(gp),
+            n=int(n),
+            seed=_echo_seed(seed),
+            band_n=None if band_n is None else int(band_n),
+            n_draw_probes=int(n_draw_probes),
+        ),
     }
     if vmax - vmin <= EXACT_TOL:
         evidence["degenerate"] = True
@@ -561,8 +580,7 @@ def _combine_members(members: list[tuple[str, Verdict]]) -> Verdict:
         "members": summary,
         "details": {label: v.evidence for label, v in members},
     }
-    tols = [v.tolerance for _, v in members if v.tolerance is not None]
-    tol = max(tols) if tols else None
+    tol = max((v.tolerance for _, v in members if v.tolerance is not None), default=None)
     for label, v in members:
         if v.status == VIOLATED:
             evidence["witness_member"] = label
@@ -620,13 +638,7 @@ def audit_P3(
             "min_margin": float(margins[worst]),
             "worst_ray": worst,
             "se_bound": float(se),
-            "replay": {
-                "kind": "p3_h",
-                "n": int(n),
-                "seed": _echo_seed(seed),
-                "grid_points": _jsonify(grid.points),
-                "params": _params_echo(params),
-            },
+            "replay": _replay("p3_h", grid, params, n=int(n), seed=_echo_seed(seed)),
         }
         if margins[worst] > 0.0:
             return Verdict(SATISFIED, evidence, tolerance=0.0)
@@ -647,29 +659,26 @@ def audit_P3(
         vals = depth_values("rt", probes, sample, params)
         zi = int(np.argmax(vals))
         z = levels[zi]
-        rest = [i for i in range(len(levels)) if i != zi]
-        rest.sort(key=lambda i: abs(levels[i] - z))
-        witness = None
-        for ai in range(len(rest)):
-            for bi in range(ai + 1, len(rest)):
-                i, j = rest[ai], rest[bi]
-                if abs(levels[i] - z) < abs(levels[j] - z) and (
-                    abs(vals[i] - vals[j]) <= TIE_TOL
-                ):
-                    witness = (i, j)
-                    break
-            if witness:
-                break
+        rest = sorted(
+            (i for i in range(len(levels)) if i != zi), key=lambda i: abs(levels[i] - z)
+        )
+        # the first tied pair of a nearer and a farther level, nearest first
+        witness = next(
+            (
+                (i, j)
+                for ai, i in enumerate(rest)
+                for j in rest[ai + 1 :]
+                if abs(levels[i] - z) < abs(levels[j] - z)
+                and abs(vals[i] - vals[j]) <= TIE_TOL
+            ),
+            None,
+        )
         evidence = {
             "depth": "rt",
             "levels": levels,
             "values": [float(v) for v in vals],
             "deepest_level": z,
-            "replay": {
-                "kind": "p3_rt",
-                "grid_points": _jsonify(grid.points),
-                "params": _params_echo(params),
-            },
+            "replay": _replay("p3_rt", grid, params),
         }
         if witness is None:
             evidence["reason"] = "designed tie not reproduced"
@@ -696,12 +705,7 @@ def audit_P3(
         "query_levels": [0.2, 0.1],
         "values": {"deepest": dz, "nearer": dx, "farther": dy},
         "sup_distances": {"nearer": 0.8, "farther": 0.9},
-        "replay": {
-            "kind": "p3",
-            "depth": depth_id,
-            "grid_points": _jsonify(grid.points),
-            "params": _params_echo(params),
-        },
+        "replay": _replay("p3", grid, params, depth=depth_id),
     }
     if dz >= max(dx, dy) and abs(dx - dy) <= TIE_TOL:
         evidence["witness"] = {
@@ -832,20 +836,19 @@ def audit_P4(
         "delta_ladder": [float(d) for d in delta_ladder],
         "records": records,
         "note": "finite probe: satisfied = no counterexample at this resolution",
-        "replay": {
-            "kind": "p4",
-            "depth": depth_id,
-            "probes": int(probes),
-            "eps": [float(e) for e in eps],
-            "delta_ladder": [float(d) for d in delta_ladder],
-            "n_perturb": int(n_perturb),
-            "seed": _echo_seed(seed),
-            "params": _params_echo(params),
-            "grid_points": _jsonify(grid.points),
-            "sample": sample_origin
-            if sample_origin is not None
-            else {"kind": "values", "values": _jsonify(sample.values)},
-        },
+        "replay": _replay(
+            "p4",
+            grid,
+            params,
+            sample,
+            sample_origin,
+            depth=depth_id,
+            probes=int(probes),
+            eps=[float(e) for e in eps],
+            delta_ladder=[float(d) for d in delta_ladder],
+            n_perturb=int(n_perturb),
+            seed=_echo_seed(seed),
+        ),
     }
     if witness is not None:
         evidence["witness"] = witness
@@ -948,14 +951,9 @@ def audit_P5(
         "value_before": float(vb),
         "value_after": float(va),
         "margin": float(margin),
-        "replay": {
-            "kind": "p5",
-            "depth": depth_id,
-            "delta": float(delta),
-            "factor": float(factor),
-            "grid_points": _jsonify(g.points),
-            "params": _params_echo(params),
-        },
+        "replay": _replay(
+            "p5", g, params, depth=depth_id, delta=float(delta), factor=float(factor)
+        ),
     }
     if margin > EXACT_TOL:
         return Verdict(SATISFIED, evidence, tolerance=EXACT_TOL)
@@ -1161,21 +1159,21 @@ def audit_P6(
         "contamination": per_eps,
         "c_fit": float(c_fit),
         "c_max": float(c_max),
-        "replay": {
-            "kind": "p6",
-            "depth": depth_id,
-            "gp": gpspec_to_json(base),
-            "grid_points": _jsonify(base.grid.points),
-            "outlier_values": _jsonify(outlier.values),
-            "outlier_probs": _jsonify(outlier.probs),
-            "eps_ladder": [float(e) for e in eps_ladder],
-            "n": int(n),
-            "seed": _echo_seed(seed),
-            "conv_ns": [int(v) for v in conv_ns],
-            "ref_n": int(ref_n),
-            "replicates": int(replicates),
-            "params": _params_echo(params),
-        },
+        "replay": _replay(
+            "p6",
+            base.grid,
+            params,
+            depth=depth_id,
+            gp=gpspec_to_json(base),
+            outlier_values=_jsonify(outlier.values),
+            outlier_probs=_jsonify(outlier.probs),
+            eps_ladder=[float(e) for e in eps_ladder],
+            n=int(n),
+            seed=_echo_seed(seed),
+            conv_ns=[int(v) for v in conv_ns],
+            ref_n=int(ref_n),
+            replicates=int(replicates),
+        ),
     }
     if conv_ok and contam_ok:
         return Verdict(SATISFIED, evidence, tolerance=c_max)
@@ -1266,10 +1264,9 @@ class AuditConfig:
             raise ParameterError(
                 "eps_ladder must be strictly inside (0, 1) and decreasing"
             )
-        if list(self.p4_deltas) != sorted(self.p4_deltas, reverse=True) or any(
-            d <= 0 for d in self.p4_deltas
-        ):
-            raise ParameterError("p4_deltas must be positive and decreasing")
+        deltas = list(self.p4_deltas)
+        if not deltas or deltas != sorted(deltas, reverse=True) or deltas[-1] <= 0:
+            raise ParameterError("p4_deltas must be non-empty, positive and decreasing")
         if list(self.conv_ns) != sorted(self.conv_ns) or len(self.conv_ns) < 2:
             raise ParameterError("conv_ns must be increasing with >= 2 sizes")
         if self.conv_ref_n <= max(self.conv_ns):
@@ -1284,6 +1281,16 @@ class AuditConfig:
             raise ParameterError("p2g_draw_probes must be >= 1")
         if self.rice_paths < 1 or self.rice_m < 3:
             raise ParameterError("rice diagnostic sizes too small")
+        # every draw the audit makes, checked before any grid is built
+        for n_draws, m in (
+            (self.n, self.m),
+            (self.p3_n, self.m),
+            (self.p2g_draw_probes, self.m),
+            (self.p4_perturbations, self.m),
+            (self.conv_ref_n, self.m),
+            (self.rice_paths, self.rice_m),
+        ):
+            _check_gp_budget(n_draws, m)
 
     def grid(self) -> Grid:
         return uniform_grid(self.a, self.b, self.m)
@@ -1323,7 +1330,7 @@ class AuditConfig:
         for f in fields(AuditConfig):
             source = grid if f.name in _GRID_FIELDS else obj
             if f.name in source:
-                kwargs[f.name] = _config_from_json(source[f.name], f.default, f.name)
+                kwargs[f.name] = _from_json_like(source[f.name], f.default, f.name)
         return AuditConfig(**kwargs)
 
 
@@ -1337,45 +1344,6 @@ def _config_to_json(value):
     if isinstance(value, tuple):
         return [_config_to_json(v) for v in value]
     return value
-
-
-_JSON_KINDS = {int: "an integer", float: "a number", str: "a string"}
-_FLOAT_MAX = float(np.finfo(float).max)
-
-
-def _config_from_json(value, like, key: str):
-    """Check ``value``'s JSON type against ``like``, the field's default.
-
-    Ints take an int but not a bool, floats an int within float64 range
-    or a float (returned as a float, so ``1`` and ``1.0`` build and write
-    the same config), tuples a list (each item checked against the default's
-    first item), kernels an object whose absent keys keep ``like``'s values.
-    """
-    if isinstance(like, Kernel):
-        if not isinstance(value, dict):
-            raise InputError(f"audit config key {key!r} must be an object, got {value!r}")
-        parts = asdict(like)
-        for name, v in value.items():
-            if name not in parts:
-                raise InputError(f"unknown audit config key '{key}.{name}'")
-            parts[name] = _config_from_json(v, parts[name], f"{key}.{name}")
-        return Kernel(**parts)
-    if isinstance(like, tuple):
-        if not isinstance(value, list):
-            raise InputError(f"audit config key {key!r} must be a list, got {value!r}")
-        return tuple(
-            _config_from_json(v, like[0], f"{key}[{i}]") for i, v in enumerate(value)
-        )
-    kinds = (int, float) if isinstance(like, float) else type(like)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, kinds)
-        or isinstance(like, float) and isinstance(value, int) and abs(value) > _FLOAT_MAX
-    ):
-        raise InputError(
-            f"audit config key {key!r} must be {_JSON_KINDS[type(like)]}, got {value!r}"
-        )
-    return float(value) if isinstance(like, float) else value
 
 
 def _fingerprint(report_json: dict) -> str:
@@ -1405,14 +1373,12 @@ class AuditReport:
     def mismatches(self, expected: dict | None = None) -> list:
         """Cells whose status differs from the expected pattern."""
         expected = expected if expected is not None else GOLDEN
-        out = []
-        for d in DEPTH_IDS:
-            for pi, p in enumerate(PROPERTY_IDS):
-                got = self.matrix[d][p].status
-                want = expected[d][pi]
-                if got != want:
-                    out.append({"depth": d, "property": p, "got": got, "want": want})
-        return out
+        return [
+            {"depth": d, "property": p, "got": self.matrix[d][p].status, "want": want}
+            for d in DEPTH_IDS
+            for p, want in zip(PROPERTY_IDS, expected[d])
+            if self.matrix[d][p].status != want
+        ]
 
     def inapplicable_cells(self) -> list:
         return [
@@ -1483,13 +1449,8 @@ _AUDIT_NOTES = (
 
 
 def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
-    """Run every audit cell and assemble the deterministic report.
-
-    Cells are independent given the per-cell seeds derived below, so they
-    could be dispatched concurrently; this implementation runs them
-    sequentially and assembles the matrix at the end.  Every cell,
-    including inapplicable ones, is reported.
-    """
+    """Run every audit cell, each on its own seed derived below, and
+    assemble the deterministic report; inapplicable cells are reported too."""
     config = config or AuditConfig()
     grid = config.grid()
     seed = config.seed
@@ -1505,12 +1466,10 @@ def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
         "seed": _echo_seed(subseed(seed, 10)),
     }
     band_origin = dict(master_origin, rows=band_cap)
-
-    params_by_depth = {}
-    for di, d in enumerate(DEPTH_IDS):
-        params_by_depth[d] = DepthParams(
-            h=config.h, J=config.J, k=config.k, seed=subseed(seed, 90, di)
-        )
+    params_by_depth = {
+        d: DepthParams(h=config.h, J=config.J, k=config.k, seed=subseed(seed, 90, di))
+        for di, d in enumerate(DEPTH_IDS)
+    }
 
     p6_meas = None
     if config.n >= config.min_n and min(config.conv_ns) >= config.min_n:
@@ -1527,128 +1486,99 @@ def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
             config.replicates,
         )
 
+    # P-4 members as (label, sample, probes, sample origin); the band depths
+    # skip the last, single-curve member (it needs n >= J)
+    p4_rows = [
+        ("process sample", band_master, config.p4_probes, band_origin),
+        ("two-atom counterexample", counterexample_P3(grid).as_sample(), 3, None),
+        (
+            "single curve",
+            FunctionalSample(master.values[:1], grid),
+            1,
+            dict(master_origin, rows=1),
+        ),
+    ]
+
     matrix = {}
     for di, d in enumerate(DEPTH_IDS):
         params = params_by_depth[d]
-        p1_sample = band_master if d in ("bd", "mbd") else master
-        p1_origin = band_origin if d in ("bd", "mbd") else master_origin
-        v1 = audit_P1(
-            d,
-            p1_sample,
-            a=2.0,
-            b=0.5 + grid.points,
-            params=params,
-            sample_origin=p1_origin,
-        )
-
-        members = []
-        for ki, kern in enumerate(config.p2g_kernels):
-            label = f"{kern.type}(var={kern.variance:g}, ls={kern.length_scale:g})"
-            member_params = replace(
-                params,
-                J=config.p2g_J if d == "bd" else config.J,
-                seed=subseed(seed, 20, di, ki),
-            )
-            members.append(
-                (
-                    label,
-                    audit_P2G(
-                        d,
-                        GPSpec(kern, grid),
-                        config.n,
-                        subseed(seed, 21, ki),
-                        params=member_params,
-                        band_n=config.band_n,
-                        n_draw_probes=config.p2g_draw_probes,
-                        min_n=config.min_n,
-                    ),
-                )
-            )
-        v2 = _combine_members(members)
-
-        v3 = audit_P3(
-            d, params=params, n=config.p3_n, seed=subseed(seed, 30, di), grid=grid
-        )
-
-        p4_members = [
-            (
-                "process sample",
-                audit_P4(
-                    d,
-                    band_master,
-                    probes=config.p4_probes,
-                    delta_ladder=config.p4_deltas,
-                    eps=config.p4_eps,
-                    n_perturb=config.p4_perturbations,
-                    seed=subseed(seed, 40, di, 0),
-                    params=params,
-                    sample_origin=band_origin,
-                ),
+        band = d in ("bd", "mbd")
+        matrix[d] = {
+            "P-1": audit_P1(
+                d,
+                band_master if band else master,
+                a=2.0,
+                b=0.5 + grid.points,
+                params=params,
+                sample_origin=band_origin if band else master_origin,
             ),
-            (
-                "two-atom counterexample",
-                audit_P4(
-                    d,
-                    counterexample_P3(grid).as_sample(),
-                    probes=3,
-                    delta_ladder=config.p4_deltas,
-                    eps=config.p4_eps,
-                    n_perturb=config.p4_perturbations,
-                    seed=subseed(seed, 40, di, 1),
-                    params=params,
-                    sample_origin=None,
-                ),
+            "P-2G": _combine_members(
+                [
+                    (
+                        f"{kern.type}(var={kern.variance:g}, ls={kern.length_scale:g})",
+                        audit_P2G(
+                            d,
+                            GPSpec(kern, grid),
+                            config.n,
+                            subseed(seed, 21, ki),
+                            params=replace(
+                                params,
+                                J=config.p2g_J if d == "bd" else config.J,
+                                seed=subseed(seed, 20, di, ki),
+                            ),
+                            band_n=config.band_n,
+                            n_draw_probes=config.p2g_draw_probes,
+                            min_n=config.min_n,
+                        ),
+                    )
+                    for ki, kern in enumerate(config.p2g_kernels)
+                ]
             ),
-        ]
-        if d not in ("bd", "mbd"):
-            p4_members.append(
-                (
-                    "single curve",
-                    audit_P4(
-                        d,
-                        FunctionalSample(master.values[:1], grid),
-                        probes=1,
-                        delta_ladder=config.p4_deltas,
-                        eps=config.p4_eps,
-                        n_perturb=config.p4_perturbations,
-                        seed=subseed(seed, 40, di, 2),
-                        params=params,
-                        sample_origin=dict(master_origin, rows=1),
-                    ),
-                )
-            )
-        v4 = _combine_members(p4_members)
-        if d in ("bd", "mbd"):
-            v4.evidence["skipped"] = (
+            "P-3": audit_P3(
+                d, params=params, n=config.p3_n, seed=subseed(seed, 30, di), grid=grid
+            ),
+            "P-4": _combine_members(
+                [
+                    (
+                        label,
+                        audit_P4(
+                            d,
+                            sample,
+                            probes=probes,
+                            delta_ladder=config.p4_deltas,
+                            eps=config.p4_eps,
+                            n_perturb=config.p4_perturbations,
+                            seed=subseed(seed, 40, di, tag),
+                            params=params,
+                            sample_origin=origin,
+                        ),
+                    )
+                    for tag, (label, sample, probes, origin) in enumerate(
+                        p4_rows[:2] if band else p4_rows
+                    )
+                ]
+            ),
+            "P-5": audit_P5(d, params=params, seed=subseed(seed, 50, di), grid=grid),
+            "P-6": audit_P6(
+                d,
+                gp,
+                outlier,
+                eps_ladder=config.eps_ladder,
+                n=config.n,
+                seed=subseed(seed, 60),
+                params=params,
+                conv_ns=config.conv_ns,
+                ref_n=config.conv_ref_n,
+                replicates=config.replicates,
+                c_max=config.c_max,
+                min_n=config.min_n,
+                measurements=p6_meas,
+            ),
+        }
+        if band:
+            matrix[d]["P-4"].evidence["skipped"] = (
                 "single-curve setup needs n >= J and was not run"
             )
-
-        v5 = audit_P5(d, params=params, seed=subseed(seed, 50, di), grid=grid)
-
-        v6 = audit_P6(
-            d,
-            gp,
-            outlier,
-            eps_ladder=config.eps_ladder,
-            n=config.n,
-            seed=subseed(seed, 60),
-            params=params,
-            conv_ns=config.conv_ns,
-            ref_n=config.conv_ref_n,
-            replicates=config.replicates,
-            c_max=config.c_max,
-            min_n=config.min_n,
-            measurements=p6_meas,
-        )
-
-        matrix[d] = {
-            "P-1": v1,
-            "P-2G": v2,
-            "P-3": v3,
-            "P-4": v4,
-            "P-5": v5,
-            "P-6": v6,
-        }
 
     diagnostics = {
         "rice": rice_mc_diagnostic(

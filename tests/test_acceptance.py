@@ -167,7 +167,7 @@ def test_criterion_5_brute_force_oracle_equivalence():
         else:  # lattice values make pointwise ties common
             values = rng.integers(-8, 9, size=(n, m)) / 4.0
         s = FunctionalSample(values, g)
-        queries = [Curve(rng.normal(size=m), g), s.curve(int(rng.integers(0, n)))]
+        queries = [Curve(rng.normal(size=m), g), Curve(s.values[int(rng.integers(0, n))], g)]
         J = int(rng.integers(2, 4))
         for x in queries:
             exact &= (

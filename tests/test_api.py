@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -70,3 +71,40 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
         if not callable(getattr(mod, attr, None))
     ]
     assert not missing, f"trace targets missing from the package: {missing}"
+
+
+def _loaded_names(tree: ast.AST) -> set:
+    """Names read as a variable or an attribute anywhere in ``tree``, except
+    inside the function or class that defines the name itself."""
+    loaded = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and name not in defining:
+            loaded.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(tree, frozenset())
+    return loaded
+
+
+def test_public_names_have_package_callers():
+    # every public name is read by the package or its scripts, not only by
+    # the tests; a name nothing else uses belongs deleted, not exported
+    root = SRC.parent
+    paths = sorted((SRC / "curvedepth").glob("*.py")) + sorted((root / "scripts").glob("*.py"))
+    loaded = set().union(*(_loaded_names(ast.parse(p.read_text("utf-8"))) for p in paths))
+    package = importlib.import_module("curvedepth")
+    public = set(package._EXPORTS)
+    for name in MODULES[1:]:
+        public |= set(importlib.import_module(name).__all__)
+    unused = sorted(public - loaded)
+    assert not unused, f"public names with no caller outside the tests: {unused}"

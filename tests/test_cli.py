@@ -284,6 +284,33 @@ def test_non_utf8_input_exits_2(three_csv, tmp_path, argv):
     assert out == ""
 
 
+#: Spec files that name a kernel wrongly; each is an input error.
+BAD_SPECS = {
+    "string-variance": {"kernel": {"type": "se", "variance": "2", "length_scale": 0.2}},
+    "bool-length-scale": {"kernel": {"type": "se", "variance": 2.0, "length_scale": True}},
+    "unknown-kernel-key": {
+        "kernel": {"type": "se", "variance": 2.0, "length_scale": 0.2, "lenght_scale": 5}
+    },
+    "unknown-top-level-key": {
+        "kernel": {"type": "se", "variance": 2.0, "length_scale": 0.2},
+        "mean": "typo.csv",
+    },
+    "missing-kernel-key": {"kernel": {"type": "se", "variance": 2.0}},
+    "not-an-object": [{"type": "se", "variance": 2.0, "length_scale": 0.2}],
+}
+
+
+@pytest.mark.parametrize("spec", BAD_SPECS.values(), ids=BAD_SPECS.keys())
+def test_simulate_gp_bad_spec_exits_2(tmp_path, spec):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out_csv = tmp_path / "out.csv"
+    code, out, err = run_cli(["simulate-gp", out_csv, "--spec", spec_path])
+    assert code == cli.EXIT_INPUT, err
+    assert out == "" and err.startswith("input error:") and len(err.splitlines()) == 1
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("mean_csv", [5, None, ["mean.csv"]])
 def test_simulate_gp_non_string_mean_csv_exits_2(tmp_path, mean_csv):
     spec = tmp_path / "spec.json"
@@ -704,6 +731,12 @@ def test_reconstruct_feeds_depth(tmp_path):
         ("[1]", cli.EXIT_INPUT),
         ('{"n": "abc"}', cli.EXIT_INPUT),
         ('{"n": 0}', cli.EXIT_PARAMS),
+        # draws past the Gaussian-process size budget: the grid itself could
+        # not be allocated, and the Rice draw comes last in the audit
+        pytest.param('{"grid": {"m": 1000000000000}}', cli.EXIT_PARAMS, id="huge-grid"),
+        pytest.param('{"rice_m": 1000000000000}', cli.EXIT_PARAMS, id="huge-rice-grid"),
+        # an empty ladder leaves P-4 no neighbourhood to report as its witness
+        pytest.param('{"p4_deltas": []}', cli.EXIT_PARAMS, id="empty-p4-deltas"),
     ],
 )
 def test_audit_cli_bad_config_exits_before_the_audit(tmp_path, text, code):
@@ -713,6 +746,8 @@ def test_audit_cli_bad_config_exits_before_the_audit(tmp_path, text, code):
     got, out, err = run_cli(["audit", "--config", cfg, "--out-dir", out_dir])
     assert got == code, err
     assert out == "" and len(err.splitlines()) == 1, err
+    if code == cli.EXIT_PARAMS:
+        assert err.startswith("parameter error:"), err
     assert not out_dir.exists()
 
 

@@ -9,7 +9,6 @@ from curvedepth.core import (
     Grid,
     InputError,
     l2_norm_rows,
-    lebesgue_fraction,
     read_curves_csv,
     trapezoid_weights,
     uniform_grid,
@@ -60,21 +59,14 @@ def test_sup_identity_and_ramp():
     assert sup_distance(ramp, zero) == 1.0  # sup attained at v = 1
 
 
-def test_lebesgue_fraction_extremes():
-    g = uniform_grid(0, 1, 101)
-    assert lebesgue_fraction(np.ones(101, dtype=bool), g) == pytest.approx(1.0)
-    assert lebesgue_fraction(np.zeros(101, dtype=bool), g) == 0.0
-
-
-def test_lebesgue_fraction_interval():
+def test_trapezoid_weights_measure_an_interval():
     # mask true exactly on [0, 0.3]: 0.305 under trapezoid weights
     # (half-weight endpoint at 0, full weights at 0.01..0.30), and in any
     # case within one grid cell of the true measure 0.3
     g = uniform_grid(0, 1, 101)
-    mask = g.points <= 0.3 + 1e-12
-    frac = lebesgue_fraction(mask, g)
-    assert frac == pytest.approx(0.305, abs=1e-12)
-    assert abs(frac - 0.3) <= 0.01
+    measure = g.weights[g.points <= 0.3 + 1e-12].sum()
+    assert measure == pytest.approx(0.305, abs=1e-12)
+    assert abs(measure - 0.3) <= 0.01
 
 
 def test_trapezoid_weights_uniform_grid():
@@ -196,23 +188,6 @@ def test_fuzz_l2_bounded_by_sup(gc):
     g, (x, y) = gc
     bound = sup_distance(x, y) * np.sqrt(g.length)
     assert l2_distance(x, y) <= bound + 1e-9 * (1 + bound)
-
-
-@settings(max_examples=N_FUZZ, deadline=None)
-@given(
-    st.integers(min_value=2, max_value=24),
-    st.data(),
-)
-def test_fuzz_lebesgue_fraction_monotone(m, data):
-    g = uniform_grid(0, 1, m)
-    inner = np.array(
-        data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool
-    )
-    grow = np.array(
-        data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool
-    )
-    outer = inner | grow
-    assert lebesgue_fraction(inner, g) <= lebesgue_fraction(outer, g) + 1e-15
 
 
 @settings(max_examples=N_FUZZ, deadline=None)

@@ -176,7 +176,7 @@ def test_bd_own_curve_two_sample():
     g = uniform_grid(0, 1, 11)
     rng = np.random.default_rng(0)
     s = FunctionalSample(rng.normal(size=(2, 11)), g)
-    assert evaluate_depth("bd", s.curve(0), s, DepthParams(J=2)) == 1.0
+    assert evaluate_depth("bd", Curve(s.values[0], s.grid), s, DepthParams(J=2)) == 1.0
 
 
 def test_bd_sample_level_counterexample():
@@ -211,7 +211,7 @@ def test_bd_matches_brute_on_random_sample():
             == band_depth_brute(x, s, J)
         )
     # and for a query with ties (an actual sample curve)
-    q = s.curve(4)
+    q = Curve(s.values[4], s.grid)
     for J in (2, 3):
         assert (
             evaluate_depth("bd", q, s, DepthParams(J=J))

@@ -5,7 +5,6 @@ import pytest
 
 from curvedepth.core import (
     Curve,
-    FunctionalSample,
     InputError,
     ParameterError,
     uniform_grid,
@@ -207,14 +206,6 @@ def test_sample_atomic_hits_all_atoms():
     matches = (s.values[:, None, :] == d.values[None, :, :]).all(axis=2)
     assert matches.any(axis=1).all()  # every draw is an atom
     assert matches.any(axis=0).all()  # every atom is drawn
-
-
-def test_draw_from_empirical_sample():
-    g = uniform_grid(0, 1, 4)
-    base = FunctionalSample(np.arange(12.0).reshape(3, 4), g)
-    s = draw_from(base, 50, seed=2)
-    matches = (s.values[:, None, :] == base.values[None, :, :]).all(axis=2)
-    assert matches.any(axis=1).all()
 
 
 # ---------------------------------------------------------------------------
