@@ -4,6 +4,11 @@ Each ``audit_*`` function probes one property for one depth id and returns
 a :class:`Verdict` -- satisfied / violated / inapplicable -- carrying the
 probe inputs, depth values and margins.  A ``replay`` recipe in the
 evidence records the cell's seeds, parameters, grid and sample origin.
+Every cell but P-1 takes the :class:`AuditConfig` and reads its sizes,
+ladders, grid and thresholds from it; its other arguments are what varies
+between the calls of one audit: the sample (P-4), the kernel (P-2G), the
+probe count (P-4), the seed and the depth parameters.  ``AuditConfig`` is
+the one source of every audit default.
 
 ``run_full_audit`` assembles the complete 6 x 6 verdict matrix (six depths
 by properties P-1, P-2G, P-3, P-4, P-5, P-6) together with an upcrossing-
@@ -107,8 +112,6 @@ MARKS = {SATISFIED: "✓", VIOLATED: "✗", INAPPLICABLE: "–"}
 EXACT_TOL = 1e-9
 #: Threshold below which two exactly-computed depths count as tied.
 TIE_TOL = 1e-12
-#: Monte-Carlo audits below this sample size are reported inapplicable.
-MIN_AUDIT_N = 100
 
 #: Verdict pattern the default audit configuration is expected to
 #: reproduce (depth id -> statuses in PROPERTY_IDS order).  The embedded
@@ -273,37 +276,37 @@ def count_upcrossings(values: np.ndarray, level: float) -> np.ndarray:
     return ((V[:, :-1] <= level) & (V[:, 1:] > level)).sum(axis=1)
 
 
-def rice_mc_diagnostic(
-    kernel: Kernel | None = None,
-    level: float = 0.0,
-    n_paths: int = 5000,
-    m: int = 1001,
-    seed: Seed = 0,
-) -> dict:
+#: The Rice diagnostic's process and level: upcrossings of 0 by a
+#: unit-variance SE process with length scale 0.1.
+_RICE_KERNEL = Kernel("se", 1.0, 0.1)
+_RICE_LEVEL = 0.0
+
+
+def rice_mc_diagnostic(config: AuditConfig, seed: Seed) -> dict:
     """Empirical vs. predicted upcrossing counts for a stationary GP.
 
-    Draws ``n_paths`` paths on a uniform ``m``-point grid over [0, 1] and
-    compares the mean number of grid upcrossings of ``level`` with the
-    closed-form rate.  The discrete count slightly undercounts (crossings
-    inside one grid cell are invisible), so the grid must be fine relative
-    to the length scale for the relative error to be small.
+    Draws ``config.rice_paths`` paths on a uniform ``config.rice_m``-point
+    grid over [0, 1] and compares the mean number of grid upcrossings of
+    the level with the closed-form rate.  The discrete count slightly
+    undercounts (crossings inside one grid cell are invisible), so the grid
+    must be fine relative to the length scale for the relative error to be
+    small.
     """
-    kernel = kernel if kernel is not None else Kernel("se", 1.0, 0.1)
-    grid = uniform_grid(0.0, 1.0, m)
-    sample = sample_gp(GPSpec(kernel, grid), n_paths, seed)
-    observed = float(count_upcrossings(sample.values, level).mean())
+    grid = uniform_grid(0.0, 1.0, config.rice_m)
+    sample = sample_gp(GPSpec(_RICE_KERNEL, grid), config.rice_paths, seed)
+    observed = float(count_upcrossings(sample.values, _RICE_LEVEL).mean())
     spec = RiceSpec(
-        level=level,
-        R0=kernel.variance,
-        negR2=kernel.curvature_at_zero(),
+        level=_RICE_LEVEL,
+        R0=_RICE_KERNEL.variance,
+        negR2=_RICE_KERNEL.curvature_at_zero(),
         domain_length=grid.length,
     )
     expected = rice_expected_upcrossings(spec)
     return {
-        "kernel": asdict(kernel),
-        "level": float(level),
-        "n_paths": int(n_paths),
-        "m": int(m),
+        "kernel": asdict(_RICE_KERNEL),
+        "level": float(_RICE_LEVEL),
+        "n_paths": int(config.rice_paths),
+        "m": int(config.rice_m),
         "seed": _echo_seed(seed),
         "expected": expected,
         "observed": observed,
@@ -365,7 +368,16 @@ def _p1_probes(sample: FunctionalSample) -> np.ndarray:
         X.min(axis=0),
         X.max(axis=0),
     ]
-    return np.stack(rows)
+    probes = np.stack(rows)
+    # a derived entry within rounding of a sample value becomes that value,
+    # so the map sends the tie to a tie instead of to either strict order
+    cols = np.arange(sample.grid.m)
+    for row in probes:
+        gaps = np.abs(X - row)
+        nearest = gaps.argmin(axis=0)
+        snap = gaps[nearest, cols] <= EXACT_TOL
+        row[snap] = X[nearest[snap], cols[snap]]
+    return probes
 
 
 def _p1_ray_probes(sample: FunctionalSample, count: int = 10, step: float = 0.25):
@@ -386,7 +398,7 @@ def audit_P1(
     a: float = 2.0,
     *,
     b=None,
-    params: DepthParams | None = None,
+    params: DepthParams,
     sample_origin: dict | None = None,
 ) -> Verdict:
     """Compare depths before/after the distance-compatible map.
@@ -396,7 +408,6 @@ def audit_P1(
     no offset) makes the map the identity and the audit trivially passes.
     """
     _check_depth_id(depth_id)
-    params = params or DepthParams()
     use_b = b if depth_id in SUP_CLASS else None
     probes = _p1_probes(base_sample)
     f_probes = p1_transform(depth_id, probes, a, use_b)
@@ -469,51 +480,45 @@ def _p2g_probe_set(gp: GPSpec, n_draws: int, seed: Seed):
 
 def audit_P2G(
     depth_id: str,
-    gp: GPSpec,
-    n: int,
+    config: AuditConfig,
+    kernel: Kernel,
     seed: Seed,
     *,
-    params: DepthParams | None = None,
-    band_n: int | None = None,
-    n_draw_probes: int = 20,
-    min_n: int = MIN_AUDIT_N,
+    params: DepthParams,
 ) -> Verdict:
     """Check that the zero curve attains the maximal depth for one model.
 
-    Draws ``n`` paths of the zero-mean process and compares the depth of
-    the zero curve with constant probes at +-{0.5, 1, 1.5} standard
-    deviations and ``n_draw_probes`` fresh draws.  Satisfied iff the zero
-    curve attains the probe maximum within 3 SE plus one grid cell;
-    violated beyond 4 SE, or when the depth is degenerate across the whole
-    probe set (it then cannot single out any centre); inapplicable in the
-    noise band between the two, or when n is too small to decide.
+    Draws ``config.n`` paths of the zero-mean process with this kernel on
+    the config's grid and compares the depth of the zero curve with
+    constant probes at +-{0.5, 1, 1.5} standard deviations and
+    ``config.p2g_draw_probes`` fresh draws.  Satisfied iff the zero curve
+    attains the probe maximum within 3 SE plus one grid cell; violated
+    beyond 4 SE, or when the depth is degenerate across the whole probe
+    set (it then cannot single out any centre); inapplicable in the noise
+    band between the two, or when n is below ``config.min_n``.
 
-    The band depth evaluates on the first ``band_n`` paths (its exact
-    order-3 count is the one expensive evaluation in the matrix).
+    The band depth evaluates on the first ``config.band_n`` paths (its
+    exact order-3 count is the one expensive evaluation in the matrix).
     """
     _check_depth_id(depth_id)
-    if np.any(gp.mean_values() != 0.0):
-        raise ParameterError("the centrality audit requires a zero-mean process")
-    if params is None:
-        params = DepthParams(
-            J=3 if depth_id == "bd" else 2, seed=subseed(seed, 3)
-        )
-    if n < min_n:
+    gp = GPSpec(kernel, config.grid())
+    n = config.n
+    if n < config.min_n:
         return Verdict(
             INAPPLICABLE,
             {
                 "depth": depth_id,
-                "reason": f"under-powered: n = {n} < {min_n}",
+                "reason": f"under-powered: n = {n} < {config.min_n}",
                 "n": int(n),
             },
         )
     sample = sample_gp(gp, n, seed)
-    if depth_id == "bd" and band_n is not None and band_n < n:
-        eval_sample = FunctionalSample(sample.values[:band_n], gp.grid)
+    if depth_id == "bd" and config.band_n < n:
+        eval_sample = FunctionalSample(sample.values[: config.band_n], gp.grid)
     else:
         eval_sample = sample
     probe_seed = subseed(seed, 11)
-    probes, labels = _p2g_probe_set(gp, n_draw_probes, probe_seed)
+    probes, labels = _p2g_probe_set(gp, config.p2g_draw_probes, probe_seed)
     vals = depth_values(depth_id, probes, eval_sample, params)
     v0 = float(vals[0])
     vmax = float(vals.max())
@@ -524,7 +529,7 @@ def audit_P2G(
     margin = vmax - v0
     evidence = {
         "depth": depth_id,
-        "kernel": asdict(gp.kernel),
+        "kernel": asdict(kernel),
         "n": int(n),
         "n_used": int(n_used),
         "labels": labels,
@@ -543,8 +548,8 @@ def audit_P2G(
             gp=gpspec_to_json(gp),
             n=int(n),
             seed=_echo_seed(seed),
-            band_n=None if band_n is None else int(band_n),
-            n_draw_probes=int(n_draw_probes),
+            band_n=int(config.band_n),
+            n_draw_probes=int(config.p2g_draw_probes),
         ),
     }
     if vmax - vmin <= EXACT_TOL:
@@ -597,11 +602,10 @@ def _combine_members(members: list[tuple[str, Verdict]]) -> Verdict:
 
 def audit_P3(
     depth_id: str,
+    config: AuditConfig,
+    seed: Seed,
     *,
-    params: DepthParams | None = None,
-    n: int = 500,
-    seed: Seed = 0,
-    grid: Grid | None = None,
+    params: DepthParams,
 ) -> Verdict:
     """Probe strict centre-outward decrease.
 
@@ -611,14 +615,14 @@ def audit_P3(
     different distances from the deepest curve tie -- a violation witness.
     The kernel depth instead gets a positive check: on a process sample,
     triples (mean, mean + 0.5 g, mean + g) along random ray directions g
-    must be strictly ordered.
+    must be strictly ordered (``config.p3_n`` paths).
     """
     _check_depth_id(depth_id)
-    grid = grid if grid is not None else uniform_grid()
-    params = params or DepthParams()
+    grid = config.grid()
     m = grid.m
 
     if depth_id == "h":
+        n = config.p3_n
         gp = GPSpec(Kernel("se", 1.0, 0.2), grid)
         sample = sample_gp(gp, n, seed)
         base = sample.values.mean(axis=0)
@@ -723,9 +727,6 @@ def audit_P3(
 # P-4: numeric upper-semicontinuity probe
 # ---------------------------------------------------------------------------
 
-_P4_DELTAS = (0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
-
-
 def _perturb_ball(
     x: np.ndarray,
     delta: float,
@@ -757,27 +758,25 @@ def _perturb_ball(
 
 def audit_P4(
     depth_id: str,
+    config: AuditConfig,
     sample: FunctionalSample,
-    probes: int = 3,
-    delta_ladder=_P4_DELTAS,
+    probes: int,
+    seed: Seed,
     *,
-    eps=(0.05, 0.01),
-    n_perturb: int = 200,
-    seed: Seed = 0,
-    params: DepthParams | None = None,
+    params: DepthParams,
     sample_origin: dict | None = None,
 ) -> Verdict:
     """Search for a neighbourhood certifying the semicontinuity bound.
 
-    For each probe curve x and each epsilon, walks the delta ladder
-    (largest first) until ``n_perturb`` random curves in the delta-ball of
-    the depth's native metric all stay below D(x) + epsilon.  Satisfied
-    iff such a delta exists for every (probe, epsilon) pair -- a finite
-    necessary-condition check: "satisfied" means no violation was found
-    at this probe resolution.
+    The probes are the sample mean and the first ``probes - 1`` curves.
+    For each probe curve x and each epsilon of ``config.p4_eps``, walks
+    ``config.p4_deltas`` (largest first) until ``config.p4_perturbations``
+    random curves in the delta-ball of the depth's native metric all stay
+    below D(x) + epsilon.  Satisfied iff such a delta exists for every
+    (probe, epsilon) pair -- a finite necessary-condition check:
+    "satisfied" means no violation was found at this probe resolution.
     """
     _check_depth_id(depth_id)
-    params = params or DepthParams()
     grid = sample.grid
     metric = "l2" if depth_id in L2_CLASS else "sup"
     mean = np.average(sample.values, axis=0, weights=sample.weights)
@@ -786,14 +785,13 @@ def audit_P4(
     records = []
     witness = None
     for pi in range(probe_rows.shape[0]):
-        for ei, eps_v in enumerate(eps):
+        for ei, eps_v in enumerate(config.p4_eps):
             found = None
-            last_worst = None
-            for di, delta in enumerate(delta_ladder):
+            for di, delta in enumerate(config.p4_deltas):
                 Y = _perturb_ball(
                     probe_rows[pi],
                     delta,
-                    n_perturb,
+                    config.p4_perturbations,
                     metric,
                     subseed(seed, pi, ei, di),
                     grid,
@@ -814,9 +812,7 @@ def audit_P4(
                     "eps": float(eps_v),
                     "base_value": float(base_vals[pi]),
                     "delta_found": found,
-                    "max_in_ball": None
-                    if last_worst is None
-                    else float(last_worst["max_value"]),
+                    "max_in_ball": float(last_worst["max_value"]),
                 }
             )
             if found is None and witness is None:
@@ -832,8 +828,8 @@ def audit_P4(
         "depth": depth_id,
         "metric": metric,
         "n": int(sample.n),
-        "n_perturb": int(n_perturb),
-        "delta_ladder": [float(d) for d in delta_ladder],
+        "n_perturb": int(config.p4_perturbations),
+        "delta_ladder": [float(d) for d in config.p4_deltas],
         "records": records,
         "note": "finite probe: satisfied = no counterexample at this resolution",
         "replay": _replay(
@@ -844,9 +840,9 @@ def audit_P4(
             sample_origin,
             depth=depth_id,
             probes=int(probes),
-            eps=[float(e) for e in eps],
-            delta_ladder=[float(d) for d in delta_ladder],
-            n_perturb=int(n_perturb),
+            eps=[float(e) for e in config.p4_eps],
+            delta_ladder=[float(d) for d in config.p4_deltas],
+            n_perturb=int(config.p4_perturbations),
             seed=_echo_seed(seed),
         ),
     }
@@ -904,26 +900,25 @@ def apply_shrink(x: Curve, alpha: np.ndarray) -> Curve:
 
 def audit_P5(
     depth_id: str,
+    config: AuditConfig,
     *,
-    params: DepthParams | None = None,
-    seed: Seed = 0,
-    grid: Grid | None = None,
+    params: DepthParams,
     delta: float = 2.5,
     factor: float = 0.5,
 ) -> Verdict:
     """Shrink the narrow part of a three-atom hull and compare depths.
 
-    Builds the three-atom witness distribution, keeps the region where the
-    envelope width is at most ``delta``, halves everything on it, and
-    compares the depth of the top atom before and after.  The band/region
+    Builds the three-atom witness distribution on the config's grid, keeps
+    the region where the envelope width is at most ``delta``, halves
+    everything on it, and compares the depth of the top atom before and
+    after.  The band/region
     depths see identical order statistics (positive pointwise scalings
     preserve every min/max band and every pointwise inequality), so their
     values are exactly equal -- a violation; the kernel depth strictly
     increases because the shrink contracts L2 distances.
     """
     _check_depth_id(depth_id)
-    params = params or DepthParams(seed=subseed(seed, 4))
-    dist = counterexample_P5(grid)
+    dist = counterexample_P5(config.grid())
     g = dist.grid
     lower, upper = envelope_of(dist)
     try:
@@ -989,60 +984,57 @@ def _median_se(devs: np.ndarray) -> float:
 
 
 def _p6_measurements(
-    depth_ids,
-    base: GPSpec,
-    outlier: AtomicDistribution,
-    eps_ladder,
-    n: int,
-    seed: Seed,
-    params_by_depth: dict,
-    conv_ns,
-    ref_n: int,
-    replicates: int,
-) -> dict:
-    """Raw P-6 measurements, shared across depths.
+    config: AuditConfig, seed: Seed, params_by_depth: dict
+) -> dict | None:
+    """Raw P-6 measurements, shared across the depths of ``params_by_depth``.
 
     Per replicate draws one nested sample for the convergence check (the
     size-n_i samples are prefixes of one draw) and one coupled
     base/contaminated pair per epsilon (same seed across epsilons, so the
     contaminated index set grows monotonically).  Returns, per depth id:
     the reference depth, |deviation| arrays per sample size, and signed
-    contamination deltas per epsilon.
+    contamination deltas per epsilon.  Returns None, measuring nothing,
+    when a sample size is below ``config.min_n``: the audit is then
+    under-powered.
     """
-    grid = base.grid
+    if config.n < config.min_n or min(config.conv_ns) < config.min_n:
+        return None
+    grid = config.grid()
+    base = GPSpec(config.kernel, grid)
+    outlier = constant_distribution(config.outlier_level, grid)
     zero = Curve(np.zeros(grid.m), grid)
 
     def val(d, sample):
         return evaluate_depth(d, zero, sample, params_by_depth[d])
 
-    ref = sample_gp(base, ref_n, subseed(seed, 0))
+    ref = sample_gp(base, config.conv_ref_n, subseed(seed, 0))
     out = {
         d: {
             "ref_value": val(d, ref),
-            "conv": {int(nn): [] for nn in conv_ns},
-            "contam": {float(e): [] for e in eps_ladder},
+            "conv": {int(nn): [] for nn in config.conv_ns},
+            "contam": {float(e): [] for e in config.eps_ladder},
         }
-        for d in depth_ids
+        for d in params_by_depth
     }
     del ref
 
-    n_max = max(conv_ns)
-    for r in range(replicates):
+    n_max = max(config.conv_ns)
+    for r in range(config.replicates):
         s = sample_gp(base, n_max, subseed(seed, 1, r))
-        for nn in conv_ns:
+        for nn in config.conv_ns:
             sub = FunctionalSample(s.values[:nn], grid)
-            for d in depth_ids:
+            for d in params_by_depth:
                 out[d]["conv"][int(nn)].append(
                     abs(val(d, sub) - out[d]["ref_value"])
                 )
 
-    for r in range(replicates):
+    for r in range(config.replicates):
         rep_seed = subseed(seed, 2, r)
-        base_sample = sample_gp(base, n, rep_seed)
-        base_vals = {d: val(d, base_sample) for d in depth_ids}
-        for e in eps_ladder:
-            mixed = mix(ContaminationSpec(base, outlier, e), n, rep_seed)
-            for d in depth_ids:
+        base_sample = sample_gp(base, config.n, rep_seed)
+        base_vals = {d: val(d, base_sample) for d in params_by_depth}
+        for e in config.eps_ladder:
+            mixed = mix(ContaminationSpec(base, outlier, e), config.n, rep_seed)
+            for d in params_by_depth:
                 out[d]["contam"][float(e)].append(
                     val(d, mixed) - base_vals[d]
                 )
@@ -1051,67 +1043,50 @@ def _p6_measurements(
 
 def audit_P6(
     depth_id: str,
-    base: GPSpec,
-    outlier: AtomicDistribution,
-    eps_ladder=(0.2, 0.1, 0.05, 0.01),
-    n: int = 2000,
-    seed: Seed = 0,
+    config: AuditConfig,
+    measurements: dict | None,
+    seed: Seed,
     *,
-    params: DepthParams | None = None,
-    conv_ns=(100, 400, 1600),
-    ref_n: int = 25600,
-    replicates: int = 20,
-    c_max: float = 2.0,
-    min_n: int = MIN_AUDIT_N,
-    measurements: dict | None = None,
+    params: DepthParams,
 ) -> Verdict:
     """Two-part stability audit; both parts must pass.
 
-    (a) Empirical convergence: over ``replicates`` nested draws, the
-    deviation of the zero curve's depth from a size-``ref_n`` reference
-    must shrink with the sample size -- the endpoint deviation median
-    falls to at most 3/4 of the starting one, a strict majority of
+    ``measurements`` is what ``_p6_measurements(config, seed, ...)``
+    returned for this depth, None for an under-powered config.
+
+    (a) Empirical convergence: over ``config.replicates`` nested draws,
+    the deviation of the zero curve's depth from a size-``conv_ref_n``
+    reference must shrink with the sample size -- the endpoint deviation
+    median falls to at most 3/4 of the starting one, a strict majority of
     replicates improves from the smallest to the largest size, and the
     medians are non-increasing up to a 3 SE noise band.  (The raw
     improvement count is recorded in the evidence; it is too close to a
     fair coin per replicate to serve as a quantile-style criterion on
     its own.)  (b) Contamination:
     replacing an epsilon fraction by a distant constant outlier must move
-    the depth by at most C * epsilon + 3 SE with a fitted C <= ``c_max``
-    (moving epsilon mass moves the underlying distribution by at most
-    epsilon, so a stable depth's response must be linearly bounded).
+    the depth by at most C * epsilon + 3 SE with a fitted C <=
+    ``config.c_max`` (moving epsilon mass moves the underlying
+    distribution by at most epsilon, so a stable depth's response must be
+    linearly bounded).
     """
     _check_depth_id(depth_id)
-    if params is None:
-        params = DepthParams(seed=subseed(seed, 90))
-    if n < min_n or min(conv_ns) < min_n:
+    conv_ns = config.conv_ns
+    eps_ladder = config.eps_ladder
+    if measurements is None:
         return Verdict(
             INAPPLICABLE,
             {
                 "depth": depth_id,
-                "reason": f"under-powered: min sample size below {min_n}",
-                "n": int(n),
+                "reason": f"under-powered: min sample size below {config.min_n}",
+                "n": int(config.n),
                 "conv_ns": [int(v) for v in conv_ns],
             },
-        )
-    if measurements is None:
-        measurements = _p6_measurements(
-            [depth_id],
-            base,
-            outlier,
-            eps_ladder,
-            n,
-            seed,
-            {depth_id: params},
-            conv_ns,
-            ref_n,
-            replicates,
         )
     meas = measurements[depth_id]
 
     devs = np.array([meas["conv"][int(nn)] for nn in conv_ns])
     improved = int(np.sum(devs[-1] < devs[0]))
-    need = replicates // 2 + 1
+    need = config.replicates // 2 + 1
     med = [float(np.median(devs[i])) for i in range(len(conv_ns))]
     se_med = [_median_se(devs[i]) for i in range(len(conv_ns))]
     mono_ok = all(
@@ -1141,14 +1116,16 @@ def audit_P6(
             }
         )
         c_fit = max(c_fit, excess / e)
-    contam_ok = c_fit <= c_max
+    contam_ok = c_fit <= config.c_max
 
+    grid = config.grid()
+    outlier = constant_distribution(config.outlier_level, grid)
     evidence = {
         "depth": depth_id,
-        "ref_n": int(ref_n),
+        "ref_n": int(config.conv_ref_n),
         "ref_value": float(meas["ref_value"]),
         "conv_ns": [int(v) for v in conv_ns],
-        "replicates": int(replicates),
+        "replicates": int(config.replicates),
         "improved": improved,
         "improved_needed": need,
         "medians": med,
@@ -1158,25 +1135,25 @@ def audit_P6(
         "monotone_ok": bool(mono_ok),
         "contamination": per_eps,
         "c_fit": float(c_fit),
-        "c_max": float(c_max),
+        "c_max": float(config.c_max),
         "replay": _replay(
             "p6",
-            base.grid,
+            grid,
             params,
             depth=depth_id,
-            gp=gpspec_to_json(base),
+            gp=gpspec_to_json(GPSpec(config.kernel, grid)),
             outlier_values=_jsonify(outlier.values),
             outlier_probs=_jsonify(outlier.probs),
             eps_ladder=[float(e) for e in eps_ladder],
-            n=int(n),
+            n=int(config.n),
             seed=_echo_seed(seed),
             conv_ns=[int(v) for v in conv_ns],
-            ref_n=int(ref_n),
-            replicates=int(replicates),
+            ref_n=int(config.conv_ref_n),
+            replicates=int(config.replicates),
         ),
     }
     if conv_ok and contam_ok:
-        return Verdict(SATISFIED, evidence, tolerance=c_max)
+        return Verdict(SATISFIED, evidence, tolerance=config.c_max)
     witness = {}
     if not conv_ok:
         witness["convergence"] = {
@@ -1190,7 +1167,7 @@ def audit_P6(
         worst = max(per_eps, key=lambda rec: rec["c"])
         witness["contamination"] = worst
     evidence["witness"] = witness
-    return Verdict(VIOLATED, evidence, tolerance=c_max)
+    return Verdict(VIOLATED, evidence, tolerance=config.c_max)
 
 
 # ---------------------------------------------------------------------------
@@ -1230,18 +1207,24 @@ class AuditConfig:
     p3_n: int = 500
     p4_probes: int = 3
     p4_eps: tuple = (0.05, 0.01)
-    p4_deltas: tuple = _P4_DELTAS
+    p4_deltas: tuple = (0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
     p4_perturbations: int = 200
     conv_ns: tuple = (100, 400, 1600)
     conv_ref_n: int = 25600
     eps_ladder: tuple = (0.2, 0.1, 0.05, 0.01)
     outlier_level: float = 50.0
     c_max: float = 2.0
-    min_n: int = MIN_AUDIT_N
+    min_n: int = 100  # Monte-Carlo cells below this sample size are inapplicable
     rice_paths: int = 5000
     rice_m: int = 1001
 
     def __post_init__(self) -> None:
+        # JSON admits NaN and Infinity, which would pass the range checks
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ParameterError(f"{f.name} must be finite, got {value}")
         if self.m < 2:
             raise ParameterError("grid needs at least two points")
         if not self.b > self.a:
@@ -1250,7 +1233,7 @@ class AuditConfig:
             raise ParameterError("sample sizes must be positive")
         if self.J < 2 or self.p2g_J < 2:
             raise ParameterError("band orders must be >= 2")
-        if not (np.isfinite(self.h) and self.h > 0):
+        if not self.h > 0:
             raise ParameterError("bandwidth h must be > 0")
         if self.k < 1:
             raise ParameterError("direction count k must be >= 1")
@@ -1258,12 +1241,17 @@ class AuditConfig:
             raise ParameterError("replicates must be >= 2")
         if len(self.p2g_kernels) == 0:
             raise ParameterError("the centrality audit needs >= 1 model")
-        if any(
-            not (0.0 < e < 1.0) for e in self.eps_ladder
-        ) or list(self.eps_ladder) != sorted(self.eps_ladder, reverse=True):
+        # an empty epsilon list would let P-4 or P-6 pass without testing anything
+        if (
+            not self.eps_ladder
+            or any(not (0.0 < e < 1.0) for e in self.eps_ladder)
+            or list(self.eps_ladder) != sorted(self.eps_ladder, reverse=True)
+        ):
             raise ParameterError(
-                "eps_ladder must be strictly inside (0, 1) and decreasing"
+                "eps_ladder must be non-empty, strictly inside (0, 1) and decreasing"
             )
+        if not self.p4_eps or min(self.p4_eps) <= 0:
+            raise ParameterError("p4_eps must be non-empty and positive")
         deltas = list(self.p4_deltas)
         if not deltas or deltas != sorted(deltas, reverse=True) or deltas[-1] <= 0:
             raise ParameterError("p4_deltas must be non-empty, positive and decreasing")
@@ -1271,10 +1259,8 @@ class AuditConfig:
             raise ParameterError("conv_ns must be increasing with >= 2 sizes")
         if self.conv_ref_n <= max(self.conv_ns):
             raise ParameterError("conv_ref_n must exceed every conv size")
-        if not (np.isfinite(self.c_max) and self.c_max > 0):
+        if not self.c_max > 0:
             raise ParameterError("c_max must be > 0")
-        if not np.isfinite(self.outlier_level):
-            raise ParameterError("outlier_level must be finite")
         if self.p4_probes < 1 or self.p4_perturbations < 1:
             raise ParameterError("P-4 probe counts must be >= 1")
         if self.p2g_draw_probes < 1:
@@ -1458,7 +1444,6 @@ def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
     master = sample_gp(gp, config.n, subseed(seed, 10))
     band_cap = min(config.band_n, config.n)
     band_master = FunctionalSample(master.values[:band_cap], grid)
-    outlier = constant_distribution(config.outlier_level, grid)
     master_origin = {
         "kind": "gp",
         "spec": gpspec_to_json(gp),
@@ -1470,21 +1455,7 @@ def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
         d: DepthParams(h=config.h, J=config.J, k=config.k, seed=subseed(seed, 90, di))
         for di, d in enumerate(DEPTH_IDS)
     }
-
-    p6_meas = None
-    if config.n >= config.min_n and min(config.conv_ns) >= config.min_n:
-        p6_meas = _p6_measurements(
-            DEPTH_IDS,
-            gp,
-            outlier,
-            config.eps_ladder,
-            config.n,
-            subseed(seed, 60),
-            params_by_depth,
-            config.conv_ns,
-            config.conv_ref_n,
-            config.replicates,
-        )
+    p6_meas = _p6_measurements(config, subseed(seed, 60), params_by_depth)
 
     # P-4 members as (label, sample, probes, sample origin); the band depths
     # skip the last, single-curve member (it needs n >= J)
@@ -1518,37 +1489,30 @@ def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
                         f"{kern.type}(var={kern.variance:g}, ls={kern.length_scale:g})",
                         audit_P2G(
                             d,
-                            GPSpec(kern, grid),
-                            config.n,
+                            config,
+                            kern,
                             subseed(seed, 21, ki),
                             params=replace(
                                 params,
                                 J=config.p2g_J if d == "bd" else config.J,
                                 seed=subseed(seed, 20, di, ki),
                             ),
-                            band_n=config.band_n,
-                            n_draw_probes=config.p2g_draw_probes,
-                            min_n=config.min_n,
                         ),
                     )
                     for ki, kern in enumerate(config.p2g_kernels)
                 ]
             ),
-            "P-3": audit_P3(
-                d, params=params, n=config.p3_n, seed=subseed(seed, 30, di), grid=grid
-            ),
+            "P-3": audit_P3(d, config, subseed(seed, 30, di), params=params),
             "P-4": _combine_members(
                 [
                     (
                         label,
                         audit_P4(
                             d,
+                            config,
                             sample,
-                            probes=probes,
-                            delta_ladder=config.p4_deltas,
-                            eps=config.p4_eps,
-                            n_perturb=config.p4_perturbations,
-                            seed=subseed(seed, 40, di, tag),
+                            probes,
+                            subseed(seed, 40, di, tag),
                             params=params,
                             sample_origin=origin,
                         ),
@@ -1558,35 +1522,15 @@ def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
                     )
                 ]
             ),
-            "P-5": audit_P5(d, params=params, seed=subseed(seed, 50, di), grid=grid),
-            "P-6": audit_P6(
-                d,
-                gp,
-                outlier,
-                eps_ladder=config.eps_ladder,
-                n=config.n,
-                seed=subseed(seed, 60),
-                params=params,
-                conv_ns=config.conv_ns,
-                ref_n=config.conv_ref_n,
-                replicates=config.replicates,
-                c_max=config.c_max,
-                min_n=config.min_n,
-                measurements=p6_meas,
-            ),
+            "P-5": audit_P5(d, config, params=params),
+            "P-6": audit_P6(d, config, p6_meas, subseed(seed, 60), params=params),
         }
         if band:
             matrix[d]["P-4"].evidence["skipped"] = (
                 "single-curve setup needs n >= J and was not run"
             )
 
-    diagnostics = {
-        "rice": rice_mc_diagnostic(
-            n_paths=config.rice_paths,
-            m=config.rice_m,
-            seed=subseed(seed, 70),
-        )
-    }
+    diagnostics = {"rice": rice_mc_diagnostic(config, subseed(seed, 70))}
     seeds = {
         "root": config.seed,
         "master_sample": _echo_seed(subseed(seed, 10)),

@@ -44,7 +44,7 @@ from curvedepth.distributions import (
     sample_gp,
     subseed,
 )
-from curvedepth.properties import GOLDEN, rice_mc_diagnostic, run_full_audit
+from curvedepth.properties import GOLDEN, AuditConfig, rice_mc_diagnostic, run_full_audit
 from curvedepth.reconstruct import depth_stability
 
 from band_oracles import band_depth_brute, modified_band_depth_brute
@@ -137,7 +137,7 @@ def test_criterion_3_gp_centre_depths_near_half():
 
 
 def test_criterion_4_rice_formula_monte_carlo():
-    diag = rice_mc_diagnostic(seed=404)  # 5000 paths, sigma^2=1, l=0.1, m=1001
+    diag = rice_mc_diagnostic(AuditConfig(), 404)  # 5000 paths, sigma^2=1, l=0.1, m=1001
     ok = diag["relative_error"] <= 0.05
     _verdict(
         4,

@@ -737,6 +737,17 @@ def test_reconstruct_feeds_depth(tmp_path):
         pytest.param('{"rice_m": 1000000000000}', cli.EXIT_PARAMS, id="huge-rice-grid"),
         # an empty ladder leaves P-4 no neighbourhood to report as its witness
         pytest.param('{"p4_deltas": []}', cli.EXIT_PARAMS, id="empty-p4-deltas"),
+        # JSON's NaN and Infinity literals, which no range check would catch
+        pytest.param('{"p4_deltas": [NaN]}', cli.EXIT_PARAMS, id="nan-p4-deltas"),
+        pytest.param(
+            '{"p4_deltas": [Infinity, 0.1]}', cli.EXIT_PARAMS, id="infinite-p4-deltas"
+        ),
+        pytest.param('{"p4_eps": [NaN]}', cli.EXIT_PARAMS, id="nan-p4-eps"),
+        pytest.param('{"grid": {"b": Infinity}}', cli.EXIT_PARAMS, id="infinite-grid-end"),
+        # a negative epsilon makes up violations, an empty list tests nothing
+        pytest.param('{"p4_eps": [-0.5]}', cli.EXIT_PARAMS, id="negative-p4-eps"),
+        pytest.param('{"p4_eps": []}', cli.EXIT_PARAMS, id="empty-p4-eps"),
+        pytest.param('{"eps_ladder": []}', cli.EXIT_PARAMS, id="empty-eps-ladder"),
     ],
 )
 def test_audit_cli_bad_config_exits_before_the_audit(tmp_path, text, code):

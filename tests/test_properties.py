@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvedepth.core import (
-    Curve,
     FunctionalSample,
     InputError,
     ParameterError,
@@ -18,7 +17,6 @@ from curvedepth.depths import DEPTH_IDS, DepthParams
 from curvedepth.distributions import (
     GPSpec,
     Kernel,
-    constant_distribution,
     counterexample_P3,
     sample_gp,
     subseed,
@@ -46,10 +44,15 @@ from curvedepth.properties import (
     rice_mc_diagnostic,
     run_full_audit,
 )
-from curvedepth.properties import _centre_outward_order, _combine_members
+from curvedepth.properties import (
+    _centre_outward_order,
+    _combine_members,
+    _p6_measurements,
+)
 
 GRID = uniform_grid()
-SE_GP = GPSpec(Kernel("se", 1.0, 0.2), GRID)
+SE = Kernel("se", 1.0, 0.2)
+SE_GP = GPSpec(SE, GRID)
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +104,9 @@ def test_count_upcrossings_hand_cases():
 
 
 def test_rice_mc_small():
-    diag = rice_mc_diagnostic(n_paths=400, m=501, seed=5)
+    diag = rice_mc_diagnostic(
+        dataclasses.replace(AuditConfig(), rice_paths=400, rice_m=501), 5
+    )
     assert diag["observed"] > 0
     assert diag["relative_error"] < 0.15
 
@@ -199,14 +204,16 @@ def test_p1_five_depths_satisfied_on_gp(gp400):
 
 
 def test_p2g_mhr_satisfied():
-    v = audit_P2G("mhr", SE_GP, 400, seed=(21,), params=DepthParams(seed=(22,)))
+    cfg = dataclasses.replace(AuditConfig(), n=400)
+    v = audit_P2G("mhr", cfg, SE, (21,), params=DepthParams(seed=(22,)))
     assert v.status == SATISFIED
     assert v.evidence["zero_value"] == v.evidence["max_value"]
 
 
 def test_p2g_hr_cosine_degenerate_violation():
-    gp = GPSpec(Kernel("cosine", 1.0, 1.0), GRID)
-    v = audit_P2G("hr", gp, 400, seed=(23,), params=DepthParams(seed=(24,)))
+    cfg = dataclasses.replace(AuditConfig(), n=400)
+    cosine = Kernel("cosine", 1.0, 1.0)
+    v = audit_P2G("hr", cfg, cosine, (23,), params=DepthParams(seed=(24,)))
     assert v.status == VIOLATED
     assert v.evidence["degenerate"]
     # same-frequency sinusoids all cross, so every half-region count is 0
@@ -214,15 +221,10 @@ def test_p2g_hr_cosine_degenerate_violation():
 
 
 def test_p2g_under_powered_inapplicable():
-    v = audit_P2G("mhr", SE_GP, 50, seed=0)
+    cfg = dataclasses.replace(AuditConfig(), n=50)
+    v = audit_P2G("mhr", cfg, SE, 0, params=DepthParams())
     assert v.status == INAPPLICABLE
     assert "under-powered" in v.evidence["reason"]
-
-
-def test_p2g_rejects_nonzero_mean():
-    gp = GPSpec(Kernel("se", 1.0, 0.2), GRID, mean=Curve(np.ones(GRID.m), GRID))
-    with pytest.raises(ParameterError):
-        audit_P2G("mhr", gp, 400, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +234,7 @@ def test_p2g_rejects_nonzero_mean():
 
 def test_p3_band_depths_exact_tie():
     for d in ("bd", "mbd"):
-        v = audit_P3(d, params=DepthParams(seed=(31,)))
+        v = audit_P3(d, AuditConfig(), 0, params=DepthParams(seed=(31,)))
         assert v.status == VIOLATED, d
         vals = v.evidence["values"]
         assert vals["deepest"] == pytest.approx(0.75, abs=1e-15)
@@ -242,20 +244,20 @@ def test_p3_band_depths_exact_tie():
 
 def test_p3_region_depths_tie():
     for d in ("hr", "mhr"):
-        v = audit_P3(d, params=DepthParams(seed=(32,)))
+        v = audit_P3(d, AuditConfig(), 0, params=DepthParams(seed=(32,)))
         assert v.status == VIOLATED, d
         assert v.evidence["values"]["nearer"] == v.evidence["values"]["farther"]
 
 
 def test_p3_rt_tie():
-    v = audit_P3("rt", params=DepthParams(seed=(33,)))
+    v = audit_P3("rt", AuditConfig(), 0, params=DepthParams(seed=(33,)))
     assert v.status == VIOLATED
     w = v.evidence["witness"]
     assert w["nearer_value"] == w["farther_value"] == 0.5
 
 
 def test_p3_h_strict_decrease_on_rays():
-    v = audit_P3("h", params=DepthParams(seed=(34,)), n=500, seed=3)
+    v = audit_P3("h", AuditConfig(), 3, params=DepthParams(seed=(34,)))  # p3_n = 500
     assert v.status == SATISFIED
     assert v.evidence["min_margin"] > 0
 
@@ -265,10 +267,13 @@ def test_p3_h_strict_decrease_on_rays():
 # ---------------------------------------------------------------------------
 
 
+P4_CONFIG = dataclasses.replace(AuditConfig(), p4_perturbations=60)
+
+
 def test_p4_satisfied_on_gp(gp400):
     small = FunctionalSample(gp400.values[:150], GRID)
     for d in DEPTH_IDS:
-        v = audit_P4(d, small, probes=2, n_perturb=60, seed=(44,), params=DepthParams(seed=(45,)))
+        v = audit_P4(d, P4_CONFIG, small, 2, (44,), params=DepthParams(seed=(45,)))
         assert v.status == SATISFIED, d
         for rec in v.evidence["records"]:
             assert rec["delta_found"] is not None
@@ -277,14 +282,14 @@ def test_p4_satisfied_on_gp(gp400):
 def test_p4_single_curve():
     one = FunctionalSample(np.sin(2 * math.pi * GRID.points)[None, :], GRID)
     for d in ("h", "rt", "hr", "mhr"):
-        v = audit_P4(d, one, probes=1, n_perturb=60, seed=(46,), params=DepthParams(seed=(45,)))
+        v = audit_P4(d, P4_CONFIG, one, 1, (46,), params=DepthParams(seed=(45,)))
         assert v.status == SATISFIED, d
 
 
 def test_p4_atoms_sample():
     s = counterexample_P3(GRID).as_sample()
     for d in DEPTH_IDS:
-        v = audit_P4(d, s, probes=3, n_perturb=60, seed=(47,), params=DepthParams(seed=(45,)))
+        v = audit_P4(d, P4_CONFIG, s, 3, (47,), params=DepthParams(seed=(45,)))
         assert v.status == SATISFIED, d
 
 
@@ -294,37 +299,34 @@ def test_p4_atoms_sample():
 
 
 def test_p5_h_strictly_increases():
-    v = audit_P5("h", params=DepthParams(seed=(51,)))
+    v = audit_P5("h", AuditConfig(), params=DepthParams(seed=(51,)))
     assert v.status == SATISFIED
     assert v.evidence["margin"] > 1e-9
 
 
 def test_p5_five_depths_exact_equality():
     for d in ("rt", "bd", "mbd", "hr", "mhr"):
-        v = audit_P5(d, params=DepthParams(seed=(52,)))
+        v = audit_P5(d, AuditConfig(), params=DepthParams(seed=(52,)))
         assert v.status == VIOLATED, d
         assert v.evidence["value_before"] == v.evidence["value_after"], d
-    v = audit_P5("bd", params=DepthParams(seed=(52,)))
+    v = audit_P5("bd", AuditConfig(), params=DepthParams(seed=(52,)))
     assert v.evidence["value_before"] == pytest.approx(5.0 / 9.0, abs=1e-15)
 
 
 def test_p5_rt_margin_exactly_zero():
-    v = audit_P5("rt", params=DepthParams(seed=(53,)))
+    v = audit_P5("rt", AuditConfig(), params=DepthParams(seed=(53,)))
     assert v.evidence["margin"] == 0.0
 
 
 def test_p5_invalid_delta_inapplicable():
     # envelope widths live in [2, 3]; delta = 5 leaves no valid region
-    v = audit_P5("mhr", delta=5.0)
+    v = audit_P5("mhr", AuditConfig(), params=DepthParams(), delta=5.0)
     assert v.status == INAPPLICABLE
 
 
 # ---------------------------------------------------------------------------
 # P-6
 # ---------------------------------------------------------------------------
-
-OUTLIER = constant_distribution(50.0, GRID)
-
 
 def _fake_measurements(conv_scale, contam_scale):
     """Handcrafted measurement dict driving the P-6 decision rule."""
@@ -341,15 +343,8 @@ def _fake_measurements(conv_scale, contam_scale):
 
 
 def _p6_with(meas):
-    return audit_P6(
-        "mhr",
-        SE_GP,
-        OUTLIER,
-        n=2000,
-        seed=(61,),
-        replicates=12,
-        measurements=meas,
-    )
+    cfg = dataclasses.replace(AuditConfig(), replicates=12)
+    return audit_P6("mhr", cfg, meas, (61,), params=DepthParams())
 
 
 def test_p6_decision_satisfied():
@@ -380,22 +375,26 @@ def test_p6_decision_already_converged():
 
 
 def test_p6_under_powered_inapplicable():
-    v = audit_P6("mhr", SE_GP, OUTLIER, n=50, seed=0)
+    cfg = dataclasses.replace(AuditConfig(), n=50)
+    params = {"mhr": DepthParams()}
+    meas = _p6_measurements(cfg, 0, params)
+    assert meas is None
+    v = audit_P6("mhr", cfg, meas, 0, params=params["mhr"])
     assert v.status == INAPPLICABLE
 
 
 def test_p6_real_small_run_structure():
-    v = audit_P6(
-        "mhr",
-        SE_GP,
-        OUTLIER,
+    cfg = dataclasses.replace(
+        AuditConfig(),
         eps_ladder=(0.2, 0.1),
         n=150,
-        seed=(62,),
         conv_ns=(100, 200),
-        ref_n=800,
+        conv_ref_n=800,
         replicates=6,
     )
+    params = {"mhr": DepthParams(seed=(63,))}
+    meas = _p6_measurements(cfg, (62,), params)
+    v = audit_P6("mhr", cfg, meas, (62,), params=params["mhr"])
     assert v.status in (SATISFIED, VIOLATED)
     for key in ("medians", "endpoint_ratio", "c_fit", "replay"):
         assert key in v.evidence
@@ -584,6 +583,14 @@ def lattice_sample(draw, max_n=6, max_m=9, bound=8):
     return FunctionalSample(arr, uniform_grid(0, 1, m))
 
 
+def _two_bump_sample():
+    """Zero curves but 0.05 (curve 1) and 0.2 (curve 3) at one point: the
+    sample mean there equals curve 1's value only up to rounding."""
+    X = np.zeros((5, 8))
+    X[1, 5], X[3, 5] = 0.05, 0.2
+    return FunctionalSample(X, uniform_grid(0, 1, 8))
+
+
 @settings(max_examples=N_FUZZ, deadline=None)
 @given(
     lattice_sample(),
@@ -595,9 +602,11 @@ def lattice_sample(draw, max_n=6, max_m=9, bound=8):
     st.integers(min_value=-2000, max_value=2000),
     st.integers(min_value=-2000, max_value=2000),
 )
+@example(_two_bump_sample(), "bd", 0, 1, 0.25, -4.0, 0, 21)
 def test_fuzz_p1_centre_outward_order_identical(sample, d, seed, k, a_l2, a_sup, c0, c1):
     # power-of-two scales are exact in floating point; offsets keep the
-    # per-point gaps far above rounding, so the counting depths reproduce
+    # per-point gaps far above rounding, and a derived probe within rounding
+    # of a sample value is snapped onto it, so the counting depths reproduce
     # their values and the centre-outward order verbatim
     J = min(3, sample.n)
     params = DepthParams(J=J, k=k, seed=seed)
@@ -640,12 +649,13 @@ def test_fuzz_p1_h_ray_argmax_preserved(sample, seed, a):
 def test_fuzz_violated_witnesses_recompute_bit_exactly(d, J, k, seed, delta):
     # a second call with the same arguments reproduces the whole verdict
     params = DepthParams(J=J, k=k, seed=seed)
-    v3 = audit_P3(d, params=params)
+    cfg = AuditConfig()
+    v3 = audit_P3(d, cfg, 0, params=params)
     assert v3.status == VIOLATED, d
-    assert audit_P3(d, params=params).to_json() == v3.to_json()
-    v5 = audit_P5(d, params=params, delta=delta)
+    assert audit_P3(d, cfg, 0, params=params).to_json() == v3.to_json()
+    v5 = audit_P5(d, cfg, params=params, delta=delta)
     assert v5.status == VIOLATED, d
-    assert audit_P5(d, params=params, delta=delta).to_json() == v5.to_json()
+    assert audit_P5(d, cfg, params=params, delta=delta).to_json() == v5.to_json()
 
 
 @settings(max_examples=N_FUZZ, deadline=None)
