@@ -352,32 +352,35 @@ def _centre_outward_order(vals: np.ndarray) -> list[int]:
 
 
 def _p1_probes(sample: FunctionalSample) -> np.ndarray:
-    """Ten query curves spanning the sample's centre-outward range."""
+    """Ten query curves spanning the sample's centre-outward range.
+
+    A derived probe entry within ``EXACT_TOL`` of a sample value becomes
+    that value, so the P-1 map sends the tie to a tie instead of rounding
+    it into either strict order.
+    """
     X = sample.values
     n = sample.n
+    cols = np.arange(sample.grid.m)
+
+    def snapped(row):
+        gaps = np.abs(X - row)
+        nearest = gaps.argmin(axis=0)
+        return np.where(gaps[nearest, cols] <= EXACT_TOL, X[nearest, cols], row)
+
     mean = np.average(X, axis=0, weights=sample.weights)
     rows = [
-        mean,
+        snapped(mean),
         X[0 % n],
         X[1 % n],
         X[2 % n],
         X[3 % n],
         X[4 % n],
-        mean + 0.5 * (X[5 % n] - mean),
-        mean + 2.0 * (X[6 % n] - mean),
+        snapped(mean + 0.5 * (X[5 % n] - mean)),
+        snapped(mean + 2.0 * (X[6 % n] - mean)),
         X.min(axis=0),
         X.max(axis=0),
     ]
-    probes = np.stack(rows)
-    # a derived entry within rounding of a sample value becomes that value,
-    # so the map sends the tie to a tie instead of to either strict order
-    cols = np.arange(sample.grid.m)
-    for row in probes:
-        gaps = np.abs(X - row)
-        nearest = gaps.argmin(axis=0)
-        snap = gaps[nearest, cols] <= EXACT_TOL
-        row[snap] = X[nearest[snap], cols[snap]]
-    return probes
+    return np.stack(rows)
 
 
 def _p1_ray_probes(sample: FunctionalSample, count: int = 10, step: float = 0.25):
@@ -1052,7 +1055,8 @@ def audit_P6(
     """Two-part stability audit; both parts must pass.
 
     ``measurements`` is what ``_p6_measurements(config, seed, ...)``
-    returned for this depth, None for an under-powered config.
+    returned for a set of depths including this one: None when the config
+    is under-powered, and the verdict is then inapplicable.
 
     (a) Empirical convergence: over ``config.replicates`` nested draws,
     the deviation of the zero curve's depth from a size-``conv_ref_n``
