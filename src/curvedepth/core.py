@@ -198,7 +198,7 @@ class FunctionalSample:
 
     @property
     def is_uniform(self) -> bool:
-        return bool(np.allclose(self.weights, 1.0 / self.n, rtol=0, atol=1e-12))
+        return bool(np.abs(self.weights - 1.0 / self.n).max() <= 1e-12)
 
     def __repr__(self) -> str:
         return f"FunctionalSample(n={self.n}, m={self.grid.m})"

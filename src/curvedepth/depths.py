@@ -15,9 +15,11 @@ with k directions.  mbd, bd's J = 2 tie screen, hr and mhr share one
 per-batch table of the sorted grid columns (``_column_counts``): every
 query's closed counts le and lt per grid point in O((n+q)*m*log n), and
 for hr and mhr each sample value's rank in its column, so their closed
-comparisons run on small integers.  Small batches and small samples
-compare hr and mhr queries with the sample directly, as the sort would
-cost more there (``_ranked_batch``).  All these values equal, bit for
+comparisons run on small integers.  A batch of one gets le and lt by
+direct comparison with the sample instead, in O(n*m), since the sort
+would cost more than the query.  hr and mhr likewise compare small
+batches, and batches against small samples, with the sample directly
+(``_ranked_batch``).  All these values equal, bit for
 bit, per-query masked weight sums and comparison counts.  bd with J = 2
 counts each query's pairs by a hashed, verified match of above patterns
 and their complements; its J >= 3 pattern counts still loop over
@@ -361,10 +363,18 @@ def _column_counts(
     values sit side by side in a sorted column, so X_jv <= x_iv iff
     R[v, j] < le[i, v] and X_jv >= x_iv iff R[v, j] >= lt[i, v]: the
     closed comparisons become exact ones between small integers.  R, le
-    and lt are int16 when n < 2**15 and int32 otherwise.
+    and lt are int16 when n < 2**15 and int32 otherwise.  A batch of one
+    without ranks counts by direct comparison instead, O(n*m), since the
+    sort costs more than one query's comparisons; the counts are the same
+    integers.
     """
     n, m = X.shape
     dtype = np.int16 if n < 2**15 else np.int32
+    if not ranks and queries.shape[0] == 1:
+        x = queries[0]
+        le = np.count_nonzero(X <= x, axis=0).astype(dtype)[None]
+        lt = np.count_nonzero(X < x, axis=0).astype(dtype)[None]
+        return None, le, lt
     R = None
     if ranks:
         order = np.argsort(X.T, axis=1)

@@ -7,11 +7,18 @@ samplers, and contamination mixtures.
 Seeds are integers or tuples of integers (entropy keys for numpy's
 ``default_rng``); every sampler is a pure function of its seed, so
 distinct seeds can run in parallel with no shared RNG state.
+
+``sample_gp`` keeps the Cholesky factors of its last four (kernel, grid)
+pairs in a bounded cache, so an audit that draws hundreds of samples
+from a handful of kernels factors each kernel matrix once.  The cached
+factors are read-only arrays that depend on the kernel and grid alone,
+so samplers stay pure functions of their seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -243,17 +250,25 @@ def _check_gp_budget(n: int, m: int) -> None:
         )
 
 
+@lru_cache(maxsize=4)  # the default audit draws from four (kernel, grid) pairs
+def _gp_factor(kernel: Kernel, grid: Grid) -> np.ndarray:
+    """Read-only Cholesky factor of the kernel matrix on the grid points,
+    cached per (kernel, grid); a failed factorization is not cached."""
+    K = kernel.matrix(grid.points)
+    return _readonly(_cholesky_with_jitter(K, kernel.variance))
+
+
 def sample_gp(spec: GPSpec, n: int, seed: Seed) -> FunctionalSample:
     """Draw n independent GP paths: mean + L z with L the Cholesky factor.
 
-    Deterministic given the seed.  Raises ``ParameterError`` if the kernel
-    matrix stays non-positive-definite through the whole jitter ladder.
+    Deterministic given the seed; L comes from a cache keyed on the kernel
+    and grid.  Raises ``ParameterError`` if the kernel matrix stays
+    non-positive-definite through the whole jitter ladder.
     """
     if n < 1:
         raise ParameterError(f"need n >= 1 draws, got {n}")
     _check_gp_budget(n, spec.grid.m)
-    K = spec.kernel.matrix(spec.grid.points)
-    L = _cholesky_with_jitter(K, spec.kernel.variance)
+    L = _gp_factor(spec.kernel, spec.grid)
     z = _rng(seed).standard_normal(size=(n, spec.grid.m))
     return FunctionalSample(spec.mean_values()[None, :] + z @ L.T, spec.grid)
 
@@ -318,7 +333,7 @@ def draw_from(dist: CurveDistribution, n: int, seed: Seed) -> FunctionalSample:
 
 @dataclass(frozen=True)
 class ContaminationSpec:
-    """(1 - epsilon) * base + epsilon * outlier mixture."""
+    """(1 - epsilon) * base + epsilon * outlier mixture of two laws on one grid."""
 
     base: CurveDistribution
     outlier: CurveDistribution
@@ -327,9 +342,17 @@ class ContaminationSpec:
     def __post_init__(self) -> None:
         if not (0.0 <= self.epsilon < 1.0):
             raise ParameterError(f"epsilon must lie in [0, 1), got {self.epsilon}")
+        if self.base.grid != self.outlier.grid:
+            raise InputError("contamination base and outlier live on different grids")
 
 
-def mix(spec: ContaminationSpec, n: int, seed: Seed) -> FunctionalSample:
+def mix(
+    spec: ContaminationSpec,
+    n: int,
+    seed: Seed,
+    *,
+    base: FunctionalSample | None = None,
+) -> FunctionalSample:
     """n draws from the contamination mixture, deterministically in the seed.
 
     The base draws use the caller's seed unchanged and the contamination
@@ -337,9 +360,17 @@ def mix(spec: ContaminationSpec, n: int, seed: Seed) -> FunctionalSample:
     the same seed but different epsilon share base paths and flip curves
     monotonically (epsilon' > epsilon only adds contaminated indices).
     In particular epsilon = 0 reproduces ``draw_from(base, n, seed)``
-    exactly.
+    exactly.  A caller that already holds that base draw passes it as
+    ``base`` and it is used instead of drawing it again; it must have n
+    rows on the law's grid (``InputError``).
     """
-    base = draw_from(spec.base, n, seed)
+    if base is None:
+        base = draw_from(spec.base, n, seed)
+    elif base.n != n or base.grid != spec.base.grid:
+        raise InputError(
+            f"base sample of {base.n} curves on {base.grid!r} does not match "
+            f"n = {n} on {spec.base.grid!r}"
+        )
     if spec.epsilon == 0.0:
         return base
     outlier = draw_from(spec.outlier, n, subseed(seed, 1))

@@ -992,9 +992,10 @@ def _p6_measurements(
     """Raw P-6 measurements, shared across the depths of ``params_by_depth``.
 
     Per replicate draws one nested sample for the convergence check (the
-    size-n_i samples are prefixes of one draw) and one coupled
-    base/contaminated pair per epsilon (same seed across epsilons, so the
-    contaminated index set grows monotonically).  Returns, per depth id:
+    size-n_i samples are prefixes of one draw) and one base sample,
+    contaminated once per epsilon (same seed across epsilons, so the
+    contaminated index set grows monotonically; ``mix`` reuses the base
+    draw).  Returns, per depth id:
     the reference depth, |deviation| arrays per sample size, and signed
     contamination deltas per epsilon.  Returns None, measuring nothing,
     when a sample size is below ``config.min_n``: the audit is then
@@ -1036,7 +1037,8 @@ def _p6_measurements(
         base_sample = sample_gp(base, config.n, rep_seed)
         base_vals = {d: val(d, base_sample) for d in params_by_depth}
         for e in config.eps_ladder:
-            mixed = mix(ContaminationSpec(base, outlier, e), config.n, rep_seed)
+            spec = ContaminationSpec(base, outlier, e)
+            mixed = mix(spec, config.n, rep_seed, base=base_sample)
             for d in params_by_depth:
                 out[d]["contam"][float(e)].append(
                     val(d, mixed) - base_vals[d]

@@ -785,6 +785,12 @@ def test_column_counts_equal_direct_counts(n):
         assert np.array_equal(got_le, le) and np.array_equal(got_lt, lt)
         if not ranks:
             assert R is None
+            # a batch of one counts directly: the same rows, in the same dtype
+            for i in range(Q.shape[0]):
+                R1, le1, lt1 = depths._column_counts(Q[i : i + 1], X)
+                assert R1 is None and le1.dtype == lt1.dtype == np.int16
+                assert np.array_equal(le1, le[i : i + 1])
+                assert np.array_equal(lt1, lt[i : i + 1])
             continue
         assert R.shape == (7, n) and R.dtype == np.int16
         for v in range(7):
@@ -856,6 +862,9 @@ def test_rank_table_past_int16_uses_int32():
     R, le, lt = depths._column_counts(Q, X, ranks=True)
     assert R.dtype == le.dtype == lt.dtype == np.int32
     assert le.max() == n and np.array_equal(np.sort(R[0]), np.arange(n))
+    _, le1, lt1 = depths._column_counts(Q[-1:], X)  # a batch of one
+    assert le1.dtype == lt1.dtype == np.int32
+    assert np.array_equal(le1, le[-1:]) and np.array_equal(lt1, lt[-1:])
     assert np.array_equal(depth_values("hr", Q, sample), hr_per_query(Q, sample))
     assert np.array_equal(depth_values("mhr", Q, sample), mhr_per_query(Q, sample))
     got = depth_values("mbd", Q, sample, DepthParams(J=2))

@@ -15,6 +15,7 @@ from curvedepth.distributions import (
     ContaminationSpec,
     GPSpec,
     Kernel,
+    _gp_factor,
     constant_distribution,
     counterexample_P3,
     counterexample_P3_RT,
@@ -113,11 +114,17 @@ def test_sample_gp_moments():
 
 def test_sample_gp_deterministic_in_seed():
     spec = default_gp()
-    a = sample_gp(spec, 5, seed=123)
-    b = sample_gp(spec, 5, seed=123)
+    _gp_factor.cache_clear()
+    a = sample_gp(spec, 5, seed=123)  # factors the kernel matrix
+    b = sample_gp(spec, 5, seed=123)  # reads the cached factor
     np.testing.assert_array_equal(a.values, b.values)
     c = sample_gp(spec, 5, seed=124)
     assert not np.array_equal(a.values, c.values)
+    assert _gp_factor.cache_info().misses == 1
+    L = _gp_factor(spec.kernel, spec.grid)
+    assert not L.flags.writeable
+    with pytest.raises(ValueError):
+        L[0, 0] = 0.0
 
 
 def test_sample_gp_empirical_covariance_matches_kernel():
@@ -247,9 +254,25 @@ def test_mix_coupling_monotone_in_epsilon():
     np.testing.assert_array_equal(lo.values[clean], hi.values[clean])
 
 
+def test_mix_reuses_a_given_base_draw():
+    spec = ContaminationSpec(default_gp(), constant_distribution(50.0, uniform_grid()), 0.1)
+    base = draw_from(spec.base, 60, seed=17)
+    a = mix(spec, 60, seed=17, base=base)
+    np.testing.assert_array_equal(a.values, mix(spec, 60, seed=17).values)
+    with pytest.raises(InputError):
+        mix(spec, 59, seed=17, base=base)  # row count
+    other = draw_from(default_gp(m=51), 60, seed=17)
+    with pytest.raises(InputError):
+        mix(spec, 60, seed=17, base=other)  # grid
+
+
 def test_contamination_epsilon_range():
     with pytest.raises(ParameterError):
         ContaminationSpec(default_gp(), constant_distribution(0.0, uniform_grid()), 1.0)
+    # both laws must live on one grid: same size but other points, other size
+    for grid in (uniform_grid(0, 2, 101), uniform_grid(0, 1, 51)):
+        with pytest.raises(InputError):
+            ContaminationSpec(default_gp(), constant_distribution(0.0, grid), 0.1)
 
 
 # ---------------------------------------------------------------------------
