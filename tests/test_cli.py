@@ -670,6 +670,101 @@ def test_simulate_gp_bytes_pinned(tmp_path):
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == SIMULATE_GP_SEED7_SHA256
 
 
+# ---------------------------------------------------------------------------
+# stdout bytes of every subcommand on a small fixed input
+# ---------------------------------------------------------------------------
+
+#: argv of each subcommand on the files ``_write_pin_inputs`` makes; the
+#: paths are relative because the payloads echo them
+PIN_COMMANDS = {
+    "depth-self": ["depth", "pin.csv", "mbd", "--h", "0.5", "--J", "3", "--k", "5"],
+    "depth-query": ["depth", "pin.csv", "mbd", "--query", "query.csv"],
+    "rank": ["rank", "pin.csv", "mbd"],
+    "trim": ["trim", "pin.csv", "mbd", "--alpha", "0.34", "--out", "kept.csv"],
+    "outliers": ["outliers", "pin.csv", "mbd", "--q", "0.3"],
+    "simulate-gp": ["simulate-gp", "gp.csv", "--n", "3", "--m", "5"],
+    "reconstruct": ["reconstruct", "sparse.csv", "dense.csv"],
+}
+
+#: sha256 of stdout for ``--seed 7 --format <fmt>`` plus each PIN_COMMANDS
+#: argv, recorded before the JSON payloads went through one shared encoder
+STDOUT_SHA256 = {
+    ("depth-self", "json"): "0044112fc04763baa5129f3e735a319a06a300f7321b8744dfb8d06968d1ee4c",
+    ("depth-self", "csv"): "c07cc6dd5f918c8b0edd63da4c967f54eac00499cd71c910033db8cc56a20ab8",
+    ("depth-self", "md"): "c5738481684e0d5885a4573b49017c0f91a39b8174068a49345ee0523394e5c9",
+    ("depth-query", "json"): "016e3847526dbb844c7ce78e66871446d9e3950bd5748c606f328ef8de710bed",
+    ("depth-query", "csv"): "9d9e421481b72d959077b7efdb44696634578167a9475f490573c6adfd4fea5d",
+    ("depth-query", "md"): "d5dd951df1efe11afadd5ee31f6bf6597155033d8a7b294609037b56be8cdf95",
+    ("rank", "json"): "62493e67ff72776985c4f11d66b3914cc4db2b351fa907c421ac417e8ff6158c",
+    ("rank", "csv"): "74e6e4447dad2b06cc5024e87d2257f10b5a7b50f2107a4f3527a936b8255f5c",
+    ("rank", "md"): "4e2ab3a758f1b7d0148feb59e8a1c2d4cbba865f8e2292449df3c0bf9b2f15d5",
+    ("trim", "json"): "ce83746fdc76dbcf16e734f72e677d446173e74c5d1a6aaf0f5d25d42de0fec9",
+    ("trim", "csv"): "48b508be07cb40fe21db4bb54443d53a628c8ff9bfadbd561ed96951feeb0507",
+    ("trim", "md"): "42ebae137ba5a5783f11e0c65640676484b1db028c7c68e708635afe432eabc1",
+    ("outliers", "json"): "09c2987be0b5cc3a7d4bc5f2f0aa3076aa1544081473661520263baa516ff061",
+    ("outliers", "csv"): "db473c8420af4eddb1e7be06d4d7434ad669d97d989f0d0f79ebfb9f508c2be0",
+    ("outliers", "md"): "82d063aaf242e28d338263280b63b0830b6f9d66dcebf6145378c2173f2ffc4d",
+    ("simulate-gp", "json"): "ede011012c7ee3303294c4d78b8660b2a693dd868d3dff3e7bd08d98595bb2fe",
+    ("simulate-gp", "csv"): "7a2fd7418e4afa9c01f5bf55dd86740a0eb0256cbdc148a538b79f04b9d81fb6",
+    ("simulate-gp", "md"): "9ebb1ac553dcbbbd3541be9fb47ecdeb086e5a30c33d2c9c110c71d947da3683",
+    ("reconstruct", "json"): "99089608fdbf6b385a288600b00bd0166aeae6531e7361367fc032cdb673e970",
+    ("reconstruct", "csv"): "d6914d91282de2c0dd71ca4476fb25a446088831508120f5a3d1ad0c9abcbe60",
+    ("reconstruct", "md"): "2fd449aa19ec3cb3af465c1759881dbd3895801bd2ce13e3b806ae299398f185",
+}
+
+
+def _write_pin_inputs(directory: Path) -> None:
+    """Six curves on seven points, built from integers so every value is
+    exact, plus three query curves and a NaN-masked copy for reconstruct."""
+    grid = uniform_grid(0.0, 1.0, 7)
+    values = ((np.arange(6)[:, None] * 5 + np.arange(7) * 3) % 7) / 3.0 - 1.0
+    queries = np.vstack([values[:2].mean(axis=0), np.zeros(7), values[5] + 0.25])
+    sparse = values.copy()
+    sparse[::2, 2:5] = np.nan
+    write_curves_csv(directory / "pin.csv", grid, values)
+    write_curves_csv(directory / "query.csv", grid, queries)
+    write_curves_csv(directory / "sparse.csv", grid, sparse)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+@pytest.mark.parametrize("name", list(PIN_COMMANDS))
+def test_stdout_bytes_pinned(tmp_path, monkeypatch, name, fmt):
+    monkeypatch.chdir(tmp_path)
+    _write_pin_inputs(tmp_path)
+    code, out, err = run_cli(["--seed", "7", "--format", fmt, *PIN_COMMANDS[name]])
+    assert code == cli.EXIT_OK, err
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == STDOUT_SHA256.get((name, fmt)), f"{name} {fmt} {digest}"
+
+
+#: sha256 of audit.json and audit.md for ``audit --config cfg.json`` with the
+#: reduced config (one BLAS thread, as the CLI pins it)
+REDUCED_AUDIT_SHA256 = {
+    "audit.json": "b653ef0c45fe7d8f28687ce87dc9f892d667c5b4a85040236f35e270cd67af10",
+    "audit.md": "d8d55049fdb16fa8b0fd2a0111a17fcf2437154682436d4694974f8dd894fd29",
+}
+
+
+def test_reduced_audit_artifact_bytes_pinned(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps(_reduced_config().to_json()))
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvedepth", "audit", "--config", "cfg.json",
+         "--out-dir", "out"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=child_env(),
+        timeout=300,
+    )
+    assert proc.returncode in (cli.EXIT_OK, cli.EXIT_AUDIT), proc.stderr
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in ("audit.json", "audit.md")
+    }
+    assert digests == REDUCED_AUDIT_SHA256
+    assert proc.stdout == (tmp_path / "out" / "audit.md").read_text() + "\n"
+
+
 def test_simulate_gp_spec_file(tmp_path):
     from curvedepth.distributions import GPSpec, Kernel, gpspec_to_json
 
