@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -29,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from curvedepth.core import uniform_grid
 from curvedepth.depths import DEPTH_IDS
 from curvedepth.distributions import GPSpec, Kernel, sample_gp, subseed
-from curvedepth.reconstruct import depth_stability
+from curvedepth.reconstruct import StabilityRecord, depth_stability
 
 
 def main() -> int:
@@ -72,15 +73,10 @@ def main() -> int:
     print("\n(entries: median / max absolute depth deviation)")
 
     if args.out:
-        fields = [
-            "depth", "sparse_rate", "noise_sd", "n", "n_seeds", "n_probes",
-            "median_dev", "max_dev",
-        ]
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(fields)
-            for rec in records:
-                w.writerow([getattr(rec, f) for f in fields])
+            w.writerow(f.name for f in fields(StabilityRecord))
+            w.writerows(astuple(rec) for rec in records)
         print(f"wrote {len(records)} records to {args.out}")
     return 0
 

@@ -158,9 +158,12 @@ def _ranks_from_values(values):
 
 
 def _emit(args, payload: dict, csv_rows, md_lines) -> None:
-    """Write one result to stdout in the requested format."""
+    """Write one result to stdout in the requested format; the JSON form
+    is the payload under the ``schema``/``command`` envelope."""
+    from curvedepth.core import _json_text
+
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text({"schema": 1, "command": args.command, **payload}))
     elif args.format == "csv":
         for row in csv_rows:
             print(",".join(row))
@@ -212,34 +215,26 @@ def _fmt(v: float) -> str:
 
 def _cmd_depth(args) -> int:
     from curvedepth.core import read_curves_csv, InputError
+    from curvedepth.depths import depth_values
 
     sample = _load_sample(args.input_csv)
-    if args.query == "self":
-        values = _sample_depths(args, sample)
-        labels = list(range(sample.n))
-    else:
-        from curvedepth.depths import depth_values
-
-        qgrid, qvalues = read_curves_csv(args.query)
+    queries = sample.values
+    if args.query != "self":
+        qgrid, queries = read_curves_csv(args.query)
         if qgrid != sample.grid:
             raise InputError("query CSV grid differs from the sample grid")
-        params = _depth_params(args)
-        values = depth_values(args.depth_id, qvalues, sample, params)
-        labels = list(range(len(qvalues)))
+    params = _depth_params(args)
+    values = depth_values(args.depth_id, queries, sample, params)
     payload = {
-        "schema": 1,
-        "command": "depth",
         "depth": args.depth_id,
         "n": sample.n,
         "query": args.query,
-        "params": {"h": args.h, "J": args.J, "k": args.k, "seed": args.seed},
-        "values": [float(v) for v in values],
+        "params": params,
+        "values": values,
     }
-    csv_rows = [("index", "value")] + [
-        (str(i), _fmt(v)) for i, v in zip(labels, values)
-    ]
+    csv_rows = [("index", "value")] + [(str(i), _fmt(v)) for i, v in enumerate(values)]
     md = ["| index | depth |", "|---|---|"] + [
-        f"| {i} | {_fmt(v)} |" for i, v in zip(labels, values)
+        f"| {i} | {_fmt(v)} |" for i, v in enumerate(values)
     ]
     _emit(args, payload, csv_rows, md)
     return EXIT_OK
@@ -250,12 +245,10 @@ def _cmd_rank(args) -> int:
     values = _sample_depths(args, sample)
     ranks, deepest = _ranks_from_values(values)
     payload = {
-        "schema": 1,
-        "command": "rank",
         "depth": args.depth_id,
         "n": sample.n,
-        "values": [float(v) for v in values],
-        "ranks": [int(r) for r in ranks],
+        "values": values,
+        "ranks": ranks,
         "deepest": deepest,
     }
     csv_rows = [("index", "value", "rank")] + [
@@ -287,15 +280,13 @@ def _cmd_trim(args) -> int:
     if args.out is not None:
         write_curves_csv(args.out, sample.grid, kept)
     payload = {
-        "schema": 1,
-        "command": "trim",
         "depth": args.depth_id,
         "alpha": args.alpha,
         "n": sample.n,
         "n_dropped": n_drop,
         "dropped": dropped,
         "retained": retained,
-        "mean": [float(v) for v in mean],
+        "mean": mean,
         "out": args.out,
     }
     csv_rows = [("grid",) + tuple(_fmt(p) for p in sample.grid.points)] + [
@@ -323,12 +314,10 @@ def _cmd_outliers(args) -> int:
     flagged = [int(i) for i in np.flatnonzero(values <= threshold)]
     flagged_set = set(flagged)
     payload = {
-        "schema": 1,
-        "command": "outliers",
         "depth": args.depth_id,
         "q": args.q,
         "threshold": threshold,
-        "values": [float(v) for v in values],
+        "values": values,
         "flagged": flagged,
     }
     csv_rows = [("index", "value", "flagged")] + [
@@ -363,7 +352,7 @@ def _audit_exit_code(report) -> tuple[int, list[str]]:
 
 
 def _cmd_audit(args) -> int:
-    from curvedepth.core import InputError
+    from curvedepth.core import InputError, _json_text
     from curvedepth.properties import run_full_audit
 
     config = _load_audit_config(args.config, args.seed)
@@ -377,8 +366,7 @@ def _cmd_audit(args) -> int:
     md_path = os.path.join(args.out_dir, "audit.md")
     try:
         with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json_text(report.to_json()) + "\n")
         with open(md_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(report.to_markdown())
     except OSError as exc:
@@ -411,8 +399,6 @@ def _cmd_simulate_gp(args) -> int:
     sample = sample_gp(spec, args.n, args.seed)
     write_curves_csv(args.out_csv, sample.grid, sample.values)
     payload = {
-        "schema": 1,
-        "command": "simulate-gp",
         "n": args.n,
         "m": spec.grid.m,
         "seed": args.seed,
@@ -431,13 +417,10 @@ def _cmd_reconstruct(args) -> int:
     grid, values = read_curves_csv(args.input_csv, allow_nan=True)
     full = reconstruct_linear(values, grid)
     write_curves_csv(args.out_csv, grid, full.values)
-    observed = [float(np.mean(~np.isnan(row))) for row in values]
     payload = {
-        "schema": 1,
-        "command": "reconstruct",
         "n": full.n,
         "m": grid.m,
-        "observed_fraction": observed,
+        "observed_fraction": np.mean(~np.isnan(values), axis=1),
         "out": args.out_csv,
     }
     _emit(args, payload, [("out", args.out_csv)], [f"Wrote {args.out_csv}"])

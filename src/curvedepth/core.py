@@ -1,15 +1,17 @@
 """Grids, curves and curve samples on a shared one-dimensional domain.
 
 Numerical substrate for everything else in the package: trapezoid
-quadrature weights, row-wise L2/sup norms of discretized curves, and the
-CSV curve format shared with the command-line tools.  Every in-memory
+quadrature weights, row-wise L2/sup norms of discretized curves, and both
+file formats: the CSV curve format shared with the command-line tools,
+and the JSON form of every report and payload.  Every in-memory
 structure is one the CSV format holds: a grid is its points (its weights
 are derived from them), and a partially observed curve is a row with NaN
 in its unobserved cells.
 The CSV reader streams the file's non-blank lines into ``np.loadtxt``,
 which parses every cell in C with the same correctly rounded conversion
 as ``float()``; the writer formats one row at a time with ``%.17g``, so
-a write-then-read round trip is bit-exact.
+a write-then-read round trip is bit-exact.  Every JSON value goes through
+one encoder, so a dataclass's JSON keys are its field names.
 
 All container types are immutable after construction (arrays are marked
 read-only) and all operations are pure, so values can be shared freely
@@ -18,8 +20,10 @@ across threads.
 
 from __future__ import annotations
 
+import json
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -116,12 +120,21 @@ class Grid:
 
 
 def uniform_grid(a: float = 0.0, b: float = 1.0, m: int = 101) -> Grid:
-    """Uniform grid of m points on [a, b] with trapezoid weights."""
+    """Uniform grid of m points on [a, b] with trapezoid weights.
+
+    Raises ``ParameterError`` when [a, b] cannot hold such a grid: an
+    infinite end or length, or points too close to stay distinct.
+    """
     if not b > a:
         raise ParameterError(f"need b > a, got [{a}, {b}]")
     if m < 2:
         raise ParameterError(f"grid needs at least two points, got m = {m}")
-    return Grid(np.linspace(a, b, m))
+    if not math.isfinite(b - a):
+        raise ParameterError(f"domain [{a}, {b}] needs a finite length")
+    try:
+        return Grid(np.linspace(a, b, m))
+    except InputError as exc:
+        raise ParameterError(f"domain [{a}, {b}] cannot hold {m} points: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,3 +303,35 @@ def read_curves_csv(path: str | Path, allow_nan: bool = False) -> tuple[Grid, np
     if not allow_nan and np.isnan(rows[1:]).any():
         raise InputError(f"{path}: NaN cells are only allowed in sparse-observation files")
     return Grid(rows[0]), rows[1:]
+
+
+# ---------------------------------------------------------------------------
+# JSON format (audit.json and the CLI's stdout payloads): every value goes
+# through ``_jsonable`` and every text through ``_json_text``.
+# ---------------------------------------------------------------------------
+
+_JSON_PLAIN = (str, int, float, bool, type(None))
+
+
+def _jsonable(obj):
+    """``obj`` as plain JSON values: dict keys as strings, tuples and arrays
+    as lists, numpy scalars as Python scalars, and a dataclass as the dict
+    of its fields.  The dataclass test is the slowest, so it comes last."""
+    if type(obj) in _JSON_PLAIN:
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    return obj
+
+
+def _json_text(obj) -> str:
+    """The JSON text of every file and payload: two-space indent, sorted keys."""
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True)

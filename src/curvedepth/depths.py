@@ -64,6 +64,7 @@ from .core import (
     Grid,
     InputError,
     ParameterError,
+    l2_norm_rows,
 )
 from .distributions import AtomicDistribution, GPSpec, Kernel, Seed, sample_gp
 
@@ -258,13 +259,18 @@ def draw_directions(grid: Grid, k: int, seed: Seed) -> np.ndarray:
 
     Normalization does not change projected halfspace depths (positive
     scaling of a projection preserves both tail masses) but keeps the
-    projections on a readable scale.
+    projections on a readable scale.  L2 norms scale with the square root
+    of the domain length, so only a zero or non-finite norm is degenerate
+    (``ParameterError``).
     """
     _check_rt_budget(k, grid.m)
     dirs = sample_gp(GPSpec(Kernel("se", 1.0, 0.2), grid), k, seed).values
-    norms = np.sqrt(np.maximum((dirs * dirs) @ grid.weights, 0.0))
-    if np.any(norms < 1e-12):
-        raise np.linalg.LinAlgError("degenerate direction draw (zero norm)")
+    norms = l2_norm_rows(dirs, grid)
+    if not np.all(np.isfinite(norms) & (norms > 0)):
+        raise ParameterError(
+            f"degenerate direction draw on a domain of length {grid.length:g} "
+            "(zero or non-finite L2 norm)"
+        )
     return dirs / norms[:, None]
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .core import (
     Grid,
     InputError,
     ParameterError,
+    _jsonable,
     l2_norm_rows,
     sup_norm_rows,
     uniform_grid,
@@ -138,23 +139,6 @@ def _check_depth_id(depth_id: str) -> None:
         )
 
 
-def _jsonify(obj):
-    """Recursively convert numpy scalars/arrays so evidence is JSON-clean."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, np.generic):  # numpy scalar -> the Python scalar
-        return obj.item()
-    return obj
-
-
-def _echo_seed(seed: Seed):
-    return list(seed) if not isinstance(seed, (int, np.integer)) else int(seed)
-
-
 def _replay(
     kind: str,
     grid: Grid,
@@ -166,23 +150,9 @@ def _replay(
     """A cell's replay recipe: its kind, grid points and depth parameters,
     the cell's own ``fields``, and for a sample cell the sample's origin
     (else its values)."""
-    recipe = {
-        "kind": kind,
-        "grid_points": _jsonify(grid.points),
-        "params": {
-            "h": float(params.h),
-            "J": int(params.J),
-            "k": int(params.k),
-            "seed": _echo_seed(params.seed),
-        },
-        **fields,
-    }
+    recipe = {"kind": kind, "grid_points": grid.points, "params": params, **fields}
     if sample is not None:
-        recipe["sample"] = (
-            origin
-            if origin is not None
-            else {"kind": "values", "values": _jsonify(sample.values)}
-        )
+        recipe["sample"] = origin or {"kind": "values", "values": sample.values}
     return recipe
 
 
@@ -213,11 +183,7 @@ class Verdict:
         return MARKS[self.status]
 
     def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "tolerance": self.tolerance,
-            "evidence": _jsonify(self.evidence),
-        }
+        return _jsonable(self)
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +269,11 @@ def rice_mc_diagnostic(config: AuditConfig, seed: Seed) -> dict:
     )
     expected = rice_expected_upcrossings(spec)
     return {
-        "kernel": asdict(_RICE_KERNEL),
+        "kernel": _RICE_KERNEL,
         "level": float(_RICE_LEVEL),
         "n_paths": int(config.rice_paths),
         "m": int(config.rice_m),
-        "seed": _echo_seed(seed),
+        "seed": seed,
         "expected": expected,
         "observed": observed,
         "relative_error": abs(observed - expected) / expected,
@@ -425,7 +391,7 @@ def audit_P1(
     worst = int(np.argmax(diffs))
     order_before = _centre_outward_order(before)
     order_after = _centre_outward_order(after)
-    b_echo = None if use_b is None else _jsonify(np.asarray(use_b, float))
+    b_echo = None if use_b is None else np.asarray(use_b, float)
     evidence = {
         "depth": depth_id,
         "map": "l2-scale" if depth_id in L2_CLASS else "sup-affine",
@@ -447,7 +413,7 @@ def audit_P1(
             depth=depth_id,
             a=float(a),
             b=b_echo,
-            queries=_jsonify(probes),
+            queries=probes,
         ),
     }
     if depth_id == "h":
@@ -532,7 +498,7 @@ def audit_P2G(
     margin = vmax - v0
     evidence = {
         "depth": depth_id,
-        "kernel": asdict(kernel),
+        "kernel": kernel,
         "n": int(n),
         "n_used": int(n_used),
         "labels": labels,
@@ -550,7 +516,7 @@ def audit_P2G(
             depth=depth_id,
             gp=gpspec_to_json(gp),
             n=int(n),
-            seed=_echo_seed(seed),
+            seed=seed,
             band_n=int(config.band_n),
             n_draw_probes=int(config.p2g_draw_probes),
         ),
@@ -641,18 +607,18 @@ def audit_P3(
         evidence = {
             "depth": "h",
             "n": int(n),
-            "triple_values": _jsonify(vals),
+            "triple_values": vals,
             "min_margin": float(margins[worst]),
             "worst_ray": worst,
             "se_bound": float(se),
-            "replay": _replay("p3_h", grid, params, n=int(n), seed=_echo_seed(seed)),
+            "replay": _replay("p3_h", grid, params, n=int(n), seed=seed),
         }
         if margins[worst] > 0.0:
             return Verdict(SATISFIED, evidence, tolerance=0.0)
         if margins[worst] < -4.0 * se:
             evidence["witness"] = {
                 "ray": worst,
-                "values": _jsonify(vals[worst]),
+                "values": vals[worst],
             }
             return Verdict(VIOLATED, evidence, tolerance=4.0 * se)
         evidence["reason"] = "ray ordering inside the noise band"
@@ -825,7 +791,7 @@ def audit_P4(
                     "base_value": float(base_vals[pi]),
                     "delta": last_worst["delta"],
                     "exceed_value": float(last_worst["max_value"]),
-                    "query": _jsonify(last_worst["query"]),
+                    "query": last_worst["query"],
                 }
     evidence = {
         "depth": depth_id,
@@ -846,7 +812,7 @@ def audit_P4(
             eps=[float(e) for e in config.p4_eps],
             delta_ladder=[float(d) for d in config.p4_deltas],
             n_perturb=int(config.p4_perturbations),
-            seed=_echo_seed(seed),
+            seed=seed,
         ),
     }
     if witness is not None:
@@ -1148,11 +1114,11 @@ def audit_P6(
             params,
             depth=depth_id,
             gp=gpspec_to_json(GPSpec(config.kernel, grid)),
-            outlier_values=_jsonify(outlier.values),
-            outlier_probs=_jsonify(outlier.probs),
+            outlier_values=outlier.values,
+            outlier_probs=outlier.probs,
             eps_ladder=[float(e) for e in eps_ladder],
             n=int(config.n),
-            seed=_echo_seed(seed),
+            seed=seed,
             conv_ns=[int(v) for v in conv_ns],
             ref_n=int(config.conv_ref_n),
             replicates=int(config.replicates),
@@ -1231,10 +1197,6 @@ class AuditConfig:
             for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ParameterError(f"{f.name} must be finite, got {value}")
-        if self.m < 2:
-            raise ParameterError("grid needs at least two points")
-        if not self.b > self.a:
-            raise ParameterError("domain must have positive length")
         if self.n < 1 or self.band_n < 2 or self.p3_n < 2:
             raise ParameterError("sample sizes must be positive")
         if self.J < 2 or self.p2g_J < 2:
@@ -1247,11 +1209,12 @@ class AuditConfig:
             raise ParameterError("replicates must be >= 2")
         if len(self.p2g_kernels) == 0:
             raise ParameterError("the centrality audit needs >= 1 model")
-        # an empty epsilon list would let P-4 or P-6 pass without testing anything
+        # an empty epsilon list would let P-4 or P-6 pass without testing
+        # anything, and a repeated entry would count one epsilon twice
         if (
             not self.eps_ladder
             or any(not (0.0 < e < 1.0) for e in self.eps_ladder)
-            or list(self.eps_ladder) != sorted(self.eps_ladder, reverse=True)
+            or list(self.eps_ladder) != sorted(set(self.eps_ladder), reverse=True)
         ):
             raise ParameterError(
                 "eps_ladder must be non-empty, strictly inside (0, 1) and decreasing"
@@ -1259,10 +1222,12 @@ class AuditConfig:
         if not self.p4_eps or min(self.p4_eps) <= 0:
             raise ParameterError("p4_eps must be non-empty and positive")
         deltas = list(self.p4_deltas)
-        if not deltas or deltas != sorted(deltas, reverse=True) or deltas[-1] <= 0:
-            raise ParameterError("p4_deltas must be non-empty, positive and decreasing")
-        if list(self.conv_ns) != sorted(self.conv_ns) or len(self.conv_ns) < 2:
-            raise ParameterError("conv_ns must be increasing with >= 2 sizes")
+        if not deltas or deltas != sorted(set(deltas), reverse=True) or deltas[-1] <= 0:
+            raise ParameterError(
+                "p4_deltas must be non-empty, positive and strictly decreasing"
+            )
+        if list(self.conv_ns) != sorted(set(self.conv_ns)) or len(self.conv_ns) < 2:
+            raise ParameterError("conv_ns must be strictly increasing with >= 2 sizes")
         if self.conv_ref_n <= max(self.conv_ns):
             raise ParameterError("conv_ref_n must exceed every conv size")
         if not self.c_max > 0:
@@ -1283,17 +1248,15 @@ class AuditConfig:
             (self.rice_paths, self.rice_m),
         ):
             _check_gp_budget(n_draws, m)
+        object.__setattr__(self, "_grid", uniform_grid(self.a, self.b, self.m))
 
     def grid(self) -> Grid:
-        return uniform_grid(self.a, self.b, self.m)
+        return self._grid
 
     def to_json(self) -> dict:
-        """Field-wise JSON: the grid fields nested under "grid", kernels as
-        {type, variance, length_scale} records and tuples as lists."""
-        out: dict = {"grid": {}}
-        for f in fields(self):
-            target = out["grid"] if f.name in _GRID_FIELDS else out
-            target[f.name] = _config_to_json(getattr(self, f.name))
+        """Field-wise JSON with the grid fields nested under "grid"."""
+        out = _jsonable(self)
+        out["grid"] = {name: out.pop(name) for name in _GRID_FIELDS}
         return out
 
     @staticmethod
@@ -1328,14 +1291,6 @@ class AuditConfig:
 
 #: AuditConfig fields serialized under "grid".
 _GRID_FIELDS = ("a", "b", "m")
-
-
-def _config_to_json(value):
-    if isinstance(value, Kernel):
-        return asdict(value)
-    if isinstance(value, tuple):
-        return [_config_to_json(v) for v in value]
-    return value
 
 
 def _fingerprint(report_json: dict) -> str:
@@ -1381,18 +1336,7 @@ class AuditReport:
         ]
 
     def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "timestamp": self.timestamp,
-            "seeds": _jsonify(self.seeds),
-            "params": _jsonify(self.params),
-            "matrix": {
-                d: {p: self.matrix[d][p].to_json() for p in PROPERTY_IDS}
-                for d in DEPTH_IDS
-            },
-            "diagnostics": _jsonify(self.diagnostics),
-            "notes": list(self.notes),
-        }
+        return {"schema": 1, **_jsonable(self)}
 
     def to_markdown(self) -> str:
         lines = [
@@ -1454,7 +1398,7 @@ def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
         "kind": "gp",
         "spec": gpspec_to_json(gp),
         "n": config.n,
-        "seed": _echo_seed(subseed(seed, 10)),
+        "seed": subseed(seed, 10),
     }
     band_origin = dict(master_origin, rows=band_cap)
     params_by_depth = {
@@ -1539,9 +1483,9 @@ def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
     diagnostics = {"rice": rice_mc_diagnostic(config, subseed(seed, 70))}
     seeds = {
         "root": config.seed,
-        "master_sample": _echo_seed(subseed(seed, 10)),
-        "p6": _echo_seed(subseed(seed, 60)),
-        "rice": _echo_seed(subseed(seed, 70)),
+        "master_sample": subseed(seed, 10),
+        "p6": subseed(seed, 60),
+        "rice": subseed(seed, 70),
     }
     report = AuditReport(
         matrix=matrix,

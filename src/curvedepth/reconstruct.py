@@ -12,7 +12,7 @@ observed one over a fixed probe set.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -64,11 +64,8 @@ class StabilityRecord:
     n: int
     n_seeds: int
     n_probes: int
-    max_dev: float
     median_dev: float
-
-    def to_json(self) -> dict:
-        return asdict(self)
+    max_dev: float
 
 
 def _subsample_one(
@@ -102,7 +99,7 @@ def depth_stability(
     rebuilt by linear interpolation.  Deviations |D(x, rebuilt) -
     D(x, full)| are pooled over a fixed probe set (the sample's pointwise
     mean plus its first curves) and all seeds; the record carries their
-    max and median.
+    median and max.
     """
     if not 0 < sparse_rate <= 1:
         raise ParameterError(f"sparse_rate must lie in (0, 1], got {sparse_rate}")
@@ -130,6 +127,6 @@ def depth_stability(
         n=full.n,
         n_seeds=len(seeds),
         n_probes=probes.shape[0],
-        max_dev=float(pool.max()),
         median_dev=float(np.median(pool)),
+        max_dev=float(pool.max()),
     )

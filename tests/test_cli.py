@@ -552,6 +552,19 @@ def test_simulate_gp_single_grid_point_exits_3(tmp_path):
     code, _, err = run_cli(["simulate-gp", tmp_path / "gp.csv", "--m", 1])
     assert code == cli.EXIT_PARAMS
     assert "parameter error" in err
+    # domains that cannot hold the grid: an infinite length, an infinite end,
+    # and an interval too short for five distinct float64 points
+    out_csv = tmp_path / "gp.csv"
+    for domain in (
+        ["--a=-1e308", "--b", "1e308"],
+        ["--a=-inf"],
+        ["--b", "inf"],
+        ["--a", "1", "--b", "1.0000000000000002"],
+    ):
+        code, _, err = run_cli(["simulate-gp", out_csv, "--n", 3, "--m", 5, *domain])
+        assert code == cli.EXIT_PARAMS, (domain, err)
+        assert err.startswith("parameter error:"), (domain, err)
+        assert not out_csv.exists()
 
 
 @pytest.mark.parametrize(
@@ -843,6 +856,14 @@ def test_reconstruct_feeds_depth(tmp_path):
         pytest.param('{"p4_eps": [-0.5]}', cli.EXIT_PARAMS, id="negative-p4-eps"),
         pytest.param('{"p4_eps": []}', cli.EXIT_PARAMS, id="empty-p4-eps"),
         pytest.param('{"eps_ladder": []}', cli.EXIT_PARAMS, id="empty-eps-ladder"),
+        # a repeated ladder entry: ragged P-6 lists, or one epsilon counted twice
+        pytest.param('{"conv_ns": [100, 100, 200]}', cli.EXIT_PARAMS, id="repeated-conv-size"),
+        pytest.param('{"eps_ladder": [0.2, 0.2]}', cli.EXIT_PARAMS, id="repeated-eps"),
+        pytest.param('{"p4_deltas": [0.5, 0.5, 0.1]}', cli.EXIT_PARAMS, id="repeated-delta"),
+        # a finite domain whose length overflows float64
+        pytest.param(
+            '{"grid": {"a": -1e308, "b": 1e308}}', cli.EXIT_PARAMS, id="overflowing-domain"
+        ),
     ],
 )
 def test_audit_cli_bad_config_exits_before_the_audit(tmp_path, text, code):
@@ -855,6 +876,20 @@ def test_audit_cli_bad_config_exits_before_the_audit(tmp_path, text, code):
     if code == cli.EXIT_PARAMS:
         assert err.startswith("parameter error:"), err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("depth_id", DEPTH_IDS)
+def test_short_domain_gives_depths_for_every_depth(tmp_path, depth_id):
+    # L2 norms scale with the square root of the domain length, so rt's
+    # direction norms on [0, 1e-30] are near 1e-15 and still valid
+    path = tmp_path / "short.csv"
+    values = ((np.arange(8)[:, None] * 3 + np.arange(6) * 5) % 7) / 2.0
+    write_curves_csv(path, Grid(np.linspace(0.0, 1e-30, 6)), values)
+    for command in ("depth", "rank"):
+        code, out, err = run_cli([command, path, depth_id])
+        assert code == cli.EXIT_OK, (command, err)
+        depths = json.loads(out)["values"]
+        assert len(depths) == 8 and all(0.0 <= v <= 1.0 for v in depths), depths
 
 
 @pytest.mark.parametrize("n_curves", [3, 1000])

@@ -12,6 +12,7 @@ from curvedepth.core import (
     FunctionalSample,
     InputError,
     ParameterError,
+    _jsonable,
     read_curves_csv,
     uniform_grid,
     write_curves_csv,
@@ -223,7 +224,7 @@ def test_stability_record_pinned(gp200):
 
 def test_stability_record_json(gp200):
     rec = depth_stability("mhr", gp200, 0.5, 0.0, seeds=[0])
-    obj = rec.to_json()
+    obj = _jsonable(rec)
     assert obj["depth"] == "mhr" and obj["n"] == 200
     assert set(obj) >= {"sparse_rate", "noise_sd", "max_dev", "median_dev"}
 
