@@ -250,7 +250,10 @@ def _check_gp_budget(n: int, m: int) -> None:
         )
 
 
-@lru_cache(maxsize=4)  # the default audit draws from four (kernel, grid) pairs
+# The default audit draws from four (kernel, grid) pairs.  The cache is per
+# process: the audit's forked workers inherit the parent's entries, and what
+# a worker adds stays in that worker.
+@lru_cache(maxsize=4)
 def _gp_factor(kernel: Kernel, grid: Grid) -> np.ndarray:
     """Read-only Cholesky factor of the kernel matrix on the grid points,
     cached per (kernel, grid); a failed factorization is not cached."""

@@ -12,9 +12,15 @@ the one source of every audit default.
 
 ``run_full_audit`` assembles the complete 6 x 6 verdict matrix (six depths
 by properties P-1, P-2G, P-3, P-4, P-5, P-6) together with an upcrossing-
-rate diagnostic into an :class:`AuditReport`.  The report's serialized
-form is fully deterministic under fixed seeds: the ``timestamp`` field is
-a content fingerprint, not a wall clock, so reruns are byte-identical.
+rate diagnostic into an :class:`AuditReport`.  Each cell, P-2G and P-4
+member, the shared P-6 measurements and the diagnostic depend only on
+their own seed and the config, so it runs them in forked worker
+processes, at most one per CPU (POSIX only: it needs the ``fork`` start
+method).  The report's serialized form is fully deterministic under
+fixed seeds and equal to a serial run's: the ``timestamp`` field is a
+content fingerprint, not a wall clock, so reruns are byte-identical.
+``distributions``' GP factor cache is per process; the workers inherit
+the parent's entries.
 
 Verdict policy, in brief:
 
@@ -33,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -1386,58 +1393,85 @@ _AUDIT_NOTES = (
 
 def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
     """Run every audit cell, each on its own seed derived below, and
-    assemble the deterministic report; inapplicable cells are reported too."""
+    assemble the deterministic report; inapplicable cells are reported too.
+
+    The shared P-6 measurements, the Rice diagnostic and every cell (P-2G
+    and P-4 per member) are independent units, so they run in forked
+    worker processes, at most one per CPU.  A worker inherits the parent's
+    modules, BLAS thread count and cached GP factors, so each unit computes
+    what a serial run computes, and the report bytes are the same.  The
+    results are read in the serial call order, so the first error raised is
+    the one a serial run raises; on an error the queued units are dropped
+    and every worker is reaped before it propagates.  Needs the ``fork``
+    start method (POSIX); a fork copies only the calling thread, so no
+    other thread of the caller may hold a lock that the units take.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     config = config or AuditConfig()
     grid = config.grid()
     seed = config.seed
     gp = GPSpec(config.kernel, grid)
-    master = sample_gp(gp, config.n, subseed(seed, 10))
-    band_cap = min(config.band_n, config.n)
-    band_master = FunctionalSample(master.values[:band_cap], grid)
-    master_origin = {
-        "kind": "gp",
-        "spec": gpspec_to_json(gp),
-        "n": config.n,
-        "seed": subseed(seed, 10),
-    }
-    band_origin = dict(master_origin, rows=band_cap)
     params_by_depth = {
         d: DepthParams(h=config.h, J=config.J, k=config.k, seed=subseed(seed, 90, di))
         for di, d in enumerate(DEPTH_IDS)
     }
-    p6_meas = _p6_measurements(config, subseed(seed, 60), params_by_depth)
+    # P-4's band depths skip the last, single-curve member (it needs n >= J)
+    p4_counts = {d: 2 if d in ("bd", "mbd") else 3 for d in DEPTH_IDS}
+    units = 2 + sum(3 + len(config.p2g_kernels) + p4_counts[d] for d in DEPTH_IDS)
+    pool = ProcessPoolExecutor(
+        max_workers=min(os.cpu_count() or 1, units),
+        mp_context=multiprocessing.get_context("fork"),
+    )
+    try:
+        # the two largest units first
+        p6_job = pool.submit(
+            _p6_measurements, config, subseed(seed, 60), params_by_depth
+        )
+        rice_job = pool.submit(rice_mc_diagnostic, config, subseed(seed, 70))
 
-    # P-4 members as (label, sample, probes, sample origin); the band depths
-    # skip the last, single-curve member (it needs n >= J)
-    p4_rows = [
-        ("process sample", band_master, config.p4_probes, band_origin),
-        ("two-atom counterexample", counterexample_P3(grid).as_sample(), 3, None),
-        (
-            "single curve",
-            FunctionalSample(master.values[:1], grid),
-            1,
-            dict(master_origin, rows=1),
-        ),
-    ]
-
-    matrix = {}
-    for di, d in enumerate(DEPTH_IDS):
-        params = params_by_depth[d]
-        band = d in ("bd", "mbd")
-        matrix[d] = {
-            "P-1": audit_P1(
-                d,
-                band_master if band else master,
-                a=2.0,
-                b=0.5 + grid.points,
-                params=params,
-                sample_origin=band_origin if band else master_origin,
+        master = sample_gp(gp, config.n, subseed(seed, 10))
+        band_cap = min(config.band_n, config.n)
+        band_master = FunctionalSample(master.values[:band_cap], grid)
+        master_origin = {
+            "kind": "gp",
+            "spec": gpspec_to_json(gp),
+            "n": config.n,
+            "seed": subseed(seed, 10),
+        }
+        band_origin = dict(master_origin, rows=band_cap)
+        # P-4 members as (label, sample, probes, sample origin)
+        p4_rows = [
+            ("process sample", band_master, config.p4_probes, band_origin),
+            ("two-atom counterexample", counterexample_P3(grid).as_sample(), 3, None),
+            (
+                "single curve",
+                FunctionalSample(master.values[:1], grid),
+                1,
+                dict(master_origin, rows=1),
             ),
-            "P-2G": _combine_members(
-                [
+        ]
+
+        jobs = {}
+        for di, d in enumerate(DEPTH_IDS):
+            params = params_by_depth[d]
+            band = d in ("bd", "mbd")
+            jobs[d] = {
+                "P-1": pool.submit(
+                    audit_P1,
+                    d,
+                    band_master if band else master,
+                    a=2.0,
+                    b=0.5 + grid.points,
+                    params=params,
+                    sample_origin=band_origin if band else master_origin,
+                ),
+                "P-2G": [
                     (
                         f"{kern.type}(var={kern.variance:g}, ls={kern.length_scale:g})",
-                        audit_P2G(
+                        pool.submit(
+                            audit_P2G,
                             d,
                             config,
                             kern,
@@ -1450,14 +1484,13 @@ def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
                         ),
                     )
                     for ki, kern in enumerate(config.p2g_kernels)
-                ]
-            ),
-            "P-3": audit_P3(d, config, subseed(seed, 30, di), params=params),
-            "P-4": _combine_members(
-                [
+                ],
+                "P-3": pool.submit(audit_P3, d, config, subseed(seed, 30, di), params=params),
+                "P-4": [
                     (
                         label,
-                        audit_P4(
+                        pool.submit(
+                            audit_P4,
                             d,
                             config,
                             sample,
@@ -1468,19 +1501,34 @@ def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
                         ),
                     )
                     for tag, (label, sample, probes, origin) in enumerate(
-                        p4_rows[:2] if band else p4_rows
+                        p4_rows[: p4_counts[d]]
                     )
-                ]
-            ),
-            "P-5": audit_P5(d, config, params=params),
-            "P-6": audit_P6(d, config, p6_meas, subseed(seed, 60), params=params),
-        }
-        if band:
-            matrix[d]["P-4"].evidence["skipped"] = (
-                "single-curve setup needs n >= J and was not run"
-            )
+                ],
+                "P-5": pool.submit(audit_P5, d, config, params=params),
+            }
 
-    diagnostics = {"rice": rice_mc_diagnostic(config, subseed(seed, 70))}
+        p6_meas = p6_job.result()
+        matrix = {}
+        for d in DEPTH_IDS:
+            job = jobs[d]
+            matrix[d] = {
+                "P-1": job["P-1"].result(),
+                "P-2G": _combine_members([(k, f.result()) for k, f in job["P-2G"]]),
+                "P-3": job["P-3"].result(),
+                "P-4": _combine_members([(k, f.result()) for k, f in job["P-4"]]),
+                "P-5": job["P-5"].result(),
+                "P-6": audit_P6(
+                    d, config, p6_meas, subseed(seed, 60), params=params_by_depth[d]
+                ),
+            }
+            if d in ("bd", "mbd"):
+                matrix[d]["P-4"].evidence["skipped"] = (
+                    "single-curve setup needs n >= J and was not run"
+                )
+        diagnostics = {"rice": rice_job.result()}
+    finally:
+        pool.shutdown(cancel_futures=True)
+
     seeds = {
         "root": config.seed,
         "master_sample": subseed(seed, 10),

@@ -16,6 +16,7 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -34,7 +35,13 @@ from hypothesis import strategies as st
 
 import curvedepth.properties as P
 from curvedepth import cli
-from curvedepth.core import Grid, read_curves_csv, uniform_grid, write_curves_csv
+from curvedepth.core import (
+    Grid,
+    ParameterError,
+    read_curves_csv,
+    uniform_grid,
+    write_curves_csv,
+)
 from curvedepth.depths import DEPTH_IDS
 from test_properties import _reduced_config
 
@@ -876,6 +883,41 @@ def test_audit_cli_bad_config_exits_before_the_audit(tmp_path, text, code):
     if code == cli.EXIT_PARAMS:
         assert err.startswith("parameter error:"), err
     assert not out_dir.exists()
+
+
+def _raise_injected(*args, **kwargs):
+    # module level, so a worker process can unpickle it by name
+    raise ParameterError("injected")
+
+
+def _raise_later(*args, **kwargs):
+    raise ParameterError("later")
+
+
+@pytest.mark.parametrize(
+    "patches",
+    [
+        {"audit_P2G": _raise_injected},
+        {"rice_mc_diagnostic": _raise_injected},
+        # the Rice diagnostic starts first but comes last in the serial order
+        {"audit_P2G": _raise_injected, "rice_mc_diagnostic": _raise_later},
+    ],
+    ids=["cell", "rice", "first-in-serial-order"],
+)
+def test_audit_worker_error_keeps_exit_code_contract(tmp_path, monkeypatch, capfd, patches):
+    # forked workers inherit the patched module attributes
+    for name, fn in patches.items():
+        monkeypatch.setattr(P, name, fn)
+    with pytest.raises(ParameterError, match="injected"):
+        P.run_full_audit(_reduced_config())
+    assert multiprocessing.active_children() == []
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_reduced_config().to_json()))
+    code, out, err = run_cli(["audit", "--config", cfg, "--out-dir", tmp_path / "out"])
+    assert code == cli.EXIT_PARAMS
+    assert err.splitlines() == ["parameter error: injected"]
+    assert "Traceback" not in err + capfd.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("depth_id", DEPTH_IDS)

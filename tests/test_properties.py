@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -455,8 +456,8 @@ def test_full_audit_reduced_markdown(reduced_report):
     assert any(mark in md for mark in MARKS.values())
 
 
-#: Fingerprints of ``run_full_audit(_reduced_config())``.  The h-depth's
-#: BLAS product rounds P-3's ray values differently on one BLAS thread than
+#: Fingerprints of ``run_full_audit(_reduced_config())``.  P-3's 80-path h
+#: sample, drawn as ``z @ L.T``, rounds differently on one BLAS thread than
 #: on two, and an in-process run inherits the thread count numpy started with.
 REDUCED_FINGERPRINTS = {
     "sha256:d8584ff99e5b78732e45412f5cbdc5cf0515c519ad853ee11cf042cb02fca09b",  # two
@@ -467,6 +468,10 @@ REDUCED_FINGERPRINTS = {
 def test_full_audit_reduced_deterministic(reduced_report):
     # a pinned digest covers run-to-run equality and catches any byte move
     assert reduced_report.timestamp in REDUCED_FINGERPRINTS
+
+
+def test_full_audit_reaps_its_workers(reduced_report):
+    assert multiprocessing.active_children() == []
 
 
 def test_audit_config_validation():
