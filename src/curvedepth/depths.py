@@ -22,11 +22,19 @@ batches, and batches against small samples, with the sample directly
 (``_ranked_batch``).  All these values equal, bit for
 bit, per-query masked weight sums and comparison counts.  bd with J = 2
 counts each query's pairs by a hashed, verified match of above patterns
-and their complements; its J >= 3 pattern counts still loop over
-queries.  h squares its query-minus-sample differences in place, in a
-buffer of a few queries that stays in cache, but keeps the summation
-order of its fixed chunks of queries exactly (see ``_h_depth_values``),
-so its values, and the audit bytes built on them, do not move.
+and their complements.  With J >= 3 it counts each query's triples over
+its distinct (above, below) patterns, after dropping every grid column
+whose row set lies inside another's (``_band_patterns``).  The search
+runs over the middle index b of a < b < c: a pair relation built in
+blocks of b rows under a fixed byte budget gives the pair count and the
+good pairs' completions by integer products, and only bad pairs are
+tested against the patterns after b (``_count_pattern_tuples``), about
+p^3 / 6 word operations for p patterns.  A batch is refused when
+q * C(n, 3) passes ``MAX_BAND_TRIPLES``.  h squares its query-minus-
+sample differences in place, in a buffer of a few queries that stays in
+cache, but keeps the summation order of its fixed chunks of queries
+exactly (see ``_h_depth_values``), so its values, and the audit bytes
+built on them, do not move.
 
 ``depth_values`` takes the distribution P either as a
 ``FunctionalSample`` (the empirical measure P_n) or as an
@@ -98,6 +106,12 @@ MAX_ATOMIC_J = 4
 # Bound on the j-subsets (j = 4..J) that sample band depth of order J >= 4
 # may enumerate per query; its tuple search costs microseconds per subset.
 MAX_BAND_TUPLES = 10**6
+# Bound on q * C(n, 3), the triples that sample band depth of order J >= 3
+# counts for a batch of q queries against n curves.  Its triple search cost
+# 1.8 to 2.3 ns per triple on fresh queries against 2000 SE draws (length
+# scale 0.2, 101 points, one BLAS thread), and up to 8 ns when every curve
+# has its own pattern, so a refused batch would take over a minute.
+MAX_BAND_TRIPLES = 3 * 10**10
 # Bound on the k * rows values a random Tukey array may hold: the k
 # direction curves (rows = m) and the projections of queries and sample
 # (rows = n + q), so a huge k fails fast instead of exhausting memory.
@@ -119,6 +133,14 @@ _RANKED_MIN_CURVES = 512
 # to the whole sample, sized to stay in cache while it is squared and
 # reduced.
 _H_BLOCK_BYTES = 256 * 1024
+# Bytes of one block of the band depth's pair relation over distinct
+# patterns, of one group of its bad pairs' triple tests
+# (``_count_pattern_tuples``) and of one block of its column prune
+# (``_band_patterns``): the counter holds a few such blocks, so its memory
+# grows at most linearly in the number of patterns.  Such blocks stay in
+# cache: on fresh row-major arrays, without blocks, the same word loop
+# took about 3x as long for 2000 x 250 tests of four words.
+_PAIR_BLOCK_BYTES = 256 * 1024
 
 
 def _splitmix64(k: int) -> int:
@@ -459,66 +481,118 @@ def _count_complement_pairs(U: np.ndarray, pad: np.ndarray) -> int | None:
     return int((c[a] * c[b]).sum()) // 2
 
 
-def _any_and(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(i, j) -> whether rows A_i and B_j of packed words share a set bit."""
-    acc = A[:, None, 0] & B[None, :, 0]
-    for w in range(1, A.shape[1]):
-        acc |= A[:, None, w] & B[None, :, w]
-    return acc != 0
+def _disjoint(A: np.ndarray, B: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """(i, j) -> whether columns A[:, i] and B[:, j] of word-major packed
+    patterns share no set bit.  ``buf`` is uint64 scratch of two rows of
+    at least A.shape[1] * B.shape[1] words, so the word loop allocates
+    nothing and stays in cache."""
+    acc = buf[0, : A.shape[1] * B.shape[1]].reshape(A.shape[1], B.shape[1])
+    tmp = buf[1, : acc.size].reshape(acc.shape)
+    np.bitwise_and(A[0][:, None], B[0], out=acc)
+    for w in range(1, A.shape[0]):
+        np.bitwise_and(A[w][:, None], B[w], out=tmp)
+        acc |= tmp
+    return acc == 0
 
 
-def _count_pattern_tuples(U: np.ndarray, L: np.ndarray, J: int) -> list[int]:
+def _count_pattern_tuples(R: np.ndarray, J: int) -> list[int]:
     """Exact pair and (for J >= 3) triple counts over distinct patterns.
 
-    Rows with the same packed (above, below) pattern are interchangeable,
-    so the count runs over the p distinct patterns weighted by their
-    multiplicities c.  A tuple's band contains the query iff the AND of
-    its members' patterns is zero.  Repeating a pattern does not change
-    that AND, so a tuple that repeats pattern a is good iff its set of
-    distinct patterns is: C(c_a, 2) same-pattern pairs and C(c_a, 3)
-    same-pattern triples are good only for the all-zero pattern (rows
-    equal to the query), and an (a, a, b) triple iff the pair {a, b} is.
-    A triple can be good while one of its pairs is not, so a bad pair is
-    never pruned; a good pair makes every completion good.
+    R holds each curve's packed pattern: the grid points where it lies
+    strictly above the query, then those where it lies strictly below.
+    Rows with the same pattern are interchangeable, so the count runs over
+    the p distinct patterns weighted by their multiplicities c.  A tuple's
+    band contains the query iff the AND of its members' patterns is zero.
+    Repeating a pattern does not change that AND, so a tuple that repeats
+    pattern a is good iff its set of distinct patterns is: C(c_a, 2)
+    same-pattern pairs and C(c_a, 3) same-pattern triples are good only
+    for the all-zero pattern (rows equal to the query), and an (a, a, b)
+    triple iff the pair {a, b} is.  A triple can be good while one of its
+    pairs is not, so a bad pair is never pruned; a good pair makes every
+    completion good.
+
+    The search runs over the middle index b of a < b < k.  The pair
+    relation G[b, a] = (P_a & P_b == 0), a < b, is built for a block of
+    b rows at a time in ``_PAIR_BLOCK_BYTES`` of scratch, so no (p, p)
+    array is ever held.  Integer products of each block with c and
+    C(c, 2) give the pair count, the (a, a, b) and (a, b, b) terms and the
+    good pairs' completions, c_a * c_b * sum_{k > b} c_k.  Only a bad pair
+    (a, b) is tested against the patterns after b
+    (``_count_bad_pair_triples``), so each triple is tested at most once:
+    about p^3 / 6 word operations for J = 3.
     """
-    P, c = np.unique(np.hstack([U, L]), axis=0, return_counts=True)
+    P, c = np.unique(R, axis=0, return_counts=True)
     c = c.astype(np.int64)
+    p = c.size
     c2 = c * (c - 1) // 2
     zero = ~P.any(axis=1)
     pairs = int(c2[zero].sum())
     triples = sum(math.comb(int(k), 3) for k in c[zero])
-    for a in range(c.size - 1):
-        ca = int(c[a])
-        R, rc = P[a + 1 :], c[a + 1 :]
-        T = R & P[a]
-        ok = ~T.any(axis=1)
-        ok_rows = int(rc[ok].sum())
-        pairs += ca * ok_rows
+    after = np.cumsum(c[::-1])[::-1] - c
+    weights = np.stack([c, c2], axis=1)
+    Pt = np.ascontiguousarray(P.T)
+    buf = np.empty((2, max(_PAIR_BLOCK_BYTES // 8, p)), dtype=np.uint64)
+    rows = buf.shape[1] // p
+    for b0 in range(1, p, rows):
+        b1 = min(b0 + rows, p)
+        earlier = np.tri(b1 - b0, b1 - 1, b0 - 1, dtype=bool)  # a < b
+        good = _disjoint(Pt[:, b0:b1], Pt[:, : b1 - 1], buf)
+        good &= earlier
+        s = good @ weights[: b1 - 1]
+        cb = c[b0:b1]
+        pairs += int(cb @ s[:, 0])
         if J < 3:
             continue
-        # (a, a, b) and (a, b, b): good iff the pair {a, b} is
-        triples += int(c2[a]) * ok_rows + ca * int(c2[a + 1 :][ok].sum())
-        # a < b < c with {a, b} good: every c > b completes it
-        after = np.cumsum(rc[::-1])[::-1] - rc
-        triples += ca * int((rc * after)[ok].sum())
-        # a < b < c with {a, b} bad: test the triple's AND directly
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            good = ~_any_and(T[bad], R)
-            good &= np.arange(rc.size)[None, :] > bad[:, None]
-            triples += ca * int((rc[bad, None] * rc[None, :])[good].sum())
+        # (a, a, b) and (a, b, b): good iff the pair {a, b} is; a good
+        # pair {a, b} is completed by every k > b
+        triples += int(cb @ s[:, 1]) + int((c2[b0:b1] + cb * after[b0:b1]) @ s[:, 0])
+        rb, a = np.nonzero(earlier & ~good)
+        triples += _count_bad_pair_triples(Pt, c, a, rb + b0, buf)
     return [pairs, triples][: J - 1]
 
 
-def _count_tuples_generic(U: np.ndarray, L: np.ndarray, j: int) -> int:
-    """Depth-first tuple count with subset pruning for arbitrary order j."""
-    n = U.shape[0]
+def _count_bad_pair_triples(
+    Pt: np.ndarray, c: np.ndarray, a: np.ndarray, b: np.ndarray, buf: np.ndarray
+) -> int:
+    """Weighted number of good triples a < b < k over bad pairs (a, b),
+    given in ascending order of b: the sum of c_a * c_b * c_k over the
+    k > b with P_a & P_b & P_k == 0 (Pt holds the patterns word-major).
+
+    A group of bad pairs is tested against the tail after its first b in
+    one call, and the columns k <= b of its later pairs are masked out.  A
+    group spans b values only as far as an eighth of that tail, so the
+    masked columns waste little, and its tests fit ``buf``."""
+    p = c.size
+    total = 0
+    i = 0
+    while i < b.size:
+        g0 = int(b[i])
+        tail = p - 1 - g0
+        if tail == 0:
+            break
+        j = min(
+            int(np.searchsorted(b, g0 + max(1, tail // 8), "left")),
+            i + max(1, buf.shape[1] // tail),
+        )
+        ga, gb = a[i:j], b[i:j]
+        ok = _disjoint(Pt[:, ga] & Pt[:, gb], Pt[:, g0 + 1 :], buf)
+        if gb[-1] > g0:
+            ok &= np.arange(g0 + 1, p) > gb[:, None]
+        total += int((c[ga] * c[gb]) @ (ok @ c[g0 + 1 :]))
+        i = j
+    return total
+
+
+def _count_tuples_generic(R: np.ndarray, j: int) -> int:
+    """Depth-first tuple count with subset pruning for arbitrary order j,
+    over the packed patterns R of ``_count_pattern_tuples``."""
+    n = R.shape[0]
     count = 0
 
-    def rec(start: int, depth: int, aU: np.ndarray, aL: np.ndarray) -> None:
+    def rec(start: int, depth: int, acc: np.ndarray) -> None:
         nonlocal count
         remaining = j - depth
-        if not aU.any() and not aL.any():
+        if not acc.any():
             # running intersections only shrink, so every completion
             # of this prefix qualifies
             count += math.comb(n - start, remaining)
@@ -526,10 +600,10 @@ def _count_tuples_generic(U: np.ndarray, L: np.ndarray, j: int) -> int:
         if remaining == 0:
             return  # nonzero intersection survived to the leaf
         for t in range(start, n - remaining + 1):
-            rec(t + 1, depth + 1, aU & U[t], aL & L[t])
+            rec(t + 1, depth + 1, acc & R[t])
 
     for t in range(0, n - j + 1):
-        rec(t + 1, 1, U[t], L[t])
+        rec(t + 1, 1, R[t])
     return count
 
 
@@ -552,23 +626,52 @@ def _count_pairs(xv: np.ndarray, X: np.ndarray, tied: bool, pad: np.ndarray) -> 
         eq = X == xv
         copies = eq.all(axis=1)
         if (eq.any(axis=1) & ~copies).any():
-            return _count_pattern_tuples(U, _pack_rows(X < xv), 2)[0]
+            return _count_pattern_tuples(np.hstack([U, _pack_rows(X < xv)]), 2)[0]
         e = int(copies.sum())
         U = U[~copies]
     pairs = _count_complement_pairs(U, pad)
     if pairs is None:
-        pairs = _count_pattern_tuples(U, U ^ pad, 2)[0]
+        pairs = _count_pattern_tuples(np.hstack([U, U ^ pad]), 2)[0]
     return e * (n - e) + math.comb(e, 2) + pairs
+
+
+def _band_patterns(xv: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Packed patterns of the rows of X against the curve xv, for
+    ``_count_pattern_tuples``, without the columns that cannot decide a
+    count.
+
+    A column is a grid point's strictly-above or strictly-below test, and
+    its set is the rows that pass it.  A tuple is bad iff all its members
+    lie in one column's set, so a column whose set lies inside a larger
+    column's, or inside an equal column's further left, never decides a
+    tuple alone and is dropped.  Dropping columns merges patterns, so p
+    falls and the words shrink, with every count unchanged.  The columns
+    are ordered largest set first, so each is tested only against the
+    columns before it: word tests on the sets packed over rows, a block
+    of columns at a time in ``_PAIR_BLOCK_BYTES`` of scratch."""
+    C = np.hstack([X > xv, X < xv])
+    order = np.argsort(-np.count_nonzero(C, axis=0), kind="stable")
+    S = np.ascontiguousarray(_pack_rows(C.T)[order].T)  # (words over rows, columns)
+    outside = ~S
+    k = order.size
+    buf = np.empty((2, max(_PAIR_BLOCK_BYTES // 8, k)), dtype=np.uint64)
+    rows = buf.shape[1] // k
+    dropped = np.empty(k, dtype=bool)
+    for v0 in range(0, k, rows):
+        v1 = min(v0 + rows, k)
+        inside = _disjoint(S[:, v0:v1], outside[:, :v1], buf)
+        inside &= np.tri(v1 - v0, v1, v0 - 1, dtype=bool)  # columns before v
+        dropped[v0:v1] = inside.any(axis=1)
+    return _pack_rows(C[:, order[~dropped]])
 
 
 def _band_counts(xv: np.ndarray, X: np.ndarray, J: int) -> list[int]:
     """Exact number of j-index-subsets of the rows of X whose band contains
     the curve xv, j = 2..J, for J >= 3."""
-    U = _pack_rows(X > xv)
-    L = _pack_rows(X < xv)
-    counts = _count_pattern_tuples(U, L, J)
+    R = _band_patterns(xv, X)
+    counts = _count_pattern_tuples(R, J)
     for j in range(4, J + 1):
-        counts.append(_count_tuples_generic(U, L, j))
+        counts.append(_count_tuples_generic(R, j))
     return counts
 
 
@@ -586,7 +689,14 @@ def _check_band_order(J: int, n: int) -> None:
         raise ParameterError(f"band order J must satisfy 2 <= J <= n = {n}, got {J}")
 
 
-def _check_band_budget(n: int, J: int) -> None:
+def _check_band_budget(n: int, J: int, q: int) -> None:
+    if J >= 3 and q * math.comb(n, 3) > MAX_BAND_TRIPLES:
+        raise ParameterError(
+            f"band depth of order J = {J} for {q} queries on n = {n} curves "
+            f"would count q * C(n, 3) = {q * math.comb(n, 3):.3g} triples, more "
+            f"than {MAX_BAND_TRIPLES:.0e} per batch; lower J, subsample the "
+            "curves or pass fewer queries"
+        )
     tuples = 0
     for j in range(4, J + 1):
         tuples += math.comb(n, j)
@@ -859,7 +969,7 @@ def depth_values(
     _check_band_order(params.J, sample.n)
     _require_uniform_for_band(sample, DEPTH_LABELS[depth])
     if depth == "bd":
-        _check_band_budget(sample.n, params.J)
+        _check_band_budget(sample.n, params.J, queries.shape[0])
         return _bd_depth_values(queries, sample, params.J)
     _check_mbd_budget(sample.n, params.J, sample.grid)
     return _mbd_depth_values(queries, sample, params.J)

@@ -21,6 +21,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 try:
@@ -414,6 +415,21 @@ def test_mbd_big_count_budget_exits_3(tmp_path):
     assert code == cli.EXIT_PARAMS
     assert "int64" in err
     assert out == ""
+
+
+def test_bd_order_three_triple_budget_exits_3_fast(tmp_path):
+    # rank with J = 3 on n = 2000 curves is 2000 * C(2000, 3) = 2.7e12
+    # triples, hours of counting; refused before any counting starts
+    path = tmp_path / "many.csv"
+    write_constant_curves(path, np.arange(2000.0), m=101)
+    start = time.perf_counter()
+    code, out, err = run_cli(["rank", path, "bd", "--J", 3])
+    elapsed = time.perf_counter() - start
+    assert code == cli.EXIT_PARAMS
+    assert out == ""
+    assert err.startswith("parameter error:") and err.count("\n") == 1
+    assert "triples" in err and "Traceback" not in err
+    assert elapsed < 1.0
 
 
 def test_threads_flag_overrides_inherited_environment(three_csv, monkeypatch):

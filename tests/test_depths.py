@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -935,6 +936,124 @@ def test_bd_multiword_large_sample_matches_pair_check(case):
     sample, Q = case
     got = depth_values("bd", Q, sample, DepthParams(J=2))
     assert np.array_equal(got, bd_pairs_reference(Q, sample.values))
+
+
+def raw_patterns(xv, X):
+    """The packed (above, below) patterns without the column prune: two or
+    more words per half on the grids of ``multiword_band_case``."""
+    return np.hstack([depths._pack_rows(X > xv), depths._pack_rows(X < xv)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(multiword_band_case(3, 14))
+def test_bd_order_three_multiword_patterns_match_brute(case):
+    # duplicated rows give repeated and repeated all-zero patterns (copies
+    # of the query), meeting queries give partial ties; the triple counter
+    # runs on the raw multi-word patterns and through the column prune
+    sample, Q = case
+    X, n = sample.values, sample.n
+    want = [band_depth_brute(Curve(q, sample.grid), sample, 3) for q in Q]
+    assert depth_values("bd", Q, sample, DepthParams(J=3)).tolist() == want
+    for xv, value in zip(Q, want):
+        counts = depths._count_pattern_tuples(raw_patterns(xv, X), 3)
+        assert sum(cnt / math.comb(n, j) for j, cnt in enumerate(counts, 2)) == value
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    multiword_band_case(3, 14),
+    st.sampled_from([8, 64, 256]),
+    st.sampled_from([2, 3]),
+)
+def test_bd_small_pair_blocks_match_brute(case, budget, J):
+    # a block budget of 1 to 32 entries splits the pair relation between
+    # middle indices b (blocks of one b, or of a few), cuts the bad pairs
+    # into many groups and the column prune into blocks of one column
+    sample, Q = case
+    X, n = sample.values, sample.n
+    want = [band_depth_brute(Curve(q, sample.grid), sample, J) for q in Q]
+    with mock.patch.object(depths, "_PAIR_BLOCK_BYTES", budget):
+        assert depth_values("bd", Q, sample, DepthParams(J=J)).tolist() == want
+        for xv, value in zip(Q, want):
+            counts = depths._count_pattern_tuples(raw_patterns(xv, X), J)
+            assert sum(cnt / math.comb(n, j) for j, cnt in enumerate(counts, 2)) == value
+
+
+def bd_triples_reference(Q, X):
+    """bd with J = 3 from a check of every pair's and triple's band: it
+    misses x iff all its curves lie strictly above x, or all strictly
+    below, at some grid point."""
+    n = X.shape[0]
+    iu = np.triu_indices(n, 1)
+    a, b, c = np.indices((n, n, n))
+    increasing = (a < b) & (b < c)
+    out = []
+    for xv in Q:
+        A, B = X > xv, X < xv
+        AA, BB = A[:, None] & A[None], B[:, None] & B[None]
+        pair_ok = ~AA.any(-1) & ~BB.any(-1)
+        ok = ~(AA[:, :, None] & A).any(-1) & ~(BB[:, :, None] & B).any(-1)
+        pairs = int(pair_ok[iu].sum())
+        triples = int(ok[increasing].sum())
+        out.append(pairs / math.comb(n, 2) + triples / math.comb(n, 3))
+    return np.array(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(20, 40), st.integers(2, 8), st.booleans())
+def test_bd_order_three_rough_sample_matches_triple_check(seed, n, m, lattice):
+    # rough curves on a few grid points have p > 16 distinct patterns and
+    # many bad pairs, so one group of bad pairs spans several middle
+    # indices b and the columns k <= b of its later pairs are masked
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, m))
+    if lattice:
+        X = np.round(X * 2) / 2
+    Q = np.vstack([rng.normal(size=(3, m)), X[:2], np.zeros((1, m))])
+    sample = FunctionalSample(X, uniform_grid(0, 1, m))
+    got = depth_values("bd", Q, sample, DepthParams(J=3))
+    assert np.array_equal(got, bd_triples_reference(Q, X))
+
+
+def test_pattern_pair_count_memory_stays_within_its_blocks():
+    # 5000 noise rows have 5000 distinct patterns, so a (p, p) bool array
+    # alone would take 25 MB; the blocked pair relation stays far below
+    rng = np.random.default_rng(5)
+    m, p = 101, 5000
+    X = rng.normal(size=(p, m))
+    U = depths._pack_rows(X > rng.normal(size=m))
+    pad = depths._pack_rows(np.ones((1, m), dtype=bool))[0]
+    R = np.hstack([U, U ^ pad])  # (above, below) of a tie-free query
+    assert np.unique(R, axis=0).shape[0] == p
+    want = depths._count_complement_pairs(U, pad)
+    assert want is not None
+    tracemalloc.start()
+    try:
+        got = depths._count_pattern_tuples(R, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [want]
+    assert peak < p * p // 4, peak
+
+
+def test_bd_order_three_triple_budget_counts_the_batch():
+    # q * C(n, 3) is bounded per batch: two queries fit a bound of twice
+    # C(100, 3), three do not
+    s = constants_sample(np.arange(100.0))
+    Q = np.full((3, s.grid.m), 49.5)
+    # 50 curves on each side: 50 * 50 pairs, and every triple but the
+    # one-sided ones
+    want = 2500 / math.comb(100, 2) + (
+        math.comb(100, 3) - 2 * math.comb(50, 3)
+    ) / math.comb(100, 3)
+    with mock.patch.object(depths, "MAX_BAND_TRIPLES", 2 * math.comb(100, 3)):
+        assert depth_values("bd", Q[:2], s, DepthParams(J=3)).tolist() == [want] * 2
+        with pytest.raises(ParameterError, match="triples"):
+            depth_values("bd", Q, s, DepthParams(J=3))
+        with pytest.raises(ParameterError, match="triples"):
+            depth_values("bd", Q, s, DepthParams(J=4))
+    assert depth_values("bd", Q, s, DepthParams(J=2)).tolist() == [2500 / 4950] * 3
 
 
 @pytest.mark.parametrize("table", ["zeros", "first-word-only"])
