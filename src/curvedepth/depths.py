@@ -11,30 +11,37 @@ is that batch with one row, returned as a float.
 The rt kernel sorts each direction's sample projections once per batch
 and reads every query's tail counts off them with ``np.searchsorted``:
 O(n*m*k + (n+q)*k*log n) for q queries against n curves on m grid points
-with k directions.  mbd, bd's J = 2 tie screen, hr and mhr share one
-per-batch table of the sorted grid columns (``_column_counts``): every
-query's closed counts le and lt per grid point in O((n+q)*m*log n), and
-for hr and mhr each sample value's rank in its column, so their closed
-comparisons run on small integers.  A batch of one gets le and lt by
-direct comparison with the sample instead, in O(n*m), since the sort
-would cost more than the query.  hr and mhr likewise compare small
-batches, and batches against small samples, with the sample directly
-(``_ranked_batch``).  All these values equal, bit for
-bit, per-query masked weight sums and comparison counts.  bd with J = 2
-counts each query's pairs by a hashed, verified match of above patterns
-and their complements.  With J >= 3 it counts each query's triples over
-its distinct (above, below) patterns, after dropping every grid column
-whose row set lies inside another's (``_band_patterns``).  The search
-runs over the middle index b of a < b < c: a pair relation built in
-blocks of b rows under a fixed byte budget gives the pair count and the
-good pairs' completions by integer products, and only bad pairs are
-tested against the patterns after b (``_count_pattern_tuples``), about
-p^3 / 6 word operations for p patterns.  A batch is refused when
-q * C(n, 3) passes ``MAX_BAND_TRIPLES``.  h squares its query-minus-
-sample differences in place, in a buffer of a few queries that stays in
-cache, but keeps the summation order of its fixed chunks of queries
-exactly (see ``_h_depth_values``), so its values, and the audit bytes
-built on them, do not move.
+with k directions.  mbd, bd with J = 2, hr and mhr share one per-batch
+table of the sorted grid columns (``_column_counts``): every query's
+closed counts le and lt per grid point in O((n+q)*m*log n), and for
+large batches of bd, hr and mhr each sample value's rank in its column,
+so their closed comparisons run on small integers.  A batch of one gets
+le and lt by direct comparison with the sample instead, in O(n*m),
+since the sort would cost more than the query.  Small batches of bd, hr
+and mhr, and hr and mhr against small samples, likewise compare with
+the sample directly.  All these values equal, bit for bit, per-query
+masked weight sums and comparison counts.  bd with J = 2 counts each
+query's whole-row copies e once per batch.  Where no other curve ties
+the query at any grid point (le - lt == e everywhere), the other
+curves' below patterns are the complements of their above patterns,
+and one sort of hashed, verified keys per query counts the pairs of
+complementary curves; the copies are then counted in closed form
+(``_bd_pair_counts``).  Only a query with such a partial tie counts its
+distinct (above, below) patterns.  With J >= 3 bd counts each query's
+triples over its distinct (above, below) patterns, after dropping every
+grid column whose row set lies inside another's (``_band_patterns``).
+The search runs over the middle index b of a < b < c: a pair relation
+built in blocks of b rows under a fixed byte budget gives the pair
+count and the good pairs' completions by integer products, and only
+bad pairs are tested against the patterns after b
+(``_count_pattern_tuples``), about p^3 / 6 word operations for p
+patterns.  A batch is refused when q * C(n, 3) passes
+``MAX_BAND_TRIPLES``.  h squares its query-minus-sample differences in
+place in a buffer of fixed size, a block of queries against a small
+sample or row tiles of a large one, but keeps the rounding of one
+product over all n rows and of its fixed chunks of queries exactly
+(see ``_h_depth_values``), so its values, and the audit bytes built on
+them, do not move.
 
 ``depth_values`` takes the distribution P either as a
 ``FunctionalSample`` (the empirical measure P_n) or as an
@@ -61,6 +68,7 @@ fixed input regardless of evaluation order elsewhere.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -129,9 +137,14 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # 200 curves for hr and 500 for mhr, at batch sizes up to 1000.
 _RANKED_MIN_QUERIES = 32
 _RANKED_MIN_CURVES = 512
+# bd with J = 2 reads its patterns off the rank table from this many
+# queries on, and otherwise compares each query with the sample.  Measured
+# the same way: the table pays for itself from 40 to 60
+# queries at every n from 300 to 5000, so the rule reads q only.
+_BD_RANKED_MIN_QUERIES = 48
 # Bytes of the h-depth difference buffer: a block of queries' differences
-# to the whole sample, sized to stay in cache while it is squared and
-# reduced.
+# to a small sample, or one query's to a tile of a large sample's rows,
+# sized to stay in cache while it is squared and reduced.
 _H_BLOCK_BYTES = 256 * 1024
 # Bytes of one block of the band depth's pair relation over distinct
 # patterns, of one group of its bad pairs' triple tests
@@ -239,32 +252,43 @@ def _h_depth_values(
     curves far from the origin lose no precision to cancellation, unlike
     the expanded product q.q + x.x - 2 q.x.
 
-    The differences are squared in place in one buffer of b queries that
-    fits in ``_H_BLOCK_BYTES``, so no (chunk, n, m) temporary streams
-    through memory.  Blocks split only the queries: each query's row of
-    ``d2`` stays one product over all n sample rows, because splitting
-    the rows of ``X @ w`` can change the rounding.  The outer chunk of
-    ``4_000_000 // X.size`` queries stays as it was for the same reason:
-    the final product with ``sample.weights`` rounds differently for
-    different row counts, and the audit's stored values rest on it.
+    The differences are squared in place in one buffer of at most
+    ``_H_BLOCK_BYTES``, so no (chunk, n, m) temporary streams through
+    memory.  A sample that fits the buffer takes a block of several
+    queries at a time.  A larger one is swept one query at a time, in
+    tiles of a multiple of 64 rows, and the last tile also holds the
+    n mod 64 rows past the last multiple of 64.  Such row tiles give
+    each query's row of ``d2`` the same bits as one product over all n
+    sample rows, because the matrix-vector kernel rounds each row
+    alike wherever its multiple-of-64 tile starts.  The outer chunk of
+    ``4_000_000 // X.size`` queries stays as it was, because the final
+    product with ``sample.weights`` rounds differently for different row
+    counts, and the audit's stored values rest on it.
     """
     w = sample.grid.weights
     X = sample.values
+    n, m = X.shape
     q = queries.shape[0]
     out = np.empty(q)
     norm = 1.0 / (h * _SQRT_2PI)
     chunk = max(1, 4_000_000 // max(1, X.size))
-    block = max(1, _H_BLOCK_BYTES // X.nbytes)
-    buf = np.empty((min(block, q), *X.shape))
-    d2 = np.empty((min(chunk, q), X.shape[0]))
+    rows = max(64, _H_BLOCK_BYTES // (8 * m) // 64 * 64)
+    # tiles start at multiples of rows; the last runs to n over more than
+    # 64 rows, so it holds the n mod 64 tail
+    edges = [*range(0, n - 64, rows), n] if n > rows else [0, n]
+    widest = max(b - a for a, b in zip(edges, edges[1:]))
+    block = max(1, _H_BLOCK_BYTES // (8 * m * widest))
+    buf = np.empty(min(block, q) * widest * m)
+    d2 = np.empty((min(chunk, q), n))
     for lo in range(0, q, chunk):
         hi = min(lo + chunk, q)
         for s in range(lo, hi, block):
             e = min(s + block, hi)
-            blk = buf[: e - s]
-            np.subtract(queries[s:e, None, :], X[None], out=blk)
-            np.multiply(blk, blk, out=blk)
-            np.matmul(blk, w, out=d2[s - lo : e - lo])
+            for r0, r1 in zip(edges, edges[1:]):
+                blk = buf[: (e - s) * (r1 - r0) * m].reshape(e - s, r1 - r0, m)
+                np.subtract(queries[s:e, None, :], X[None, r0:r1], out=blk)
+                np.multiply(blk, blk, out=blk)
+                np.matmul(blk, w, out=d2[s - lo : e - lo, r0:r1])
         out[lo:hi] = (np.exp(-d2[: hi - lo] / (2.0 * h * h)) * norm) @ sample.weights
     return out
 
@@ -445,40 +469,51 @@ def _row_hashes(W: np.ndarray) -> np.ndarray:
     return h
 
 
-def _count_complement_pairs(U: np.ndarray, pad: np.ndarray) -> int | None:
+def _count_complement_pairs(U: np.ndarray, up: np.ndarray, pad: np.ndarray) -> int | None:
     """Number of pairs i < j of packed rows with U_j == U_i ^ pad (U_j is
-    U_i's complement on the m valid bits); None if a hash collision leaves
-    the count unverified.
+    U_i's complement on the m valid bits), where ``up`` is each row's
+    first valid bit; None if a hash collision leaves the count unverified.
 
-    The row hashes are sorted once; their runs give the p distinct rows
-    and multiplicities c.  The sorted complement hashes of those rows find
-    their partners with one ``searchsorted``.  The count is exact: rows
-    sharing a hash must be equal, and each matched complement must equal
-    its partner, word for word.  No row is its own complement and the
-    relation is symmetric, so the sum of c_a * c_b over matched (a, b)
-    sees each pair twice.  O(n log n) for n rows.
+    A row and its complement differ in the first bit, so each row gets
+    one key: its pattern when that bit is set, else its complement.  A
+    complement pair is then one row of each kind under one key.  Each
+    key's hash keeps its high bits and carries its row index in the low
+    ones, so one sort of these values gives both the runs of equal hashes
+    and the rows in them.  Neighbouring rows of a run must have equal
+    keys, word for word, so the runs are the distinct keys, and summing
+    c_up * c_down over the runs counts each pair once.  O(n log n) for n
+    rows.
     """
     n = U.shape[0]
-    h = _row_hashes(U)
-    order = np.argsort(h)
-    h, U = h[order], U[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = h[1:] != h[:-1]
-    if not np.array_equal(U[1:][~first[1:]], U[:-1][~first[1:]]):
+    bits = np.uint64(max(1, (n - 1).bit_length()))
+    low = (np.uint64(1) << bits) - np.uint64(1)
+    flip = up.astype(np.uint64) - np.uint64(1)  # all ones where the bit is 0
+    K = np.empty_like(U)
+    for w in range(U.shape[1]):
+        np.bitwise_and(flip, pad[w], out=K[:, w])
+    K ^= U
+    h = (_row_hashes(K) & ~low) | np.arange(n, dtype=np.uint64)
+    h.sort()
+    order = (h & low).astype(np.intp)
+    h >>= bits
+    same = h[1:] == h[:-1]
+    if not same.any():
+        return 0
+    K = np.take(K, order, axis=0)
+    if (same & ~_rows_equal(K[1:], K[:-1])).any():
         return None
-    starts = np.flatnonzero(first)
-    P, keys, c = U[starts], h[starts], np.diff(starts, append=n)
-    comp = P ^ pad
-    hc = _row_hashes(comp)
-    corder = np.argsort(hc)
-    hc = hc[corder]
-    pos = np.searchsorted(keys, hc)
-    pos[pos == keys.size] = 0
-    hit = keys[pos] == hc
-    a, b = corder[hit], pos[hit]
-    if not np.array_equal(P[b], comp[a]):
-        return None
-    return int((c[a] * c[b]).sum()) // 2
+    bounds = np.flatnonzero(np.concatenate(([True], ~same, [True])))
+    c_up = np.add.reduceat(np.take(up, order).astype(np.int64), bounds[:-1])
+    return int(c_up @ (np.diff(bounds) - c_up))
+
+
+def _rows_equal(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Whether each row of packed words A equals the same row of B, or
+    B itself when B is one row, word by word."""
+    eq = A[:, 0] == B[..., 0]
+    for w in range(1, A.shape[1]):
+        eq &= A[:, w] == B[..., w]
+    return eq
 
 
 def _disjoint(A: np.ndarray, B: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -607,34 +642,6 @@ def _count_tuples_generic(R: np.ndarray, j: int) -> int:
     return count
 
 
-def _count_pairs(xv: np.ndarray, X: np.ndarray, tied: bool, pad: np.ndarray) -> int:
-    """Exact number of index pairs of the rows of X whose band contains
-    the curve xv; ``tied`` says whether xv equals some X_iv, and ``pad``
-    has the m valid bits of a packed row set.
-
-    A row equal to xv puts it inside every band that row joins:
-    e * (n - e) + C(e, 2) pairs for e such copies.  The other rows, when
-    tie-free, have below == ~above, so a pair of them works iff one's
-    above pattern is the complement of the other's: a hashed complement
-    match, or the pattern count if that cannot verify.  Partial ties take
-    the pattern count over (above, below).
-    """
-    n = X.shape[0]
-    U = _pack_rows(X > xv)
-    e = 0
-    if tied:
-        eq = X == xv
-        copies = eq.all(axis=1)
-        if (eq.any(axis=1) & ~copies).any():
-            return _count_pattern_tuples(np.hstack([U, _pack_rows(X < xv)]), 2)[0]
-        e = int(copies.sum())
-        U = U[~copies]
-    pairs = _count_complement_pairs(U, pad)
-    if pairs is None:
-        pairs = _count_pattern_tuples(np.hstack([U, U ^ pad]), 2)[0]
-    return e * (n - e) + math.comb(e, 2) + pairs
-
-
 def _band_patterns(xv: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Packed patterns of the rows of X against the curve xv, for
     ``_count_pattern_tuples``, without the columns that cannot decide a
@@ -672,6 +679,69 @@ def _band_counts(xv: np.ndarray, X: np.ndarray, J: int) -> list[int]:
     counts = _count_pattern_tuples(R, J)
     for j in range(4, J + 1):
         counts.append(_count_tuples_generic(R, j))
+    return counts
+
+
+def _row_copies(queries: np.ndarray, X: np.ndarray, tied: np.ndarray) -> np.ndarray:
+    """Number of rows of X equal to each query, counted only where ``tied``
+    (a copy ties its query at every grid point) and 0 elsewhere.  Adding
+    0.0 turns -0.0 into 0.0, so equal rows have equal bytes."""
+    e = np.zeros(queries.shape[0], dtype=np.int64)
+    rows = np.flatnonzero(tied)
+    if rows.size:
+        counts = Counter(map(bytes, X + 0.0))
+        e[rows] = [counts[bytes(queries[i] + 0.0)] for i in rows]
+    return e
+
+
+def _bd_pair_counts(queries: np.ndarray, X: np.ndarray) -> list[int]:
+    """Exact number of index pairs of the rows of X whose band contains
+    each query.
+
+    A batch of ``_BD_RANKED_MIN_QUERIES`` or more reads each query's above
+    and below patterns off the rank table of ``_column_counts``: X_jv >
+    x_v iff R[v, j] >= le_v, and X_jv < x_v iff R[v, j] < lt_v.  A smaller
+    batch compares each query with the sample directly.  Each query's e
+    whole-row copies are counted once per batch (``_row_copies``); some
+    other row then ties the query at a grid point iff le - lt > e there.
+    A query with such a partial tie counts over its (above, below)
+    patterns (``_count_pattern_tuples``).  Any other row lies strictly
+    above or strictly below at every grid point, so a pair of such rows
+    works iff one's above pattern is the other's complement
+    (``_count_complement_pairs``, over all n rows).  A copy works with
+    every row, e * (n - e) + C(e, 2) pairs, but its empty pattern also
+    matches each of the c_pad rows above the query everywhere, so e * c_pad
+    is taken off.  A hash collision falls back to the pattern count.
+    Patterns are compared into a zero-padded buffer of whole words, so
+    ``np.packbits`` gives ``_pack_rows``' words without a copy.
+    """
+    n, m = X.shape
+    ranked = queries.shape[0] >= _BD_RANKED_MIN_QUERIES
+    R, le, lt = _column_counts(queries, X, ranks=ranked)
+    e = _row_copies(queries, X, (le > lt).all(axis=1))
+    partial = (le - lt > e[:, None]).any(axis=1)
+    if ranked:
+        X, above, below = np.ascontiguousarray(R.T), (np.greater_equal, le), (np.less, lt)
+    else:
+        above, below = (np.greater, queries), (np.less, queries)
+    buf = np.zeros((n, -(-m // 64) * 64), dtype=bool)
+    pad = _pack_rows(np.ones((1, m), dtype=bool))[0]
+
+    def pack(test, i):
+        op, ref = test
+        op(X, ref[i], out=buf[:, :m])
+        return np.packbits(buf, axis=1).view(np.uint64)
+
+    counts = []
+    for i in range(queries.shape[0]):
+        U = pack(above, i)
+        pairs = None if partial[i] else _count_complement_pairs(U, buf[:, 0], pad)
+        if pairs is None:
+            pairs = _count_pattern_tuples(np.hstack([U, pack(below, i)]), 2)[0]
+        elif e[i]:
+            k = int(e[i])
+            pairs += k * (n - k) + math.comb(k, 2) - k * np.count_nonzero(_rows_equal(U, pad))
+        counts.append(pairs)
     return counts
 
 
@@ -714,18 +784,13 @@ def _bd_depth_values(
     """Fraction of j-curve bands (j = 2..J) that contain x at every grid point.
 
     sum_{j=2..J} C(n, j)^{-1} #{i_1 < ... < i_j : min <= x <= max pointwise},
-    with closed comparisons at the band boundaries.  For J = 2 the closed
-    counts of ``_column_counts`` mark the queries that equal some sample
-    value somewhere (le != lt at some grid point); only those compare
-    X == x (``_count_pairs``).
+    with closed comparisons at the band boundaries.  J = 2 counts the
+    whole batch's pairs in ``_bd_pair_counts``; higher orders count each
+    query's tuples over its patterns (``_band_counts``).
     """
     X, n = sample.values, sample.n
     if J == 2:
-        _, le, lt = _column_counts(queries, X)
-        tied = (le != lt).any(axis=1)
-        pad = _pack_rows(np.ones((1, X.shape[1]), dtype=bool))[0]
-        pairs = [_count_pairs(xv, X, t, pad) for xv, t in zip(queries, tied)]
-        return np.array([cnt / math.comb(n, 2) for cnt in pairs])
+        return np.array([cnt / math.comb(n, 2) for cnt in _bd_pair_counts(queries, X)])
     out = np.empty(queries.shape[0])
     for i, xv in enumerate(queries):
         value = 0.0
@@ -789,10 +854,17 @@ def _mbd_depth_values(
     _, le, b = _column_counts(queries, sample.values)
     a = n - le
     out = np.zeros(queries.shape[0])
+    tab = np.arange(n + 1, dtype=np.int64)  # C(c, 1)
     for j in range(2, J + 1):
         total = math.comb(n, j)
-        dtype = np.int64 if total <= _INT64_MAX else object
-        tab = np.array([math.comb(c, j) for c in range(n + 1)], dtype=dtype)
+        if total <= _INT64_MAX and tab.dtype == np.int64:
+            # C(c, j) = sum_{k < c} C(k, j - 1): partial sums of a table
+            # whose last sum, C(n, j), fits, so none of them overflows
+            prev, tab = tab, np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(prev[:-1], out=tab[1:])
+        else:
+            dtype = np.int64 if total <= _INT64_MAX else object
+            tab = np.array([math.comb(c, j) for c in range(n + 1)], dtype=dtype)
         for i, cnt in enumerate(total - tab[a] - tab[b]):
             out[i] += _mbd_term(cnt, total, sample.grid)
     return out

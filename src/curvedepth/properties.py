@@ -59,6 +59,7 @@ from .depths import (
     DEPTH_IDS,
     DEPTH_LABELS,
     DepthParams,
+    _check_band_budget,
     depth_values,
     evaluate_depth,
     upper_bound,
@@ -1255,6 +1256,17 @@ class AuditConfig:
             (self.rice_paths, self.rice_m),
         ):
             _check_gp_budget(n_draws, m)
+        # every band depth a cell counts on a sample, as (n, J, queries):
+        # P-1's 10 probes and P-4's batches on the first band_n paths,
+        # P-2G's probes, and P-6's single queries on its largest samples
+        band_n = min(self.band_n, self.n)
+        bands = [(band_n, self.J, max(10, self.p4_probes, self.p4_perturbations))]
+        if self.n >= self.min_n:
+            bands.append((band_n, self.p2g_J, 7 + self.p2g_draw_probes))
+            if min(self.conv_ns) >= self.min_n:
+                bands += [(self.conv_ref_n, self.J, 1), (self.n, self.J, 1)]
+        for n, J, q in bands:
+            _check_band_budget(n, J, q)
         object.__setattr__(self, "_grid", uniform_grid(self.a, self.b, self.m))
 
     def grid(self) -> Grid:

@@ -887,6 +887,8 @@ def test_reconstruct_feeds_depth(tmp_path):
         pytest.param(
             '{"grid": {"a": -1e308, "b": 1e308}}', cli.EXIT_PARAMS, id="overflowing-domain"
         ),
+        # band order 3 on P-6's 25 600-curve reference: past the triple budget
+        pytest.param('{"J": 3}', cli.EXIT_PARAMS, id="band-triple-budget"),
     ],
 )
 def test_audit_cli_bad_config_exits_before_the_audit(tmp_path, text, code):

@@ -699,24 +699,31 @@ def h_depth_chunked(Q, sample, h):
 @st.composite
 def h_kernel_case(draw):
     """A sample, queries and a block budget for the h kernel: one query;
-    more queries than fit one block; or more than one outer chunk, which
+    more queries than fit one block; a budget below one sample, which
+    sweeps the sample in row tiles; or more than one outer chunk, which
     needs n * m past 10**5.  Queries are fresh curves and sample rows."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # a chunk case streams more than 4 * 10**6 differences: draw it rarely
-    regime = draw(st.sampled_from(["one"] * 2 + ["block"] * 7 + ["chunk"]))
+    regime = draw(st.sampled_from(["one"] * 2 + ["block"] * 5 + ["tile"] * 2 + ["chunk"]))
     if regime == "chunk":
         m = draw(st.integers(min_value=40, max_value=300))
         n = draw(st.integers(min_value=100_000 // m + 1, max_value=250_000 // m))
         chunk = 4_000_000 // (n * m)
         q = draw(st.integers(min_value=chunk + 1, max_value=chunk + 4))
         block = draw(st.integers(min_value=1, max_value=3))
+    elif regime == "tile":
+        m = draw(st.integers(min_value=2, max_value=60))
+        n = draw(st.integers(min_value=65, max_value=3000))
+        q = draw(st.integers(min_value=1, max_value=6))
+        block = 0
     else:
         m = draw(st.integers(min_value=2, max_value=60))
         n = draw(st.integers(min_value=1, max_value=300))
         q = 1 if regime == "one" else draw(st.integers(min_value=2, max_value=40))
         block = draw(st.integers(min_value=1, max_value=max(1, q - 1)))
-    # any budget in [block, block + 1) rows of 8 * n * m bytes gives block
-    budget = 8 * n * m * block + draw(st.integers(0, 8 * n * m - 1))
+    # any budget in [block, block + 1) rows of 8 * n * m bytes gives block;
+    # block 0 is a budget below one sample: tiles of 64 to n rows
+    budget = max(8, 8 * n * m * block) + draw(st.integers(0, 8 * n * m - 1))
     X = rng.normal(size=(n, m)) * draw(st.sampled_from([0.1, 1.0, 30.0]))
     if draw(st.booleans()):
         X = X[rng.integers(0, max(1, n // 3), size=n)]  # duplicated rows
@@ -870,6 +877,13 @@ def test_rank_table_past_int16_uses_int32():
     assert np.array_equal(depth_values("mhr", Q, sample), mhr_per_query(Q, sample))
     got = depth_values("mbd", Q, sample, DepthParams(J=2))
     assert np.array_equal(got, mbd_per_query(Q, sample, 2))
+    # bd's patterns off the int32 table, against direct comparison; no
+    # pair lies above the constant 100 curve's band
+    with mock.patch.object(depths, "_BD_RANKED_MIN_QUERIES", 1):
+        got = depth_values("bd", Q, sample)
+    with mock.patch.object(depths, "_BD_RANKED_MIN_QUERIES", 10**9):
+        assert np.array_equal(got, depth_values("bd", Q, sample))
+    assert got[-1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -936,6 +950,59 @@ def test_bd_multiword_large_sample_matches_pair_check(case):
     sample, Q = case
     got = depth_values("bd", Q, sample, DepthParams(J=2))
     assert np.array_equal(got, bd_pairs_reference(Q, sample.values))
+
+
+@st.composite
+def bd_batch_case(draw):
+    """Low-rank curves on one to three packed words, on a lattice (many
+    exact ties) or not, and a batch of q queries on either side of the
+    rank-table threshold: fresh curves, sample rows (copies, repeated when
+    rows are duplicated), fresh curves that meet sample values at some
+    grid points (partial ties), and, in some batches, zeros of the other
+    sign than the sample's.  Few crossings make few distinct patterns, so
+    complement pairs, and pairs that only a partial tie makes good, are
+    common."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 160))
+    m = draw(st.sampled_from([2, 5, 64, 65, 101, 140]))
+    t = np.linspace(0.0, 1.0, m)
+    basis = np.vstack([np.ones(m), t, np.sin(2 * np.pi * t)])[: draw(st.integers(1, 3))]
+    lattice = draw(st.booleans())
+
+    def curves(k):
+        c = rng.normal(size=(k, basis.shape[0])) @ basis
+        return np.round(c * 4) / 4 if lattice else c
+
+    X = curves(n)
+    if draw(st.booleans()):
+        X = X[rng.integers(0, max(1, n // 3), size=n)]  # duplicated rows
+    limit = depths._BD_RANKED_MIN_QUERIES
+    q = draw(st.sampled_from([1, 2, limit - 1, limit, 2 * limit]))
+    fresh = curves(q)
+    rows = X[rng.integers(0, n, size=q)]
+    met = X[rng.integers(0, n, size=(q, m)), np.arange(m)]
+    meet = np.where(rng.random((q, m)) < draw(st.sampled_from([0.02, 0.3])), met, fresh)
+    Q = np.choose(rng.integers(0, 3, size=q)[:, None], [fresh, rows, meet])
+    if draw(st.booleans()):
+        Q = np.where(Q == 0, -Q, Q)  # -0.0 == 0.0: still copies and ties
+    return FunctionalSample(X, uniform_grid(0, 1, m)), Q
+
+
+@settings(max_examples=100, deadline=None)
+@given(bd_batch_case())
+def test_bd_rank_table_and_direct_paths_match_pair_check(case):
+    # the batch on the rank table and by direct comparison, whatever its
+    # size, and each query as a batch of one, against every pair's band
+    sample, Q = case
+    want = bd_pairs_reference(Q, sample.values)
+    for limit in (1, 10**9):
+        with mock.patch.object(depths, "_BD_RANKED_MIN_QUERIES", limit):
+            assert np.array_equal(depth_values("bd", Q, sample), want), limit
+    one = [evaluate_depth("bd", Curve(x, sample.grid), sample) for x in Q]
+    assert one == want.tolist()
+    if sample.n <= 12:
+        for x, value in zip(Q[:8], one):
+            assert value == band_depth_brute(Curve(x, sample.grid), sample)
 
 
 def raw_patterns(xv, X):
@@ -1021,11 +1088,12 @@ def test_pattern_pair_count_memory_stays_within_its_blocks():
     rng = np.random.default_rng(5)
     m, p = 101, 5000
     X = rng.normal(size=(p, m))
-    U = depths._pack_rows(X > rng.normal(size=m))
+    above = X > rng.normal(size=m)
+    U = depths._pack_rows(above)
     pad = depths._pack_rows(np.ones((1, m), dtype=bool))[0]
     R = np.hstack([U, U ^ pad])  # (above, below) of a tie-free query
     assert np.unique(R, axis=0).shape[0] == p
-    want = depths._count_complement_pairs(U, pad)
+    want = depths._count_complement_pairs(U, above[:, 0], pad)
     assert want is not None
     tracemalloc.start()
     try:
@@ -1075,11 +1143,14 @@ def test_bd_hash_collisions_fall_back_to_exact_counts(monkeypatch, table):
     if table == "first-word-only":
         M[0] = 1
     monkeypatch.setattr(depths, "_HASH_MULTIPLIERS", M)
-    U = depths._pack_rows(X > Q[0])
+    A = X > Q[0]
+    U = depths._pack_rows(A)
     pad = depths._pack_rows(np.ones((1, m), dtype=bool))[0]
-    assert depths._count_complement_pairs(U, pad) is None
-    assert np.array_equal(depth_values("bd", Q, sample), want)
-    assert depth_values("bd", np.zeros(m), above).tolist() == [0.0]
+    assert depths._count_complement_pairs(U, A[:, 0], pad) is None
+    for limit in (1, 10**9):  # patterns off the rank table, and direct
+        monkeypatch.setattr(depths, "_BD_RANKED_MIN_QUERIES", limit)
+        assert np.array_equal(depth_values("bd", Q, sample), want)
+        assert depth_values("bd", np.zeros(m), above).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 300, 1000, 5000, 9001])
