@@ -37,11 +37,10 @@ bad pairs are tested against the patterns after b
 (``_count_pattern_tuples``), about p^3 / 6 word operations for p
 patterns.  A batch is refused when q * C(n, 3) passes
 ``MAX_BAND_TRIPLES``.  h squares its query-minus-sample differences in
-place in a buffer of fixed size, a block of queries against a small
-sample or row tiles of a large one, but keeps the rounding of one
-product over all n rows and of its fixed chunks of queries exactly
-(see ``_h_depth_values``), so its values, and the audit bytes built on
-them, do not move.
+place, in a buffer of a few queries (one query for a sample past 256
+KiB), but keeps the summation order of its fixed chunks of queries
+exactly (see ``_h_depth_values``), so its values, and the audit bytes
+built on them, do not move.
 
 ``depth_values`` takes the distribution P either as a
 ``FunctionalSample`` (the empirical measure P_n) or as an
@@ -143,8 +142,8 @@ _RANKED_MIN_CURVES = 512
 # queries at every n from 300 to 5000, so the rule reads q only.
 _BD_RANKED_MIN_QUERIES = 48
 # Bytes of the h-depth difference buffer: a block of queries' differences
-# to a small sample, or one query's to a tile of a large sample's rows,
-# sized to stay in cache while it is squared and reduced.
+# to the whole sample, sized to stay in cache while it is squared and
+# reduced.  A sample past this size still takes one query at a time.
 _H_BLOCK_BYTES = 256 * 1024
 # Bytes of one block of the band depth's pair relation over distinct
 # patterns, of one group of its bad pairs' triple tests
@@ -252,43 +251,32 @@ def _h_depth_values(
     curves far from the origin lose no precision to cancellation, unlike
     the expanded product q.q + x.x - 2 q.x.
 
-    The differences are squared in place in one buffer of at most
-    ``_H_BLOCK_BYTES``, so no (chunk, n, m) temporary streams through
-    memory.  A sample that fits the buffer takes a block of several
-    queries at a time.  A larger one is swept one query at a time, in
-    tiles of a multiple of 64 rows, and the last tile also holds the
-    n mod 64 rows past the last multiple of 64.  Such row tiles give
-    each query's row of ``d2`` the same bits as one product over all n
-    sample rows, because the matrix-vector kernel rounds each row
-    alike wherever its multiple-of-64 tile starts.  The outer chunk of
-    ``4_000_000 // X.size`` queries stays as it was, because the final
-    product with ``sample.weights`` rounds differently for different row
-    counts, and the audit's stored values rest on it.
+    The differences are squared in place in one buffer of b queries that
+    fits in ``_H_BLOCK_BYTES``, so no (chunk, n, m) temporary streams
+    through memory.  Blocks split only the queries: each query's row of
+    ``d2`` stays one product over all n sample rows, because splitting
+    the rows of ``X @ w`` can change the rounding.  The outer chunk of
+    ``4_000_000 // X.size`` queries stays as it was for the same reason:
+    the final product with ``sample.weights`` rounds differently for
+    different row counts, and the audit's stored values rest on it.
     """
     w = sample.grid.weights
     X = sample.values
-    n, m = X.shape
     q = queries.shape[0]
     out = np.empty(q)
     norm = 1.0 / (h * _SQRT_2PI)
     chunk = max(1, 4_000_000 // max(1, X.size))
-    rows = max(64, _H_BLOCK_BYTES // (8 * m) // 64 * 64)
-    # tiles start at multiples of rows; the last runs to n over more than
-    # 64 rows, so it holds the n mod 64 tail
-    edges = [*range(0, n - 64, rows), n] if n > rows else [0, n]
-    widest = max(b - a for a, b in zip(edges, edges[1:]))
-    block = max(1, _H_BLOCK_BYTES // (8 * m * widest))
-    buf = np.empty(min(block, q) * widest * m)
-    d2 = np.empty((min(chunk, q), n))
+    block = max(1, _H_BLOCK_BYTES // X.nbytes)
+    buf = np.empty((min(block, q), *X.shape))
+    d2 = np.empty((min(chunk, q), X.shape[0]))
     for lo in range(0, q, chunk):
         hi = min(lo + chunk, q)
         for s in range(lo, hi, block):
             e = min(s + block, hi)
-            for r0, r1 in zip(edges, edges[1:]):
-                blk = buf[: (e - s) * (r1 - r0) * m].reshape(e - s, r1 - r0, m)
-                np.subtract(queries[s:e, None, :], X[None, r0:r1], out=blk)
-                np.multiply(blk, blk, out=blk)
-                np.matmul(blk, w, out=d2[s - lo : e - lo, r0:r1])
+            blk = buf[: e - s]
+            np.subtract(queries[s:e, None, :], X[None], out=blk)
+            np.multiply(blk, blk, out=blk)
+            np.matmul(blk, w, out=d2[s - lo : e - lo])
         out[lo:hi] = (np.exp(-d2[: hi - lo] / (2.0 * h * h)) * norm) @ sample.weights
     return out
 
@@ -857,14 +845,12 @@ def _mbd_depth_values(
     tab = np.arange(n + 1, dtype=np.int64)  # C(c, 1)
     for j in range(2, J + 1):
         total = math.comb(n, j)
-        if total <= _INT64_MAX and tab.dtype == np.int64:
-            # C(c, j) = sum_{k < c} C(k, j - 1): partial sums of a table
-            # whose last sum, C(n, j), fits, so none of them overflows
-            prev, tab = tab, np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(prev[:-1], out=tab[1:])
-        else:
-            dtype = np.int64 if total <= _INT64_MAX else object
-            tab = np.array([math.comb(c, j) for c in range(n + 1)], dtype=dtype)
+        # C(c, j) = sum_{k < c} C(k, j - 1).  Every term and partial sum
+        # is at most C(n, j), so int64 is exact whenever C(n, j) fits;
+        # past it the sums run over Python integers.
+        dtype = np.int64 if total <= _INT64_MAX else object
+        prev, tab = tab[:-1].astype(dtype), np.zeros(n + 1, dtype=dtype)
+        np.cumsum(prev, out=tab[1:])
         for i, cnt in enumerate(total - tab[a] - tab[b]):
             out[i] += _mbd_term(cnt, total, sample.grid)
     return out

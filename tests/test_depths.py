@@ -677,6 +677,19 @@ def test_fuzz_rt_mbd_large_sample_match_per_query(sq):
     assert np.array_equal(got, mbd_per_query(Q, sample, 3))
 
 
+@pytest.mark.parametrize("n, J", [(70, 50), (100, 90)])
+def test_mbd_binomial_tables_past_int64_match_per_query(n, J):
+    # C(70, j) passes 2**63 for j = 26..44 and C(100, j) for j = 18..82, so
+    # one call's tables go from int64 to Python integers and back
+    assert math.comb(n, J) <= np.iinfo(np.int64).max < math.comb(n, n // 2)
+    rng = np.random.default_rng(n)
+    X = np.round(rng.normal(size=(n, 6)) * 2) / 2
+    sample = FunctionalSample(X, uniform_grid(0, 1, 6))
+    Q = np.vstack([X[:3], np.round(rng.normal(size=(3, 6)) * 2) / 2])
+    got = depth_values("mbd", Q, sample, DepthParams(J=J))
+    assert np.array_equal(got, mbd_per_query(Q, sample, J))
+
+
 # ---------------------------------------------------------------------------
 # Blocked h-depth kernel against the chunked expression
 # ---------------------------------------------------------------------------
@@ -699,31 +712,24 @@ def h_depth_chunked(Q, sample, h):
 @st.composite
 def h_kernel_case(draw):
     """A sample, queries and a block budget for the h kernel: one query;
-    more queries than fit one block; a budget below one sample, which
-    sweeps the sample in row tiles; or more than one outer chunk, which
+    more queries than fit one block; or more than one outer chunk, which
     needs n * m past 10**5.  Queries are fresh curves and sample rows."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # a chunk case streams more than 4 * 10**6 differences: draw it rarely
-    regime = draw(st.sampled_from(["one"] * 2 + ["block"] * 5 + ["tile"] * 2 + ["chunk"]))
+    regime = draw(st.sampled_from(["one"] * 2 + ["block"] * 7 + ["chunk"]))
     if regime == "chunk":
         m = draw(st.integers(min_value=40, max_value=300))
         n = draw(st.integers(min_value=100_000 // m + 1, max_value=250_000 // m))
         chunk = 4_000_000 // (n * m)
         q = draw(st.integers(min_value=chunk + 1, max_value=chunk + 4))
         block = draw(st.integers(min_value=1, max_value=3))
-    elif regime == "tile":
-        m = draw(st.integers(min_value=2, max_value=60))
-        n = draw(st.integers(min_value=65, max_value=3000))
-        q = draw(st.integers(min_value=1, max_value=6))
-        block = 0
     else:
         m = draw(st.integers(min_value=2, max_value=60))
         n = draw(st.integers(min_value=1, max_value=300))
         q = 1 if regime == "one" else draw(st.integers(min_value=2, max_value=40))
         block = draw(st.integers(min_value=1, max_value=max(1, q - 1)))
-    # any budget in [block, block + 1) rows of 8 * n * m bytes gives block;
-    # block 0 is a budget below one sample: tiles of 64 to n rows
-    budget = max(8, 8 * n * m * block) + draw(st.integers(0, 8 * n * m - 1))
+    # any budget in [block, block + 1) rows of 8 * n * m bytes gives block
+    budget = 8 * n * m * block + draw(st.integers(0, 8 * n * m - 1))
     X = rng.normal(size=(n, m)) * draw(st.sampled_from([0.1, 1.0, 30.0]))
     if draw(st.booleans()):
         X = X[rng.integers(0, max(1, n // 3), size=n)]  # duplicated rows
