@@ -9,8 +9,10 @@ depth id, bandwidth, ...), 4 audit mismatch or under-powered audit cells.
 
 ``--threads`` must take effect before the numeric libraries initialize
 their thread pools, so everything that imports numpy is imported lazily
-inside the command handlers.  ``audit`` and ``simulate-gp`` run one
-thread unless ``--threads`` is given.
+inside the command handlers.  ``audit`` and ``simulate-gp`` run one BLAS
+thread unless ``--threads`` is given.  The flag also caps the threads
+that the h and mhr kernels split a batch over; inherited ``*_NUM_THREADS``
+values cap BLAS only.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cap BLAS/OpenMP thread pools (set before numpy loads; "
         "overrides inherited *_NUM_THREADS values; audit and simulate-gp "
-        "default to 1)",
+        "default to 1) and the depth kernels' own threads",
     )
     parser.add_argument(
         "--format",
@@ -458,6 +460,11 @@ def main(argv=None) -> int:
             os.environ[var] = str(threads)
     # imported here so --threads is honored by the BLAS thread pools
     from curvedepth.core import InputError, ParameterError
+
+    if args.threads is not None:
+        from curvedepth.depths import _cap_kernel_threads
+
+        _cap_kernel_threads(args.threads)
 
     try:
         code = _HANDLERS[args.command](args)

@@ -67,6 +67,8 @@ fixed input regardless of evaluation order elsewhere.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -141,6 +143,27 @@ _RANKED_MIN_CURVES = 512
 # the same way: the table pays for itself from 40 to 60
 # queries at every n from 300 to 5000, so the rule reads q only.
 _BD_RANKED_MIN_QUERIES = 48
+# h and mhr split a batch of q queries against n curves on m grid points
+# over threads (``_split_batch``) only from q * n * m = _THREAD_MIN_WORK
+# and, per step of queries that one span must keep whole, from
+# _THREAD_MIN_STEP_WORK.  Measured on 101 grid points (2-core box, one BLAS
+# thread): two threads took mhr on 27 queries x 100 curves from 0.5 to 1.3
+# ms, and lost at every batch size against 100 or 200 curves, where each
+# query's numpy calls are too short to run while the other thread holds
+# the interpreter lock; from 300 curves on (30 000 values per query) they
+# gained from about 10 queries on.
+_THREAD_MIN_WORK = 1_000_000
+_THREAD_MIN_STEP_WORK = 25_000
+# Most threads a kernel batch may use; None means every usable CPU.  The
+# CLI's ``--threads`` sets it, and the audit's worker processes set it to
+# 1 (``_cap_kernel_threads``).
+_kernel_threads: int | None = None
+# ``_column_counts`` sorts the grid columns only for at least this many
+# queries, and otherwise compares each query with the sample directly.
+# Measured the same way: three direct queries cost less than the sort at
+# every n from 100 to 25 600, and the break-even fell from about 20
+# queries at n = 100 to 4 or 5 at n = 2000 to 25 600.
+_SORT_MIN_QUERIES = 4
 # Bytes of the h-depth difference buffer: a block of queries' differences
 # to the whole sample, sized to stay in cache while it is squared and
 # reduced.  A sample past this size still takes one query at a time.
@@ -212,6 +235,67 @@ def upper_bound(depth: str, *, h: float = 1.0, J: int = 2) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Batch threads
+# ---------------------------------------------------------------------------
+
+
+def _cap_kernel_threads(n: int | None) -> None:
+    """Let a kernel batch use at most n threads (None: every usable CPU)."""
+    global _kernel_threads
+    _kernel_threads = n
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
+def _split_batch(q: int, step: int, row_work: int, run) -> None:
+    """Call ``run(lo, hi)`` on contiguous spans of ``range(q)`` that cover
+    it, each made of whole steps of ``step`` queries, one span per thread.
+
+    There are as many spans as usable CPUs, at most ``_kernel_threads``
+    and at most the number of steps, and just one when the batch or one
+    step holds too little work at ``row_work`` values per query
+    (``_THREAD_MIN_WORK``, ``_THREAD_MIN_STEP_WORK``).  The first span
+    runs on the calling thread, the others on their own threads; every
+    thread is joined before this returns, and the first exception a span
+    raised is raised here.  A span computes exactly what a serial loop
+    computes for its queries, so the values cannot depend on the split.
+    The threads gain only where numpy releases the interpreter lock, in
+    its ufunc loops and BLAS calls.
+    """
+    steps = -(-q // step)
+    spans = 1
+    if q * row_work >= _THREAD_MIN_WORK and step * row_work >= _THREAD_MIN_STEP_WORK:
+        spans = min(steps, _usable_cpus(), _kernel_threads or steps)
+    bounds = [min(q, steps * k // spans * step) for k in range(spans + 1)]
+    errors: list[BaseException | None] = [None] * spans
+
+    def span(k: int) -> None:
+        try:
+            run(bounds[k], bounds[k + 1])
+        except BaseException as exc:  # raised again on the calling thread
+            errors[k] = exc
+
+    started = []
+    try:
+        for k in range(1, spans):
+            t = threading.Thread(target=span, args=(k,))
+            t.start()
+            started.append(t)
+        run(bounds[0], bounds[1])
+    finally:
+        for t in started:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+# ---------------------------------------------------------------------------
 # One-dimensional halfspace depth
 # ---------------------------------------------------------------------------
 
@@ -259,6 +343,11 @@ def _h_depth_values(
     ``4_000_000 // X.size`` queries stays as it was for the same reason:
     the final product with ``sample.weights`` rounds differently for
     different row counts, and the audit's stored values rest on it.
+
+    A large batch runs on several threads (``_split_batch``), each over a
+    span of whole chunks with its own buffer and ``d2``.  Chunks and
+    blocks start where a serial loop starts them, so every product sees
+    the rows it sees on one thread, and the bytes do not move.
     """
     w = sample.grid.weights
     X = sample.values
@@ -267,17 +356,21 @@ def _h_depth_values(
     norm = 1.0 / (h * _SQRT_2PI)
     chunk = max(1, 4_000_000 // max(1, X.size))
     block = max(1, _H_BLOCK_BYTES // X.nbytes)
-    buf = np.empty((min(block, q), *X.shape))
-    d2 = np.empty((min(chunk, q), X.shape[0]))
-    for lo in range(0, q, chunk):
-        hi = min(lo + chunk, q)
-        for s in range(lo, hi, block):
-            e = min(s + block, hi)
-            blk = buf[: e - s]
-            np.subtract(queries[s:e, None, :], X[None], out=blk)
-            np.multiply(blk, blk, out=blk)
-            np.matmul(blk, w, out=d2[s - lo : e - lo])
-        out[lo:hi] = (np.exp(-d2[: hi - lo] / (2.0 * h * h)) * norm) @ sample.weights
+
+    def run(lo: int, hi: int) -> None:
+        buf = np.empty((min(block, hi - lo), *X.shape))
+        d2 = np.empty((min(chunk, hi - lo), X.shape[0]))
+        for c0 in range(lo, hi, chunk):
+            c1 = min(c0 + chunk, hi)
+            for s in range(c0, c1, block):
+                e = min(s + block, c1)
+                blk = buf[: e - s]
+                np.subtract(queries[s:e, None, :], X[None], out=blk)
+                np.multiply(blk, blk, out=blk)
+                np.matmul(blk, w, out=d2[s - c0 : e - c0])
+            out[c0:c1] = (np.exp(-d2[: c1 - c0] / (2.0 * h * h)) * norm) @ sample.weights
+
+    _split_batch(q, chunk, X.size, run)
     return out
 
 
@@ -403,17 +496,19 @@ def _column_counts(
     values sit side by side in a sorted column, so X_jv <= x_iv iff
     R[v, j] < le[i, v] and X_jv >= x_iv iff R[v, j] >= lt[i, v]: the
     closed comparisons become exact ones between small integers.  R, le
-    and lt are int16 when n < 2**15 and int32 otherwise.  A batch of one
-    without ranks counts by direct comparison instead, O(n*m), since the
-    sort costs more than one query's comparisons; the counts are the same
-    integers.
+    and lt are int16 when n < 2**15 and int32 otherwise.  A batch of fewer
+    than ``_SORT_MIN_QUERIES`` queries without ranks counts by direct
+    comparison instead, O(q*n*m), since the sort costs more than those
+    queries' comparisons; the counts are the same integers.
     """
     n, m = X.shape
     dtype = np.int16 if n < 2**15 else np.int32
-    if not ranks and queries.shape[0] == 1:
-        x = queries[0]
-        le = np.count_nonzero(X <= x, axis=0).astype(dtype)[None]
-        lt = np.count_nonzero(X < x, axis=0).astype(dtype)[None]
+    if not ranks and queries.shape[0] < _SORT_MIN_QUERIES:
+        le = np.empty(queries.shape, dtype=dtype)
+        lt = np.empty(queries.shape, dtype=dtype)
+        for i, x in enumerate(queries):
+            le[i] = np.count_nonzero(X <= x, axis=0)
+            lt[i] = np.count_nonzero(X < x, axis=0)
         return None, le, lt
     R = None
     if ranks:
@@ -950,21 +1045,36 @@ def _mhr_depth_values(queries: np.ndarray, sample: FunctionalSample) -> np.ndarr
     floats; the masks, and so every product and every value, are bit for
     bit those of the direct comparison that small batches make.  O(q*n*m)
     for q queries against n curves on m grid points, plus O(n*m*log n)
-    for the table.
+    for the table.  A large batch runs on several threads
+    (``_split_batch``), each over a span of queries, all reading the one
+    table; a query's value comes from its own masks alone, so the bytes
+    do not depend on the split.
     """
     X, w = sample.values, sample.grid.weights
     lam = sample.grid.length
+    q = queries.shape[0]
     if not _ranked_batch(queries, sample):
-        masks = ((X <= xv, X >= xv) for xv in queries)
+
+        def masks(i: int) -> tuple[np.ndarray, np.ndarray]:
+            return X <= queries[i], X >= queries[i]
+
     else:
         R, le, lt = _column_counts(queries, X, ranks=True)
         R = np.ascontiguousarray(R.T)  # (n, m), the layout of X <= x
-        masks = ((R < le[i], R >= lt[i]) for i in range(queries.shape[0]))
-    out = np.empty(queries.shape[0])
-    for i, (below, above) in enumerate(masks):
-        frac_le = (below @ w) / lam
-        frac_ge = (above @ w) / lam
-        out[i] = min(float(sample.weights @ frac_le), float(sample.weights @ frac_ge))
+
+        def masks(i: int) -> tuple[np.ndarray, np.ndarray]:
+            return R < le[i], R >= lt[i]
+
+    out = np.empty(q)
+
+    def run(lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            below, above = masks(i)
+            frac_le = (below @ w) / lam
+            frac_ge = (above @ w) / lam
+            out[i] = min(float(sample.weights @ frac_le), float(sample.weights @ frac_ge))
+
+    _split_batch(q, 1, X.size, run)
     return out
 
 

@@ -59,7 +59,9 @@ from .depths import (
     DEPTH_IDS,
     DEPTH_LABELS,
     DepthParams,
+    _cap_kernel_threads,
     _check_band_budget,
+    _check_band_order,
     depth_values,
     evaluate_depth,
     upper_bound,
@@ -1257,15 +1259,20 @@ class AuditConfig:
         ):
             _check_gp_budget(n_draws, m)
         # every band depth a cell counts on a sample, as (n, J, queries):
-        # P-1's 10 probes and P-4's batches on the first band_n paths,
-        # P-2G's probes, and P-6's single queries on its largest samples
+        # P-1's 10 probes and P-4's batches on the first band_n paths and
+        # on the two-atom counterexample (so J = 2 is the only order a
+        # full audit can run), P-2G's probes, and P-6's single queries on
+        # its smallest and largest samples
         band_n = min(self.band_n, self.n)
-        bands = [(band_n, self.J, max(10, self.p4_probes, self.p4_perturbations))]
+        p4_queries = max(10, self.p4_probes, self.p4_perturbations)
+        bands = [(band_n, self.J, p4_queries), (2, self.J, p4_queries)]
         if self.n >= self.min_n:
             bands.append((band_n, self.p2g_J, 7 + self.p2g_draw_probes))
             if min(self.conv_ns) >= self.min_n:
-                bands += [(self.conv_ref_n, self.J, 1), (self.n, self.J, 1)]
+                sizes = (min(self.conv_ns), self.conv_ref_n, self.n)
+                bands += [(n, self.J, 1) for n in sizes]
         for n, J, q in bands:
+            _check_band_order(J, n)
             _check_band_budget(n, J, q)
         object.__setattr__(self, "_grid", uniform_grid(self.a, self.b, self.m))
 
@@ -1411,12 +1418,15 @@ def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
     and P-4 per member) are independent units, so they run in forked
     worker processes, at most one per CPU.  A worker inherits the parent's
     modules, BLAS thread count and cached GP factors, so each unit computes
-    what a serial run computes, and the report bytes are the same.  The
-    results are read in the serial call order, so the first error raised is
-    the one a serial run raises; on an error the queued units are dropped
-    and every worker is reaped before it propagates.  Needs the ``fork``
-    start method (POSIX); a fork copies only the calling thread, so no
-    other thread of the caller may hold a lock that the units take.
+    what a serial run computes, and the report bytes are the same.  Each
+    worker runs its depth kernels on one thread, since the pool already
+    keeps every CPU busy.  The results are read in the serial call order,
+    so the first error raised is the one a serial run raises; on an error
+    the queued units are dropped and every worker is reaped before it
+    propagates.  Needs the ``fork`` start method (POSIX); a fork copies
+    only the calling thread, so no other thread of the caller may hold a
+    lock that the units take (the kernels' own threads never outlive
+    their batch).
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -1432,9 +1442,13 @@ def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
     # P-4's band depths skip the last, single-curve member (it needs n >= J)
     p4_counts = {d: 2 if d in ("bd", "mbd") else 3 for d in DEPTH_IDS}
     units = 2 + sum(3 + len(config.p2g_kernels) + p4_counts[d] for d in DEPTH_IDS)
+    # the pool runs one process per CPU already, so its workers' kernels
+    # run on one thread each
     pool = ProcessPoolExecutor(
         max_workers=min(os.cpu_count() or 1, units),
         mp_context=multiprocessing.get_context("fork"),
+        initializer=_cap_kernel_threads,
+        initargs=(1,),
     )
     try:
         # the two largest units first

@@ -21,6 +21,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvedepth.properties as P
-from curvedepth import cli
+from curvedepth import cli, depths
 from curvedepth.core import (
     Grid,
     ParameterError,
@@ -44,6 +45,7 @@ from curvedepth.core import (
     write_curves_csv,
 )
 from curvedepth.depths import DEPTH_IDS
+from curvedepth.distributions import GPSpec, Kernel, sample_gp
 from test_properties import _reduced_config
 
 N_FUZZ = 1000
@@ -435,9 +437,43 @@ def test_bd_order_three_triple_budget_exits_3_fast(tmp_path):
 def test_threads_flag_overrides_inherited_environment(three_csv, monkeypatch):
     for var in cli._THREAD_ENV_VARS:
         monkeypatch.setenv(var, "7")
+    monkeypatch.setattr(depths, "_kernel_threads", None)
     code, _, _ = run_cli(["--threads", 1, "depth", three_csv, "mhr"])
     assert code == 0
     assert all(os.environ[var] == "1" for var in cli._THREAD_ENV_VARS)
+    assert depths._kernel_threads == 1
+
+
+def test_threads_flag_caps_the_kernel_threads(tmp_path, monkeypatch):
+    # inherited *_NUM_THREADS values cap BLAS only, so h and mhr split a
+    # large batch over threads; --threads 1 keeps them on the calling
+    # thread, with the same stdout
+    for var in cli._THREAD_ENV_VARS:
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(depths, "_kernel_threads", None)
+    monkeypatch.setattr(depths, "_usable_cpus", lambda: 2)
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(depths.threading, "Thread", CountingThread)
+    grid = uniform_grid(0.0, 1.0, 101)
+    path = tmp_path / "gp.csv"
+    write_curves_csv(path, grid, sample_gp(GPSpec(Kernel("se", 1.0, 0.2), grid), 600, 3).values)
+    outs = {}
+    for flags in ([], ["--threads", 1]):
+        for depth in ("h", "mhr"):
+            code, out, err = run_cli([*flags, "rank", path, depth])
+            assert code == 0, err
+            outs[len(flags), depth] = out
+        assert len(started) == (0 if flags else 2), flags
+        assert not any(t.is_alive() for t in started)
+        started.clear()
+    for depth in ("h", "mhr"):
+        assert outs[0, depth] == outs[2, depth]
 
 
 # ---------------------------------------------------------------------------
@@ -889,6 +925,13 @@ def test_reconstruct_feeds_depth(tmp_path):
         ),
         # band order 3 on P-6's 25 600-curve reference: past the triple budget
         pytest.param('{"J": 3}', cli.EXIT_PARAMS, id="band-triple-budget"),
+        # band order 3 within every budget (P-2G and P-6 are skipped), but
+        # P-4's two-atom counterexample is a sample of two curves
+        pytest.param(
+            '{"J": 3, "min_n": 5000, "p4_perturbations": 20, "replicates": 2}',
+            cli.EXIT_PARAMS,
+            id="band-order-past-p4-two-atom-sample",
+        ),
     ],
 )
 def test_audit_cli_bad_config_exits_before_the_audit(tmp_path, text, code):
@@ -901,6 +944,11 @@ def test_audit_cli_bad_config_exits_before_the_audit(tmp_path, text, code):
     if code == cli.EXIT_PARAMS:
         assert err.startswith("parameter error:"), err
     assert not out_dir.exists()
+
+
+def _report_kernel_threads(*args, **kwargs):
+    # module level, so a worker process can unpickle it by name
+    raise ParameterError(f"kernel threads: {depths._kernel_threads}")
 
 
 def _raise_injected(*args, **kwargs):
@@ -935,6 +983,16 @@ def test_audit_worker_error_keeps_exit_code_contract(tmp_path, monkeypatch, capf
     assert code == cli.EXIT_PARAMS
     assert err.splitlines() == ["parameter error: injected"]
     assert "Traceback" not in err + capfd.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_audit_workers_run_their_kernels_on_one_thread(monkeypatch):
+    # the pool already runs one process per CPU; the parent keeps its cap
+    monkeypatch.setattr(depths, "_kernel_threads", None)
+    monkeypatch.setattr(P, "audit_P2G", _report_kernel_threads)
+    with pytest.raises(ParameterError, match="kernel threads: 1$"):
+        P.run_full_audit(_reduced_config())
+    assert depths._kernel_threads is None
     assert multiprocessing.active_children() == []
 
 

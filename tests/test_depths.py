@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -890,6 +892,128 @@ def test_rank_table_past_int16_uses_int32():
     with mock.patch.object(depths, "_BD_RANKED_MIN_QUERIES", 10**9):
         assert np.array_equal(got, depth_values("bd", Q, sample))
     assert got[-1] == 0.0
+
+
+def test_column_counts_direct_and_sorted_routes_agree():
+    # tied rows and -0.0 entries: the direct comparison and the sorted
+    # columns' searchsorted give the same closed counts
+    rng = np.random.default_rng(22)
+    X = np.round(rng.normal(size=(90, 9)))
+    X[:30] = X[rng.integers(0, 90, size=30)]
+    X[X == 0.0] = rng.choice([0.0, -0.0], size=int((X == 0.0).sum()))
+    fresh = np.round(rng.normal(size=(6, 9)) * 2) / 2
+    Q = np.vstack([X[rng.integers(0, 90, size=6)], fresh, -X[:3], np.zeros((1, 9))])
+    Q[-1, ::2] = -0.0
+    assert np.signbit(X[X == 0.0]).any() and not np.signbit(X[X == 0.0]).all()
+    got = {}
+    for route, limit in (("direct", 10**9), ("sorted", 0)):
+        with mock.patch.object(depths, "_SORT_MIN_QUERIES", limit):
+            R, le, lt = depths._column_counts(Q, X)
+        assert R is None and le.dtype == lt.dtype == np.int16
+        got[route] = le, lt
+    assert np.array_equal(got["direct"][0], got["sorted"][0])
+    assert np.array_equal(got["direct"][1], got["sorted"][1])
+    assert np.array_equal(got["direct"][0], [(X <= x).sum(axis=0) for x in Q])
+    assert np.array_equal(got["direct"][1], [(X < x).sum(axis=0) for x in Q])
+    # the default takes the direct route below the limit and sorts above it
+    small = Q[: depths._SORT_MIN_QUERIES - 1]
+    with mock.patch.object(np, "sort", side_effect=AssertionError):
+        _, le, lt = depths._column_counts(small, X)
+    assert np.array_equal(le, got["sorted"][0][: small.shape[0]])
+    assert np.array_equal(lt, got["sorted"][1][: small.shape[0]])
+
+
+# ---------------------------------------------------------------------------
+# Batch threads for h and mhr
+# ---------------------------------------------------------------------------
+
+
+def threaded_values(depth, Q, sample, spans, ranked=None, params=None):
+    """depth_values with the batch split into at most ``spans`` threads
+    whatever its size, and mhr's ranked path forced on or off."""
+    patches = dict(_THREAD_MIN_WORK=0, _THREAD_MIN_STEP_WORK=0, _kernel_threads=None)
+    if ranked is not None:
+        patches["_RANKED_MIN_QUERIES"] = patches["_RANKED_MIN_CURVES"] = (
+            0 if ranked else 10**9
+        )
+    with mock.patch.multiple(depths, **patches), mock.patch.object(
+        depths, "_usable_cpus", return_value=spans
+    ):
+        return depth_values(depth, Q, sample, params)
+
+
+@pytest.mark.parametrize("spans", [1, 2, 3])
+def test_h_mhr_values_do_not_depend_on_the_span_count(spans):
+    rng = np.random.default_rng(spans)
+    # 4000 x 250 values: h takes chunks of 4 queries, so 10 queries make
+    # chunks 4, 4, 2 and 3 spans take a ragged last span of 2 chunks
+    n, m = 4000, 250
+    X = rng.normal(size=(n, m))
+    X[: n // 2] = X[rng.integers(0, n, size=n // 2)]  # duplicated rows
+    sample = FunctionalSample(np.round(X, 1), uniform_grid(0, 1, m))
+    X = sample.values
+    Q = np.vstack([X[rng.integers(0, n, size=5)], np.round(rng.normal(size=(5, m)), 1)])
+    assert 4_000_000 // X.size == 4
+    started = threading.active_count()
+    for h in (0.5, 3.0):
+        got = threaded_values("h", Q, sample, spans, params=DepthParams(h=h))
+        assert got.tobytes() == h_depth_chunked(Q, sample, h).tobytes()
+    want = mhr_per_query(Q, sample)
+    for ranked in (True, False):
+        got = threaded_values("mhr", Q, sample, spans, ranked=ranked)
+        assert got.tobytes() == want.tobytes(), ranked
+    assert threading.active_count() == started
+
+
+@pytest.mark.parametrize("spans", [2, 3])
+def test_threaded_h_mhr_match_serial_bits_on_a_gp_sample(gp_sample, spans):
+    # self-queries against a GP sample: the whole batch, one thread each
+    Q = gp_sample.values[:301]
+    for depth in ("h", "mhr"):
+        for ranked in (True, False):
+            got = threaded_values(depth, Q, gp_sample, spans, ranked=ranked)
+            want = threaded_values(depth, Q, gp_sample, 1, ranked=ranked)
+            assert got.tobytes() == want.tobytes(), (depth, ranked)
+
+
+def test_split_batch_spans_are_contiguous_whole_steps():
+    seen = []
+    with mock.patch.object(depths, "_usable_cpus", return_value=3):
+        depths._split_batch(10, 4, 10**6, lambda lo, hi: seen.append((lo, hi)))
+        assert sorted(seen) == [(0, 4), (4, 8), (8, 10)]
+        seen.clear()
+        with mock.patch.object(depths, "_kernel_threads", 2):
+            depths._split_batch(10, 1, 10**6, lambda lo, hi: seen.append((lo, hi)))
+        assert sorted(seen) == [(0, 5), (5, 10)]
+
+
+def test_split_batch_raises_a_later_span_error_after_joining_every_thread():
+    started = threading.active_count()
+    done = []
+
+    def run(lo, hi):
+        if lo > 0:
+            raise ValueError(f"span at {lo}")
+        time.sleep(0.05)  # the other spans end before this one
+        done.append(lo)
+
+    with mock.patch.object(depths, "_usable_cpus", return_value=3):
+        with pytest.raises(ValueError, match="span at 3"):
+            depths._split_batch(9, 1, 10**6, run)
+    assert done == [0]
+    assert threading.active_count() == started
+
+
+def test_small_batches_and_a_cap_of_one_start_no_thread(gp_sample):
+    Q = gp_sample.values[1000:1200]
+    with mock.patch.object(depths.threading, "Thread", side_effect=AssertionError):
+        for depth in ("h", "mhr"):
+            depth_values(depth, Q[:1], gp_sample)  # a batch of one
+            # 30 queries against 200 curves: under the work threshold
+            depth_values(depth, Q[:30], FunctionalSample(gp_sample.values[:200], gp_sample.grid))
+            with mock.patch.object(depths, "_kernel_threads", 1):
+                depth_values(depth, Q, gp_sample)
+    assert 30 * 200 * 101 < depths._THREAD_MIN_WORK <= 200 * 2000 * 101
 
 
 # ---------------------------------------------------------------------------
