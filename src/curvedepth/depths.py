@@ -15,9 +15,10 @@ with k directions.  mbd, bd with J = 2, hr and mhr share one per-batch
 table of the sorted grid columns (``_column_counts``): every query's
 closed counts le and lt per grid point in O((n+q)*m*log n), and for
 large batches of bd, hr and mhr each sample value's rank in its column,
-so their closed comparisons run on small integers.  A batch of one gets
-le and lt by direct comparison with the sample instead, in O(n*m),
-since the sort would cost more than the query.  Small batches of bd, hr
+so their closed comparisons run on small integers.  A batch of fewer
+than four queries gets le and lt by direct comparison with the sample
+instead, in O(q*n*m), since the sort would cost more than those
+queries (``_SORT_MIN_QUERIES``).  Small batches of bd, hr
 and mhr, and hr and mhr against small samples, likewise compare with
 the sample directly.  All these values equal, bit for bit, per-query
 masked weight sums and comparison counts.  bd with J = 2 counts each
@@ -41,6 +42,20 @@ place, in a buffer of a few queries (one query for a sample past 256
 KiB), but keeps the summation order of its fixed chunks of queries
 exactly (see ``_h_depth_values``), so its values, and the audit bytes
 built on them, do not move.
+
+h and mhr split a large batch into contiguous spans of queries, one per
+usable CPU (``_split_batch``): the first span runs on the calling
+thread, the others on their own threads, which are joined before the
+kernel returns.  h's spans are whole chunks, with a buffer per thread,
+and mhr's spans share the batch's read-only rank table; every span runs
+the serial loop's operations on its queries, so no value depends on the
+split.  The gain comes from numpy releasing the interpreter lock in its
+ufunc loops and BLAS calls.  Small batches, and mhr's short per-query
+calls against small samples, stay on the calling thread
+(``_THREAD_MIN_WORK``, ``_THREAD_MIN_STEP_WORK``).  The CLI's
+``--threads`` caps the span count, and so do the audit's worker
+processes, at one (``_cap_kernel_threads``).  The other four kernels
+stay serial; bd's per-query loop holds the interpreter lock.
 
 ``depth_values`` takes the distribution P either as a
 ``FunctionalSample`` (the empirical measure P_n) or as an
@@ -144,14 +159,15 @@ _RANKED_MIN_CURVES = 512
 # queries at every n from 300 to 5000, so the rule reads q only.
 _BD_RANKED_MIN_QUERIES = 48
 # h and mhr split a batch of q queries against n curves on m grid points
-# over threads (``_split_batch``) only from q * n * m = _THREAD_MIN_WORK
-# and, per step of queries that one span must keep whole, from
-# _THREAD_MIN_STEP_WORK.  Measured on 101 grid points (2-core box, one BLAS
-# thread): two threads took mhr on 27 queries x 100 curves from 0.5 to 1.3
-# ms, and lost at every batch size against 100 or 200 curves, where each
-# query's numpy calls are too short to run while the other thread holds
-# the interpreter lock; from 300 curves on (30 000 values per query) they
-# gained from about 10 queries on.
+# over threads (``_split_batch``) only when q * n * m reaches
+# _THREAD_MIN_WORK and the n * m values of each step of queries (a chunk
+# for h, one query for mhr) reach _THREAD_MIN_STEP_WORK.  Measured on 101
+# grid points (2-core box, one BLAS thread): two threads took mhr on 27
+# queries x 100 curves from 0.5 to 1.3 ms, and lost at every batch size
+# against 100 or 200 curves, where each query's numpy calls are too short
+# to run while the other thread holds the interpreter lock; from 300
+# curves on (30 000 values per query) they gained from about 10 queries
+# on, and the batch minimum keeps a margin above that.
 _THREAD_MIN_WORK = 1_000_000
 _THREAD_MIN_STEP_WORK = 25_000
 # Most threads a kernel batch may use; None means every usable CPU.  The

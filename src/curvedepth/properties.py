@@ -1442,8 +1442,6 @@ def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
     # P-4's band depths skip the last, single-curve member (it needs n >= J)
     p4_counts = {d: 2 if d in ("bd", "mbd") else 3 for d in DEPTH_IDS}
     units = 2 + sum(3 + len(config.p2g_kernels) + p4_counts[d] for d in DEPTH_IDS)
-    # the pool runs one process per CPU already, so its workers' kernels
-    # run on one thread each
     pool = ProcessPoolExecutor(
         max_workers=min(os.cpu_count() or 1, units),
         mp_context=multiprocessing.get_context("fork"),
