@@ -160,14 +160,15 @@ _RANKED_MIN_CURVES = 512
 _BD_RANKED_MIN_QUERIES = 48
 # h and mhr split a batch of q queries against n curves on m grid points
 # over threads (``_split_batch``) only when q * n * m reaches
-# _THREAD_MIN_WORK and the n * m values of each step of queries (a chunk
-# for h, one query for mhr) reach _THREAD_MIN_STEP_WORK.  Measured on 101
-# grid points (2-core box, one BLAS thread): two threads took mhr on 27
-# queries x 100 curves from 0.5 to 1.3 ms, and lost at every batch size
-# against 100 or 200 curves, where each query's numpy calls are too short
-# to run while the other thread holds the interpreter lock; from 300
-# curves on (30 000 values per query) they gained from about 10 queries
-# on, and the batch minimum keeps a margin above that.
+# _THREAD_MIN_WORK and the values of each step of queries that a span
+# keeps whole (chunk * n * m for h, n * m for mhr) reach
+# _THREAD_MIN_STEP_WORK.  Measured on 101 grid points (2-core box, one
+# BLAS thread): two threads took mhr on 27 queries x 100 curves from 0.5
+# to 1.3 ms, and lost at every batch size against 100 or 200 curves,
+# where each query's numpy calls are too short to run while the other
+# thread holds the interpreter lock; from 300 curves on (30 000 values
+# per query) they gained from about 10 queries on, and the batch minimum
+# keeps a margin above that.
 _THREAD_MIN_WORK = 1_000_000
 _THREAD_MIN_STEP_WORK = 25_000
 # Most threads a kernel batch may use; None means every usable CPU.  The
