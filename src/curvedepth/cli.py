@@ -11,8 +11,9 @@ depth id, bandwidth, ...), 4 audit mismatch or under-powered audit cells.
 their thread pools, so everything that imports numpy is imported lazily
 inside the command handlers.  ``audit`` and ``simulate-gp`` run one BLAS
 thread unless ``--threads`` is given.  The flag also caps the threads
-that the h and mhr kernels split a batch over; inherited ``*_NUM_THREADS``
-values cap BLAS only.
+that the h and mhr kernels split a batch over.  Those kernels use only
+the CPUs that BLAS leaves free, so with no ``*_NUM_THREADS`` value set
+(BLAS on every CPU) they stay on one thread.
 """
 
 from __future__ import annotations

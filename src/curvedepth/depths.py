@@ -43,16 +43,19 @@ KiB), but keeps the summation order of its fixed chunks of queries
 exactly (see ``_h_depth_values``), so its values, and the audit bytes
 built on them, do not move.
 
-h and mhr split a large batch into contiguous spans of queries, one per
-usable CPU (``_split_batch``): the first span runs on the calling
-thread, the others on their own threads, which are joined before the
-kernel returns.  h's spans are whole chunks, with a buffer per thread,
-and mhr's spans share the batch's read-only rank table; every span runs
-the serial loop's operations on its queries, so no value depends on the
-split.  The gain comes from numpy releasing the interpreter lock in its
-ufunc loops and BLAS calls.  Small batches, and mhr's short per-query
-calls against small samples, stay on the calling thread
-(``_THREAD_MIN_WORK``, ``_THREAD_MIN_STEP_WORK``).  The CLI's
+h and mhr split a large batch into contiguous spans of queries
+(``_split_batch``), one per CPU that BLAS leaves free: the usable CPUs
+divided by the BLAS threads (``_blas_threads``), so with BLAS on every
+CPU, numpy's default, the batch stays on one thread.  The first span
+runs on the calling thread, the others on their own threads, which are
+joined before the kernel returns.  h's spans are whole chunks, with a
+buffer per thread, and mhr's spans share the batch's read-only rank
+table; every span runs the serial loop's operations on its queries, so
+no value depends on the split.  The gain comes from numpy releasing the
+interpreter lock in its ufunc loops and BLAS calls.  h splits a batch
+of two or more chunks; mhr keeps small batches, and its short per-query
+calls against small samples, on the calling thread
+(``_MHR_THREAD_MIN_WORK``, ``_MHR_THREAD_MIN_QUERY_WORK``).  The CLI's
 ``--threads`` caps the span count, and so do the audit's worker
 processes, at one (``_cap_kernel_threads``).  The other four kernels
 stay serial; bd's per-query loop holds the interpreter lock.
@@ -158,19 +161,19 @@ _RANKED_MIN_CURVES = 512
 # the same way: the table pays for itself from 40 to 60
 # queries at every n from 300 to 5000, so the rule reads q only.
 _BD_RANKED_MIN_QUERIES = 48
-# h and mhr split a batch of q queries against n curves on m grid points
-# over threads (``_split_batch``) only when q * n * m reaches
-# _THREAD_MIN_WORK and the values of each step of queries that a span
-# keeps whole (chunk * n * m for h, n * m for mhr) reach
-# _THREAD_MIN_STEP_WORK.  Measured on 101 grid points (2-core box, one
-# BLAS thread): two threads took mhr on 27 queries x 100 curves from 0.5
-# to 1.3 ms, and lost at every batch size against 100 or 200 curves,
+# mhr splits a batch of q queries against n curves on m grid points over
+# threads (``_split_batch``) only when q * n * m reaches
+# _MHR_THREAD_MIN_WORK and one query's n * m values reach
+# _MHR_THREAD_MIN_QUERY_WORK.  Measured on 101 grid points (2-core box,
+# one BLAS thread): two threads took mhr on 27 queries x 100 curves from
+# 0.5 to 1.3 ms, and lost at every batch size against 100 or 200 curves,
 # where each query's numpy calls are too short to run while the other
 # thread holds the interpreter lock; from 300 curves on (30 000 values
 # per query) they gained from about 10 queries on, and the batch minimum
-# keeps a margin above that.
-_THREAD_MIN_WORK = 1_000_000
-_THREAD_MIN_STEP_WORK = 25_000
+# keeps a margin above that.  h needs no such minimum: it splits only a
+# batch of two or more chunks, and two chunks hold about 4 * 10^6 values.
+_MHR_THREAD_MIN_WORK = 1_000_000
+_MHR_THREAD_MIN_QUERY_WORK = 25_000
 # Most threads a kernel batch may use; None means every usable CPU.  The
 # CLI's ``--threads`` sets it, and the audit's worker processes set it to
 # 1 (``_cap_kernel_threads``).
@@ -269,14 +272,27 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _split_batch(q: int, step: int, row_work: int, run) -> None:
+def _blas_threads() -> int:
+    """BLAS threads of this process: the first positive count among
+    ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` and ``OMP_NUM_THREADS``,
+    which numpy's BLAS reads when it loads, else one per usable CPU
+    (OpenBLAS's default)."""
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return _usable_cpus()
+
+
+def _split_batch(q: int, step: int, run) -> None:
     """Call ``run(lo, hi)`` on contiguous spans of ``range(q)`` that cover
     it, each made of whole steps of ``step`` queries, one span per thread.
 
-    There are as many spans as usable CPUs, at most ``_kernel_threads``
-    and at most the number of steps, and just one when the batch or one
-    step holds too little work at ``row_work`` values per query
-    (``_THREAD_MIN_WORK``, ``_THREAD_MIN_STEP_WORK``).  The first span
+    There are as many spans as usable CPUs per BLAS thread, at most
+    ``_kernel_threads`` and at most the number of steps: a kernel thread
+    whose BLAS calls start threads of their own would oversubscribe the
+    CPUs (with two BLAS threads on two CPUs, two kernel threads took h on
+    200 fresh queries x 5000 curves from 0.28 to 0.38 s).  The first span
     runs on the calling thread, the others on their own threads; every
     thread is joined before this returns, and the first exception a span
     raised is raised here.  A span computes exactly what a serial loop
@@ -285,9 +301,8 @@ def _split_batch(q: int, step: int, row_work: int, run) -> None:
     its ufunc loops and BLAS calls.
     """
     steps = -(-q // step)
-    spans = 1
-    if q * row_work >= _THREAD_MIN_WORK and step * row_work >= _THREAD_MIN_STEP_WORK:
-        spans = min(steps, _usable_cpus(), _kernel_threads or steps)
+    free = max(1, _usable_cpus() // _blas_threads())
+    spans = min(steps, free, _kernel_threads or steps)
     bounds = [min(q, steps * k // spans * step) for k in range(spans + 1)]
     errors: list[BaseException | None] = [None] * spans
 
@@ -361,8 +376,9 @@ def _h_depth_values(
     the final product with ``sample.weights`` rounds differently for
     different row counts, and the audit's stored values rest on it.
 
-    A large batch runs on several threads (``_split_batch``), each over a
-    span of whole chunks with its own buffer and ``d2``.  Chunks and
+    A batch of two or more chunks runs on several threads when BLAS
+    leaves CPUs free (``_split_batch``), each over a span of whole chunks
+    with its own buffer and ``d2``.  Chunks and
     blocks start where a serial loop starts them, so every product sees
     the rows it sees on one thread, and the bytes do not move.
     """
@@ -387,7 +403,7 @@ def _h_depth_values(
                 np.matmul(blk, w, out=d2[s - c0 : e - c0])
             out[c0:c1] = (np.exp(-d2[: c1 - c0] / (2.0 * h * h)) * norm) @ sample.weights
 
-    _split_batch(q, chunk, X.size, run)
+    _split_batch(q, chunk, run)
     return out
 
 
@@ -1062,10 +1078,12 @@ def _mhr_depth_values(queries: np.ndarray, sample: FunctionalSample) -> np.ndarr
     floats; the masks, and so every product and every value, are bit for
     bit those of the direct comparison that small batches make.  O(q*n*m)
     for q queries against n curves on m grid points, plus O(n*m*log n)
-    for the table.  A large batch runs on several threads
-    (``_split_batch``), each over a span of queries, all reading the one
-    table; a query's value comes from its own masks alone, so the bytes
-    do not depend on the split.
+    for the table.  A large batch runs on several threads when BLAS
+    leaves CPUs free (``_split_batch``), each over a span of queries, all
+    reading the one table; a query's value comes from its own masks
+    alone, so the bytes do not depend on the split.  Small batches, and
+    batches against samples of under ``_MHR_THREAD_MIN_QUERY_WORK``
+    values, stay on the calling thread.
     """
     X, w = sample.values, sample.grid.weights
     lam = sample.grid.length
@@ -1091,7 +1109,10 @@ def _mhr_depth_values(queries: np.ndarray, sample: FunctionalSample) -> np.ndarr
             frac_ge = (above @ w) / lam
             out[i] = min(float(sample.weights @ frac_le), float(sample.weights @ frac_ge))
 
-    _split_batch(q, 1, X.size, run)
+    if q * X.size >= _MHR_THREAD_MIN_WORK and X.size >= _MHR_THREAD_MIN_QUERY_WORK:
+        _split_batch(q, 1, run)
+    else:
+        run(0, q)
     return out
 
 

@@ -445,11 +445,10 @@ def test_threads_flag_overrides_inherited_environment(three_csv, monkeypatch):
 
 
 def test_threads_flag_caps_the_kernel_threads(tmp_path, monkeypatch):
-    # inherited *_NUM_THREADS values cap BLAS only, so h and mhr split a
-    # large batch over threads; --threads 1 keeps them on the calling
-    # thread, with the same stdout
-    for var in cli._THREAD_ENV_VARS:
-        monkeypatch.setenv(var, "1")
+    # an inherited one-thread BLAS leaves both CPUs to the h and mhr
+    # kernels, which split a large batch over threads; --threads 1, or
+    # BLAS on every CPU, keeps them on the calling thread, with the same
+    # stdout
     monkeypatch.setattr(depths, "_kernel_threads", None)
     monkeypatch.setattr(depths, "_usable_cpus", lambda: 2)
     started = []
@@ -464,16 +463,21 @@ def test_threads_flag_caps_the_kernel_threads(tmp_path, monkeypatch):
     path = tmp_path / "gp.csv"
     write_curves_csv(path, grid, sample_gp(GPSpec(Kernel("se", 1.0, 0.2), grid), 600, 3).values)
     outs = {}
-    for flags in ([], ["--threads", 1]):
+    for blas, flags, threads in (("1", [], 2), ("1", ["--threads", 1], 0), (None, [], 0)):
+        for var in cli._THREAD_ENV_VARS:
+            if blas is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, blas)
         for depth in ("h", "mhr"):
             code, out, err = run_cli([*flags, "rank", path, depth])
             assert code == 0, err
-            outs[len(flags), depth] = out
-        assert len(started) == (0 if flags else 2), flags
+            outs.setdefault(depth, set()).add(out)
+        assert len(started) == threads, (blas, flags)
         assert not any(t.is_alive() for t in started)
         started.clear()
-    for depth in ("h", "mhr"):
-        assert outs[0, depth] == outs[2, depth]
+        monkeypatch.setattr(depths, "_kernel_threads", None)
+    assert all(len(v) == 1 for v in outs.values())
 
 
 # ---------------------------------------------------------------------------

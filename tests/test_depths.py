@@ -931,14 +931,14 @@ def test_column_counts_direct_and_sorted_routes_agree():
 def threaded_values(depth, Q, sample, spans, ranked=None, params=None):
     """depth_values with the batch split into at most ``spans`` threads
     whatever its size, and mhr's ranked path forced on or off."""
-    patches = dict(_THREAD_MIN_WORK=0, _THREAD_MIN_STEP_WORK=0, _kernel_threads=None)
+    patches = dict(_MHR_THREAD_MIN_WORK=0, _MHR_THREAD_MIN_QUERY_WORK=0, _kernel_threads=None)
     if ranked is not None:
         patches["_RANKED_MIN_QUERIES"] = patches["_RANKED_MIN_CURVES"] = (
             0 if ranked else 10**9
         )
     with mock.patch.multiple(depths, **patches), mock.patch.object(
         depths, "_usable_cpus", return_value=spans
-    ):
+    ), mock.patch.object(depths, "_blas_threads", return_value=1):
         return depth_values(depth, Q, sample, params)
 
 
@@ -976,18 +976,45 @@ def test_threaded_h_mhr_match_serial_bits_on_a_gp_sample(gp_sample, spans):
         assert got.tobytes() == want.tobytes(), (depth, ranked)
 
 
-def test_split_batch_spans_are_contiguous_whole_steps():
+@pytest.fixture
+def one_blas_thread(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+
+
+def test_split_batch_spans_are_contiguous_whole_steps(one_blas_thread):
     seen = []
     with mock.patch.object(depths, "_usable_cpus", return_value=3):
-        depths._split_batch(10, 4, 10**6, lambda lo, hi: seen.append((lo, hi)))
+        depths._split_batch(10, 4, lambda lo, hi: seen.append((lo, hi)))
         assert sorted(seen) == [(0, 4), (4, 8), (8, 10)]
         seen.clear()
         with mock.patch.object(depths, "_kernel_threads", 2):
-            depths._split_batch(10, 1, 10**6, lambda lo, hi: seen.append((lo, hi)))
+            depths._split_batch(10, 1, lambda lo, hi: seen.append((lo, hi)))
         assert sorted(seen) == [(0, 5), (5, 10)]
 
 
-def test_split_batch_raises_a_later_span_error_after_joining_every_thread():
+@pytest.mark.parametrize(
+    "env, spans",
+    [
+        ({}, 1),  # BLAS takes every CPU
+        ({"OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4),
+    ],
+)
+def test_split_batch_leaves_the_blas_threads_their_cpus(monkeypatch, env, spans):
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(depths, "_kernel_threads", None)
+    seen = []
+    with mock.patch.object(depths, "_usable_cpus", return_value=4):
+        depths._split_batch(8, 1, lambda lo, hi: seen.append((lo, hi)))
+    assert len(seen) == spans
+
+
+def test_split_batch_raises_a_later_span_error_after_joining_every_thread(one_blas_thread):
     started = threading.active_count()
     done = []
 
@@ -999,21 +1026,23 @@ def test_split_batch_raises_a_later_span_error_after_joining_every_thread():
 
     with mock.patch.object(depths, "_usable_cpus", return_value=3):
         with pytest.raises(ValueError, match="span at 3"):
-            depths._split_batch(9, 1, 10**6, run)
+            depths._split_batch(9, 1, run)
     assert done == [0]
     assert threading.active_count() == started
 
 
-def test_small_batches_and_a_cap_of_one_start_no_thread(gp_sample):
+def test_small_batches_and_a_cap_of_one_start_no_thread(gp_sample, one_blas_thread):
     Q = gp_sample.values[1000:1200]
     with mock.patch.object(depths.threading, "Thread", side_effect=AssertionError):
         for depth in ("h", "mhr"):
             depth_values(depth, Q[:1], gp_sample)  # a batch of one
-            # 30 queries against 200 curves: under the work threshold
+            # 30 queries against 200 curves: one h chunk, and under mhr's
+            # work threshold
             depth_values(depth, Q[:30], FunctionalSample(gp_sample.values[:200], gp_sample.grid))
             with mock.patch.object(depths, "_kernel_threads", 1):
                 depth_values(depth, Q, gp_sample)
-    assert 30 * 200 * 101 < depths._THREAD_MIN_WORK <= 200 * 2000 * 101
+    assert 30 * 200 * 101 < depths._MHR_THREAD_MIN_WORK <= 200 * 2000 * 101
+    assert 4_000_000 // (200 * 101) >= 30
 
 
 # ---------------------------------------------------------------------------
