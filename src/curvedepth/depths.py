@@ -171,7 +171,8 @@ _BD_RANKED_MIN_QUERIES = 48
 # thread holds the interpreter lock; from 300 curves on (30 000 values
 # per query) they gained from about 10 queries on, and the batch minimum
 # keeps a margin above that.  h needs no such minimum: it splits only a
-# batch of two or more chunks, and two chunks hold about 4 * 10^6 values.
+# batch of two or more chunks, and each chunk holds at least 2 * 10^6
+# values.
 _MHR_THREAD_MIN_WORK = 1_000_000
 _MHR_THREAD_MIN_QUERY_WORK = 25_000
 # Most threads a kernel batch may use; None means every usable CPU.  The
