@@ -11,9 +11,12 @@ depth id, bandwidth, ...), 4 audit mismatch or under-powered audit cells.
 their thread pools, so everything that imports numpy is imported lazily
 inside the command handlers.  ``audit`` and ``simulate-gp`` run one BLAS
 thread unless ``--threads`` is given.  The flag also caps the threads
-that the h and mhr kernels split a batch over.  Those kernels use only
-the CPUs that BLAS leaves free, so with no ``*_NUM_THREADS`` value set
-(BLAS on every CPU) they stay on one thread.
+that the h and mhr kernels split a batch over, and the forked workers
+that parse a large CSV file in spans of whole lines.  The kernels use
+only the CPUs that BLAS leaves free, so with no ``*_NUM_THREADS`` value
+set (BLAS on every CPU) they stay on one thread.  The CSV split needs
+``fork`` (POSIX); without it, under ``--threads 1`` or when a span fails,
+the file is read in one process.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cap BLAS/OpenMP thread pools (set before numpy loads; "
         "overrides inherited *_NUM_THREADS values; audit and simulate-gp "
-        "default to 1) and the depth kernels' own threads",
+        "default to 1), the depth kernels' own threads and the CSV "
+        "reader's worker processes",
     )
     parser.add_argument(
         "--format",
@@ -463,7 +467,7 @@ def main(argv=None) -> int:
     from curvedepth.core import InputError, ParameterError
 
     if args.threads is not None:
-        from curvedepth.depths import _cap_kernel_threads
+        from curvedepth.core import _cap_kernel_threads
 
         _cap_kernel_threads(args.threads)
 

@@ -57,7 +57,7 @@ of two or more chunks; mhr keeps small batches, and its short per-query
 calls against small samples, on the calling thread
 (``_MHR_THREAD_MIN_WORK``, ``_MHR_THREAD_MIN_QUERY_WORK``).  The CLI's
 ``--threads`` caps the span count, and so do the audit's worker
-processes, at one (``_cap_kernel_threads``).  The other four kernels
+processes, at one (``core._cap_kernel_threads``).  The other four kernels
 stay serial; bd's per-query loop holds the interpreter lock.
 
 ``depth_values`` takes the distribution P either as a
@@ -93,6 +93,7 @@ from itertools import product
 
 import numpy as np
 
+from . import core
 from .core import (
     Curve,
     FunctionalSample,
@@ -175,10 +176,6 @@ _BD_RANKED_MIN_QUERIES = 48
 # values.
 _MHR_THREAD_MIN_WORK = 1_000_000
 _MHR_THREAD_MIN_QUERY_WORK = 25_000
-# Most threads a kernel batch may use; None means every usable CPU.  The
-# CLI's ``--threads`` sets it, and the audit's worker processes set it to
-# 1 (``_cap_kernel_threads``).
-_kernel_threads: int | None = None
 # ``_column_counts`` sorts the grid columns only for at least this many
 # queries, and otherwise compares each query with the sample directly.
 # Measured the same way: three direct queries cost less than the sort at
@@ -260,19 +257,6 @@ def upper_bound(depth: str, *, h: float = 1.0, J: int = 2) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cap_kernel_threads(n: int | None) -> None:
-    """Let a kernel batch use at most n threads (None: every usable CPU)."""
-    global _kernel_threads
-    _kernel_threads = n
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not offered on every platform
-        return os.cpu_count() or 1
-
-
 def _blas_threads() -> int:
     """BLAS threads of this process: the first positive count among
     ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` and ``OMP_NUM_THREADS``,
@@ -282,7 +266,7 @@ def _blas_threads() -> int:
         value = os.environ.get(var, "").strip()
         if value.isdigit() and int(value) > 0:
             return int(value)
-    return _usable_cpus()
+    return core._usable_cpus()
 
 
 def _split_batch(q: int, step: int, run) -> None:
@@ -290,7 +274,7 @@ def _split_batch(q: int, step: int, run) -> None:
     it, each made of whole steps of ``step`` queries, one span per thread.
 
     There are as many spans as usable CPUs per BLAS thread, at most
-    ``_kernel_threads`` and at most the number of steps: a kernel thread
+    ``core._kernel_threads`` and at most the number of steps: a kernel thread
     whose BLAS calls start threads of their own would oversubscribe the
     CPUs (with two BLAS threads on two CPUs, two kernel threads took h on
     200 fresh queries x 5000 curves from 0.28 to 0.38 s).  The first span
@@ -302,8 +286,8 @@ def _split_batch(q: int, step: int, run) -> None:
     its ufunc loops and BLAS calls.
     """
     steps = -(-q // step)
-    free = max(1, _usable_cpus() // _blas_threads())
-    spans = min(steps, free, _kernel_threads or steps)
+    free = max(1, core._usable_cpus() // _blas_threads())
+    spans = min(steps, free, core._kernel_threads or steps)
     bounds = [min(q, steps * k // spans * step) for k in range(spans + 1)]
     errors: list[BaseException | None] = [None] * spans
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -50,7 +49,9 @@ from .core import (
     Grid,
     InputError,
     ParameterError,
+    _cap_kernel_threads,
     _jsonable,
+    _usable_cpus,
     l2_norm_rows,
     sup_norm_rows,
     uniform_grid,
@@ -59,7 +60,6 @@ from .depths import (
     DEPTH_IDS,
     DEPTH_LABELS,
     DepthParams,
-    _cap_kernel_threads,
     _check_band_budget,
     _check_band_order,
     depth_values,
@@ -1416,11 +1416,11 @@ def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
 
     The shared P-6 measurements, the Rice diagnostic and every cell (P-2G
     and P-4 per member) are independent units, so they run in forked
-    worker processes, at most one per CPU.  A worker inherits the parent's
-    modules, BLAS thread count and cached GP factors, so each unit computes
-    what a serial run computes, and the report bytes are the same.  Each
-    worker runs its depth kernels on one thread, since the pool already
-    keeps every CPU busy.  The results are read in the serial call order,
+    worker processes, at most one per usable CPU (``_usable_cpus``).  A
+    worker inherits the parent's modules, BLAS thread count and cached GP
+    factors, so each unit computes what a serial run computes, and the
+    report bytes are the same.  Each worker runs its depth kernels and CSV
+    reads on one thread, since the pool already keeps every CPU busy.  The results are read in the serial call order,
     so the first error raised is the one a serial run raises; on an error
     the queued units are dropped and every worker is reaped before it
     propagates.  Needs the ``fork`` start method (POSIX); a fork copies
@@ -1443,7 +1443,7 @@ def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
     p4_counts = {d: 2 if d in ("bd", "mbd") else 3 for d in DEPTH_IDS}
     units = 2 + sum(3 + len(config.p2g_kernels) + p4_counts[d] for d in DEPTH_IDS)
     pool = ProcessPoolExecutor(
-        max_workers=min(os.cpu_count() or 1, units),
+        max_workers=min(_usable_cpus(), units),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_cap_kernel_threads,
         initargs=(1,),

@@ -24,6 +24,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 try:
     import tomllib
@@ -36,7 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvedepth.properties as P
-from curvedepth import cli, depths
+from curvedepth import cli, core, depths
 from curvedepth.core import (
     Grid,
     ParameterError,
@@ -437,11 +438,28 @@ def test_bd_order_three_triple_budget_exits_3_fast(tmp_path):
 def test_threads_flag_overrides_inherited_environment(three_csv, monkeypatch):
     for var in cli._THREAD_ENV_VARS:
         monkeypatch.setenv(var, "7")
-    monkeypatch.setattr(depths, "_kernel_threads", None)
+    monkeypatch.setattr(core, "_kernel_threads", None)
     code, _, _ = run_cli(["--threads", 1, "depth", three_csv, "mhr"])
     assert code == 0
     assert all(os.environ[var] == "1" for var in cli._THREAD_ENV_VARS)
-    assert depths._kernel_threads == 1
+    assert core._kernel_threads == 1
+
+
+def test_threads_flag_keeps_the_csv_read_in_one_process(tmp_path, monkeypatch):
+    # a file that would be split over two forked workers is read in this
+    # process under --threads 1, with the same stdout
+    monkeypatch.setattr(core, "_kernel_threads", None)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_CSV_SPLIT_MIN_BYTES", 0)
+    for var in cli._THREAD_ENV_VARS:
+        monkeypatch.setenv(var, "1")
+    path = tmp_path / "levels.csv"
+    write_constant_curves(path, np.arange(40.0))
+    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        code, split, err = run_cli(["depth", path, "mbd"])
+    assert code == 0 and fork.call_count == 1, err
+    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+    assert run_cli(["--threads", 1, "depth", path, "mbd"]) == (0, split, "")
 
 
 def test_threads_flag_caps_the_kernel_threads(tmp_path, monkeypatch):
@@ -449,8 +467,8 @@ def test_threads_flag_caps_the_kernel_threads(tmp_path, monkeypatch):
     # kernels, which split a large batch over threads; --threads 1, or
     # BLAS on every CPU, keeps them on the calling thread, with the same
     # stdout
-    monkeypatch.setattr(depths, "_kernel_threads", None)
-    monkeypatch.setattr(depths, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_kernel_threads", None)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
     started = []
 
     class CountingThread(threading.Thread):
@@ -476,7 +494,7 @@ def test_threads_flag_caps_the_kernel_threads(tmp_path, monkeypatch):
         assert len(started) == threads, (blas, flags)
         assert not any(t.is_alive() for t in started)
         started.clear()
-        monkeypatch.setattr(depths, "_kernel_threads", None)
+        monkeypatch.setattr(core, "_kernel_threads", None)
     assert all(len(v) == 1 for v in outs.values())
 
 
@@ -952,7 +970,7 @@ def test_audit_cli_bad_config_exits_before_the_audit(tmp_path, text, code):
 
 def _report_kernel_threads(*args, **kwargs):
     # module level, so a worker process can unpickle it by name
-    raise ParameterError(f"kernel threads: {depths._kernel_threads}")
+    raise ParameterError(f"kernel threads: {core._kernel_threads}")
 
 
 def _raise_injected(*args, **kwargs):
@@ -992,11 +1010,11 @@ def test_audit_worker_error_keeps_exit_code_contract(tmp_path, monkeypatch, capf
 
 def test_audit_workers_run_their_kernels_on_one_thread(monkeypatch):
     # the pool already runs one process per CPU; the parent keeps its cap
-    monkeypatch.setattr(depths, "_kernel_threads", None)
+    monkeypatch.setattr(core, "_kernel_threads", None)
     monkeypatch.setattr(P, "audit_P2G", _report_kernel_threads)
     with pytest.raises(ParameterError, match="kernel threads: 1$"):
         P.run_full_audit(_reduced_config())
-    assert depths._kernel_threads is None
+    assert core._kernel_threads is None
     assert multiprocessing.active_children() == []
 
 

@@ -1,8 +1,15 @@
+import os
+import re
+import threading
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvedepth import core
 from curvedepth.core import (
     Curve,
     FunctionalSample,
@@ -213,9 +220,19 @@ def roundtrip_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("csv-roundtrip")
 
 
+@contextmanager
+def split_reads(spans):
+    """Read every CSV file, however small, in up to ``spans`` spans."""
+    with mock.patch.multiple(
+        core, _CSV_SPLIT_MIN_BYTES=0, _kernel_threads=None,
+        _usable_cpus=mock.Mock(return_value=spans),
+    ):
+        yield
+
+
 @settings(max_examples=N_FUZZ, deadline=None)
-@given(grid_and_curves())
-def test_fuzz_csv_round_trip_bit_exact(roundtrip_dir, gc):
+@given(grid_and_curves(), st.sampled_from([2, 3]))
+def test_fuzz_csv_round_trip_bit_exact(roundtrip_dir, gc, spans):
     g, curves = gc
     values = np.stack([c.values for c in curves])
     path = roundtrip_dir / "case.csv"
@@ -223,6 +240,10 @@ def test_fuzz_csv_round_trip_bit_exact(roundtrip_dir, gc):
     g2, values2 = read_curves_csv(path)
     np.testing.assert_array_equal(g2.points, g.points)
     np.testing.assert_array_equal(values2, values)
+    with split_reads(spans):
+        g3, values3 = read_curves_csv(path)
+    assert g3.points.tobytes() == g.points.tobytes()
+    assert values3.tobytes() == values.tobytes()
     # writing the re-read data reproduces the file byte for byte
     path2 = roundtrip_dir / "case2.csv"
     write_curves_csv(path2, g2, values2)
@@ -352,22 +373,31 @@ def csv_texts(draw):
     return "".join(line + br for line, br in zip(lines, breaks))
 
 
-def _read_outcome(reader, path, allow_nan):
-    """The bits a reader returns, or None when it raises InputError."""
+def _read_outcome(reader, path, allow_nan, errors=False):
+    """The bits a reader returns; when it raises InputError, None, or with
+    ``errors`` the error's text."""
     try:
         grid, values = reader(path, allow_nan=allow_nan)
-    except InputError:
-        return None
+    except InputError as exc:
+        return str(exc) if errors else None
     return grid.points.tobytes(), values.shape, values.tobytes()
 
 
 @settings(max_examples=N_FUZZ, deadline=None)
-@given(csv_texts(), st.booleans())
-def test_fuzz_csv_reader_matches_reference_bits(roundtrip_dir, text, allow_nan):
+@given(csv_texts(), st.booleans(), st.sampled_from([2, 3]))
+def test_fuzz_csv_reader_matches_reference_bits(roundtrip_dir, text, allow_nan, spans):
     path = roundtrip_dir / "diff.csv"
     path.write_bytes(text.encode("utf-8"))
-    expected = _read_outcome(csv_reference.read_curves_csv, path, allow_nan)
-    assert _read_outcome(read_curves_csv, path, allow_nan) == expected, repr(text)
+    # the text twice has a line end in its middle, so it is always split
+    doubled = roundtrip_dir / "diff2.csv"
+    doubled.write_bytes((text + "\n" + text).encode("utf-8"))
+    for case in (path, doubled):
+        expected = _read_outcome(csv_reference.read_curves_csv, case, allow_nan)
+        one_span = _read_outcome(read_curves_csv, case, allow_nan, errors=True)
+        assert (None if isinstance(one_span, str) else one_span) == expected, repr(text)
+        # split into spans: the same bits, or the same error text
+        with split_reads(spans):
+            assert _read_outcome(read_curves_csv, case, allow_nan, errors=True) == one_span
 
 
 @pytest.mark.parametrize("cell", ["1_0", "١", "１", "1٠"])
@@ -408,3 +438,147 @@ def test_fuzz_csv_writer_matches_reference_bytes(roundtrip_dir, gc, data):
     write_curves_csv(ours, g, values)
     csv_reference.write_curves_csv(ref, g, values)
     assert ours.read_bytes() == ref.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# CSV reads split over forked workers (core._read_rows_in_spans)
+# ---------------------------------------------------------------------------
+
+
+def _span_text(brk, rows=60, m=4, blank=""):
+    """A grid row and ``rows`` curve rows ended by ``brk``, with a
+    ``blank`` line after every seventh row."""
+    rng = np.random.default_rng(len(brk) + rows)
+    lines = [",".join("%.17g" % v for v in range(m))]
+    for i in range(rows):
+        lines.append(",".join("%.17g" % v for v in rng.normal(size=m)))
+        if i % 7 == 3:
+            lines.append(blank)
+    return brk.join(lines) + brk
+
+
+def _split_read(path, spans):
+    """Read ``path`` in up to ``spans`` spans; return the result, the forks
+    and how often this process parsed text (once, unless it fell back)."""
+    with split_reads(spans), mock.patch.object(
+        core.os, "fork", wraps=os.fork
+    ) as fork, mock.patch.object(core, "_parse_rows", wraps=core._parse_rows) as parse:
+        result = _read_outcome(read_curves_csv, path, False, errors=True)
+    return result, fork.call_count, parse.call_count
+
+
+@pytest.mark.parametrize(
+    "brk, blank",
+    [("\n", ""), ("\r\n", ""), ("\r\n", " \t"), ("\n", "\xa0"),
+     ("\x0b\n", ""), ("\x85\n", "  "), ("\u2028\n", ""), ("\u2029\r\n", "\t")],
+    ids=["lf", "crlf", "crlf-blank", "lf-nbsp", "vt", "nel", "line-sep", "par-sep"],
+)
+@pytest.mark.parametrize("spans", [2, 3])
+def test_split_read_matches_one_span_and_reference(tmp_path, brk, blank, spans):
+    # a break that str.splitlines knows but that is no b"\n" byte still
+    # ends a row, and a span never starts inside a line
+    path = tmp_path / "spans.csv"
+    path.write_bytes(_span_text(brk, blank=blank).encode("utf-8"))
+    want = _read_outcome(csv_reference.read_curves_csv, path, False)
+    assert want is not None and want[1] == (60, 4)
+    assert _read_outcome(read_curves_csv, path, False) == want
+    got, forks, parses = _split_read(path, spans)
+    assert got == want
+    assert (forks, parses) == (spans - 1, 1)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (b"0.5,x,1,2", r"spans.csv:(\d+): unparseable cell"),
+        (b"0.5,1,2", r"spans.csv:(\d+): 3 cells, expected 4"),
+        (b"0.5,1,2,\xff", r"not UTF-8 text"),
+    ],
+    ids=["bad-cell", "ragged", "not-utf8"],
+)
+def test_split_read_error_in_last_span_names_the_file_line(tmp_path, damage, message):
+    lines = _span_text("\r\n", blank=" ").encode("utf-8").split(b"\r\n")
+    lines[-3] = damage  # in the last span, two lines before the end
+    path = tmp_path / "spans.csv"
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(InputError) as one_span:
+        read_curves_csv(path)
+    got, forks, parses = _split_read(path, 3)
+    assert got == str(one_span.value)
+    match = re.search(message, got)
+    assert match, got
+    if match.groups():
+        assert int(match.group(1)) == len(lines) - 2
+    assert (forks, parses) == (2, 2)  # the last worker fails: one-span re-read
+
+
+def test_split_read_of_spans_that_differ_in_width(tmp_path):
+    # each span is consistent on its own; only the two spans disagree
+    wide = _span_text("\n", rows=20, m=4).encode("utf-8")
+    narrow = b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in wide.splitlines()[1:])
+    wide = wide[:-1] + b" " * len(narrow) + b"\n"  # the cut falls where narrow starts
+    path = tmp_path / "spans.csv"
+    path.write_bytes(wide + narrow)
+    assert wide.rindex(b"\n", 0, -1) < path.stat().st_size // 2 < len(wide)
+    with pytest.raises(InputError, match=r"spans.csv:25: 3 cells, expected 4") as one_span:
+        read_curves_csv(path)
+    got, forks, parses = _split_read(path, 2)
+    assert got == str(one_span.value)
+    assert (forks, parses) == (1, 2)
+
+
+def test_split_read_falls_back_when_a_worker_exits_non_zero(tmp_path, monkeypatch):
+    path = tmp_path / "spans.csv"
+    path.write_text(_span_text("\n"), encoding="utf-8")
+    want = _read_outcome(read_curves_csv, path, False)
+    monkeypatch.setattr(core, "_span_worker", lambda *args: os._exit(3))
+    got, forks, parses = _split_read(path, 3)
+    assert got == want
+    assert (forks, parses) == (2, 2)  # the first span, then the whole file
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """Let every file be split into two spans, but fail any fork."""
+    monkeypatch.setattr(core, "_CSV_SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(core, "_kernel_threads", None)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(core.os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+
+
+def test_capped_read_does_not_fork(tmp_path, no_fork):
+    path = tmp_path / "spans.csv"
+    path.write_text(_span_text("\n"), encoding="utf-8")
+    core._cap_kernel_threads(1)
+    assert read_curves_csv(path)[1].shape == (60, 4)
+
+
+def test_read_beside_another_thread_does_not_fork(tmp_path, no_fork):
+    path = tmp_path / "spans.csv"
+    path.write_text(_span_text("\n"), encoding="utf-8")
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert read_curves_csv(path)[1].shape == (60, 4)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+def test_read_of_a_pipe_does_not_fork(no_fork):
+    r, w = os.pipe()
+    try:
+        os.write(w, _span_text("\n", rows=10).encode("utf-8"))
+        os.close(w)
+        assert read_curves_csv(f"/dev/fd/{r}")[1].shape == (10, 4)
+    finally:
+        os.close(r)
+
+
+def test_small_file_does_not_fork(tmp_path, no_fork, monkeypatch):
+    path = tmp_path / "spans.csv"
+    path.write_text(_span_text("\n"), encoding="utf-8")
+    monkeypatch.setattr(core, "_CSV_SPLIT_MIN_BYTES", path.stat().st_size + 1)
+    assert read_curves_csv(path)[1].shape == (60, 4)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from curvedepth import depths
+from curvedepth import core, depths
 from curvedepth.core import (
     Curve,
     FunctionalSample,
@@ -931,13 +931,13 @@ def test_column_counts_direct_and_sorted_routes_agree():
 def threaded_values(depth, Q, sample, spans, ranked=None, params=None):
     """depth_values with the batch split into at most ``spans`` threads
     whatever its size, and mhr's ranked path forced on or off."""
-    patches = dict(_MHR_THREAD_MIN_WORK=0, _MHR_THREAD_MIN_QUERY_WORK=0, _kernel_threads=None)
+    patches = dict(_MHR_THREAD_MIN_WORK=0, _MHR_THREAD_MIN_QUERY_WORK=0)
     if ranked is not None:
         patches["_RANKED_MIN_QUERIES"] = patches["_RANKED_MIN_CURVES"] = (
             0 if ranked else 10**9
         )
-    with mock.patch.multiple(depths, **patches), mock.patch.object(
-        depths, "_usable_cpus", return_value=spans
+    with mock.patch.multiple(depths, **patches), mock.patch.multiple(
+        core, _kernel_threads=None, _usable_cpus=mock.Mock(return_value=spans)
     ), mock.patch.object(depths, "_blas_threads", return_value=1):
         return depth_values(depth, Q, sample, params)
 
@@ -984,11 +984,11 @@ def one_blas_thread(monkeypatch):
 
 def test_split_batch_spans_are_contiguous_whole_steps(one_blas_thread):
     seen = []
-    with mock.patch.object(depths, "_usable_cpus", return_value=3):
+    with mock.patch.object(core, "_usable_cpus", return_value=3):
         depths._split_batch(10, 4, lambda lo, hi: seen.append((lo, hi)))
         assert sorted(seen) == [(0, 4), (4, 8), (8, 10)]
         seen.clear()
-        with mock.patch.object(depths, "_kernel_threads", 2):
+        with mock.patch.object(core, "_kernel_threads", 2):
             depths._split_batch(10, 1, lambda lo, hi: seen.append((lo, hi)))
         assert sorted(seen) == [(0, 5), (5, 10)]
 
@@ -1007,9 +1007,9 @@ def test_split_batch_leaves_the_blas_threads_their_cpus(monkeypatch, env, spans)
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    monkeypatch.setattr(depths, "_kernel_threads", None)
+    monkeypatch.setattr(core, "_kernel_threads", None)
     seen = []
-    with mock.patch.object(depths, "_usable_cpus", return_value=4):
+    with mock.patch.object(core, "_usable_cpus", return_value=4):
         depths._split_batch(8, 1, lambda lo, hi: seen.append((lo, hi)))
     assert len(seen) == spans
 
@@ -1024,7 +1024,7 @@ def test_split_batch_raises_a_later_span_error_after_joining_every_thread(one_bl
         time.sleep(0.05)  # the other spans end before this one
         done.append(lo)
 
-    with mock.patch.object(depths, "_usable_cpus", return_value=3):
+    with mock.patch.object(core, "_usable_cpus", return_value=3):
         with pytest.raises(ValueError, match="span at 3"):
             depths._split_batch(9, 1, run)
     assert done == [0]
@@ -1039,7 +1039,7 @@ def test_small_batches_and_a_cap_of_one_start_no_thread(gp_sample, one_blas_thre
             # 30 queries against 200 curves: one h chunk, and under mhr's
             # work threshold
             depth_values(depth, Q[:30], FunctionalSample(gp_sample.values[:200], gp_sample.grid))
-            with mock.patch.object(depths, "_kernel_threads", 1):
+            with mock.patch.object(core, "_kernel_threads", 1):
                 depth_values(depth, Q, gp_sample)
     assert 30 * 200 * 101 < depths._MHR_THREAD_MIN_WORK <= 200 * 2000 * 101
     assert 4_000_000 // (200 * 101) >= 30

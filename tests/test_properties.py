@@ -1,7 +1,9 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -472,6 +474,23 @@ def test_full_audit_reduced_deterministic(reduced_report):
 
 def test_full_audit_reaps_its_workers(reduced_report):
     assert multiprocessing.active_children() == []
+
+
+class _PoolSized(Exception):
+    pass
+
+
+def test_full_audit_pool_takes_only_the_usable_cpus(monkeypatch):
+    # one CPU in this process's affinity mask on a machine of many
+    def record(**kwargs):
+        raise _PoolSized(kwargs["max_workers"])
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
+    with pytest.raises(_PoolSized) as sized:
+        run_full_audit(_reduced_config())
+    assert sized.value.args == (1,)
 
 
 def test_audit_config_validation():
