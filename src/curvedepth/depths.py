@@ -274,9 +274,9 @@ def _split_batch(q: int, step: int, run) -> None:
     it, each made of whole steps of ``step`` queries, one span per thread.
 
     There are as many spans as usable CPUs per BLAS thread, at most
-    ``core._kernel_threads`` and at most the number of steps: a kernel thread
-    whose BLAS calls start threads of their own would oversubscribe the
-    CPUs (with two BLAS threads on two CPUs, two kernel threads took h on
+    ``core._kernel_threads`` and at most the number of steps: a kernel
+    thread whose BLAS calls start threads of their own would oversubscribe
+    the CPUs (with two BLAS threads on two CPUs, two kernel threads took h on
     200 fresh queries x 5000 curves from 0.28 to 0.38 s).  The first span
     runs on the calling thread, the others on their own threads; every
     thread is joined before this returns, and the first exception a span

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvedepth.core import Curve, ParameterError, uniform_grid
@@ -155,14 +155,25 @@ def test_fuzz_envelope_bounds_every_curve(dist):
 
 @settings(max_examples=N_FUZZ, deadline=None)
 @given(atoms_strategy(), st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1))
+# widths one ulp apart: w_min + 0.999 * (w_max - w_min) rounds up to w_max
+@example(
+    AtomicDistribution(
+        np.array([[0.0, 0.0], [50.0, np.nextafter(50.0, 0.0)]]),
+        np.array([0.5, 0.5]),
+        uniform_grid(0, 1, 2),
+    ),
+    0.0,
+    1.0,
+)
 def test_fuzz_L_delta_monotone(dist, t1, t2):
     lower, upper = envelope_of(dist)
     w = upper - lower
     w_min, w_max = float(w.min()), float(w.max())
     if not w_max > w_min:
         return  # constant width: no admissible delta
+    top = float(np.nextafter(w_max, w_min))  # the largest admissible delta
     d1, d2 = sorted(
-        (w_min + t1 * (w_max - w_min) * 0.999, w_min + t2 * (w_max - w_min) * 0.999)
+        min(w_min + t * (w_max - w_min) * 0.999, top) for t in (t1, t2)
     )
     m1 = find_L_delta(lower, upper, d1)
     m2 = find_L_delta(lower, upper, d2)
