@@ -22,6 +22,7 @@ across threads.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -352,12 +353,14 @@ def _parse_rows(path: Path, chunks: Iterable[str]) -> np.ndarray:
         raise InputError(f"{path}:{lineno}: unparseable cell ({reason})") from exc
 
 
-# A file is split into spans only from this size on.  Measured in-process
-# on a 2-core box (numpy 2.4, 101-point curves, medians of 21 reads in
-# each of two rounds), one span against two: 0.5 MB 7.8 / 8.1 and
-# 12.7 / 9.7 ms, 1 MB 14.8 / 11.5 and 24.2 / 17.8 ms, 2 MB 43.4 / 29.4 and
-# 49.6 / 32.7 ms.
-_CSV_SPLIT_MIN_BYTES = 1 << 20
+# Fewest bytes a span may hold: a file gets at most one span per this
+# many bytes.  Measured in-process on a 2-core box (numpy 2.4, 101-point
+# curves, medians of 21 reads in each of two rounds), one span against
+# two: 0.5 MB 7.8 / 8.1 and 12.7 / 9.7 ms, 1 MB 14.8 / 11.5 and
+# 24.2 / 17.8 ms, 2 MB 43.4 / 29.4 and 49.6 / 32.7 ms.  Spans of 0.25 MB
+# lost one round and won the other; spans of 0.5 MB and more won both.
+# More spans than two were not measured, so none is made smaller.
+_CSV_SPAN_MIN_BYTES = 1 << 19
 
 
 def _read_rows_in_spans(path: Path) -> np.ndarray | None:
@@ -375,34 +378,36 @@ def _read_rows_in_spans(path: Path) -> np.ndarray | None:
     file's line number.  The loadtxt parser holds the interpreter lock,
     so threads would not gain.
 
-    A file is split only when it is a regular file of at least
-    ``_CSV_SPLIT_MIN_BYTES``, two or more CPUs remain after
-    ``--threads`` (``_kernel_threads``), the platform can fork, and no
-    other thread runs (a fork copies only the calling thread).
+    A file is split only when the platform can fork, no other thread
+    runs (a fork copies only the calling thread), and it is a regular
+    file that makes two or more spans: one per usable CPU left after
+    ``--threads`` (``_kernel_threads``), each of at least
+    ``_CSV_SPAN_MIN_BYTES``.
     """
-    cpus = _usable_cpus()
-    spans = min(cpus, _kernel_threads or cpus)
-    if spans < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
+    if not hasattr(os, "fork") or threading.active_count() != 1:
         return None
+    cpus = _usable_cpus()
+    cuts = [0]
     try:
         info = os.stat(path)
+        if not stat.S_ISREG(info.st_mode):
+            return None
+        spans = min(cpus, _kernel_threads or cpus, info.st_size // _CSV_SPAN_MIN_BYTES)
+        if spans < 2:
+            return None
+        with open(path, "rb") as fh:
+            for k in range(1, spans):
+                fh.seek(max(info.st_size * k // spans, cuts[-1]))
+                fh.readline()  # to just past the next line end
+                if cuts[-1] < fh.tell() < info.st_size:
+                    cuts.append(fh.tell())
     except OSError:
         return None  # the one-span read raises its error
-    if not stat.S_ISREG(info.st_mode) or info.st_size < _CSV_SPLIT_MIN_BYTES:
-        return None
-    cuts = [0]
-    with open(path, "rb") as fh:
-        for k in range(1, spans):
-            fh.seek(max(info.st_size * k // spans, cuts[-1]))
-            fh.readline()  # to just past the next line end
-            if cuts[-1] < fh.tell() < info.st_size:
-                cuts.append(fh.tell())
     cuts.append(info.st_size)
     if len(cuts) < 3:
         return None
-    pids: list[int] = []
+    pids: list[int] = []  # the workers not yet reaped
     fds: list[int] = []  # read ends of the workers' pipes, in span order
-    reaped = False
     try:
         for lo, hi in zip(cuts[1:], cuts[2:]):
             r, w = os.pipe()
@@ -417,29 +422,31 @@ def _read_rows_in_spans(path: Path) -> np.ndarray | None:
             os.close(w)
             pids.append(pid)
         first = _span_rows(path, 0, cuts[1])
+        lo, width = first.shape
         shape = np.empty(2, dtype=np.int64)
         counts = []
         for r in fds:
-            if not _read_exact(r, memoryview(shape).cast("B")) or shape[1] != first.shape[1]:
+            if not _read_exact(r, memoryview(shape).cast("B")) or shape[1] != width:
                 return None
             counts.append(int(shape[0]))
-        rows = np.empty((first.shape[0] + sum(counts), first.shape[1]))
-        rows[: first.shape[0]] = first
-        lo = first.shape[0]
+        rows = np.empty((lo + sum(counts), width))
+        rows[:lo] = first
+        del first  # freed before the workers' rows arrive: a lower peak
         for r, count in zip(fds, counts):
             if not _read_exact(r, memoryview(rows[lo : lo + count]).cast("B")):
                 return None
             lo += count
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-        reaped = True
+        codes = []
+        while pids:  # a pid leaves the list before waitpid may reap it
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pids.pop(), 0)[1]))
         return None if any(codes) else rows
     except (OSError, ValueError):  # the one-span read raises what matters
         return None
     finally:
         for r in fds:
             os.close(r)
-        if not reaped:
-            for pid in pids:
+        for pid in pids:
+            with contextlib.suppress(ChildProcessError, ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 

@@ -450,7 +450,7 @@ def test_threads_flag_keeps_the_csv_read_in_one_process(tmp_path, monkeypatch):
     # process under --threads 1, with the same stdout
     monkeypatch.setattr(core, "_kernel_threads", None)
     monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(core, "_CSV_SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(core, "_CSV_SPAN_MIN_BYTES", 1)
     for var in cli._THREAD_ENV_VARS:
         monkeypatch.setenv(var, "1")
     path = tmp_path / "levels.csv"
@@ -460,6 +460,26 @@ def test_threads_flag_keeps_the_csv_read_in_one_process(tmp_path, monkeypatch):
     assert code == 0 and fork.call_count == 1, err
     monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
     assert run_cli(["--threads", 1, "depth", path, "mbd"]) == (0, split, "")
+
+
+def test_csv_that_cannot_be_opened_for_its_spans_exits_2(tmp_path, monkeypatch):
+    # stat succeeds but open fails (a mode-000 file for a user other than
+    # root): an input error, not a traceback
+    monkeypatch.setattr(core, "_kernel_threads", None)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_CSV_SPAN_MIN_BYTES", 1)
+    path = tmp_path / "levels.csv"
+    write_constant_curves(path, np.arange(40.0))
+
+    def refuse(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == os.fspath(path):
+            raise PermissionError(13, "Permission denied", os.fspath(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(core, "open", refuse, raising=False)
+    code, out, err = run_cli(["depth", path, "mbd"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot read {path}: ") and "Permission denied" in err
 
 
 def test_threads_flag_caps_the_kernel_threads(tmp_path, monkeypatch):

@@ -224,7 +224,7 @@ def roundtrip_dir(tmp_path_factory):
 def split_reads(spans):
     """Read every CSV file, however small, in up to ``spans`` spans."""
     with mock.patch.multiple(
-        core, _CSV_SPLIT_MIN_BYTES=0, _kernel_threads=None,
+        core, _CSV_SPAN_MIN_BYTES=1, _kernel_threads=None,
         _usable_cpus=mock.Mock(return_value=spans),
     ):
         yield
@@ -540,7 +540,7 @@ def test_split_read_falls_back_when_a_worker_exits_non_zero(tmp_path, monkeypatc
 @pytest.fixture
 def no_fork(monkeypatch):
     """Let every file be split into two spans, but fail any fork."""
-    monkeypatch.setattr(core, "_CSV_SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(core, "_CSV_SPAN_MIN_BYTES", 1)
     monkeypatch.setattr(core, "_kernel_threads", None)
     monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(core.os, "fork", mock.Mock(side_effect=AssertionError("forked")))
@@ -577,8 +577,61 @@ def test_read_of_a_pipe_does_not_fork(no_fork):
         os.close(r)
 
 
-def test_small_file_does_not_fork(tmp_path, no_fork, monkeypatch):
+def test_file_too_small_for_two_spans_does_not_fork(tmp_path, no_fork, monkeypatch):
     path = tmp_path / "spans.csv"
     path.write_text(_span_text("\n"), encoding="utf-8")
-    monkeypatch.setattr(core, "_CSV_SPLIT_MIN_BYTES", path.stat().st_size + 1)
+    monkeypatch.setattr(core, "_CSV_SPAN_MIN_BYTES", path.stat().st_size // 2 + 1)
     assert read_curves_csv(path)[1].shape == (60, 4)
+
+
+def test_every_span_holds_the_minimum_bytes(tmp_path, monkeypatch):
+    # 64 CPUs, but a file of three minimums is cut into three spans
+    path = tmp_path / "spans.csv"
+    path.write_text(_span_text("\n"), encoding="utf-8")
+    want = _read_outcome(read_curves_csv, path, False)
+    monkeypatch.setattr(core, "_CSV_SPAN_MIN_BYTES", path.stat().st_size // 3)
+    monkeypatch.setattr(core, "_kernel_threads", None)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 64)
+    with mock.patch.object(core.os, "fork", wraps=os.fork) as fork:
+        assert _read_outcome(read_curves_csv, path, False) == want
+    assert fork.call_count == 2
+
+
+def test_split_read_of_an_unopenable_file_is_an_input_error(tmp_path, monkeypatch):
+    # the file can be stat'ed but not opened (as for a mode-000 file and a
+    # user other than root): the one-span read names the error
+    path = tmp_path / "spans.csv"
+    path.write_text(_span_text("\n"), encoding="utf-8")
+
+    def refuse(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == os.fspath(path):
+            raise PermissionError(13, "Permission denied", os.fspath(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(core, "open", refuse, raising=False)
+    with split_reads(2), mock.patch.object(core.os, "fork", wraps=os.fork) as fork:
+        with pytest.raises(InputError, match=r"^cannot read .*spans.csv: .*Permission denied"):
+            read_curves_csv(path)
+    assert fork.call_count == 0
+
+
+def test_split_read_of_workers_reaped_elsewhere(tmp_path, monkeypatch):
+    # as when SIGCHLD is ignored: waitpid reaps a worker, then fails; no
+    # reaped pid is signalled, and the one-span read returns the rows
+    path = tmp_path / "spans.csv"
+    path.write_text(_span_text("\n"), encoding="utf-8")
+    want = _read_outcome(read_curves_csv, path, False)
+    waitpid, kill = os.waitpid, mock.Mock(wraps=os.kill)
+    reaped = []
+
+    def reap_then_fail(pid, options):
+        reaped.append(waitpid(pid, options)[0])
+        raise ChildProcessError(10, "No child processes")
+
+    monkeypatch.setattr(core.os, "waitpid", reap_then_fail)
+    monkeypatch.setattr(core.os, "kill", kill)
+    got, forks, parses = _split_read(path, 3)
+    assert got == want
+    assert (forks, parses) == (2, 2)
+    assert len(reaped) == 2 and len(set(reaped)) == 2
+    assert [c.args[0] for c in kill.call_args_list] == [reaped[1]]
