@@ -7,16 +7,16 @@ Exit codes are a stable contract: 0 success, 2 input error (unreadable or
 malformed files, unwritable output paths), 3 parameter error (invalid
 depth id, bandwidth, ...), 4 audit mismatch or under-powered audit cells.
 
-``--threads`` must take effect before the numeric libraries initialize
-their thread pools, so everything that imports numpy is imported lazily
-inside the command handlers.  ``audit`` and ``simulate-gp`` run one BLAS
-thread unless ``--threads`` is given.  The flag also caps the threads
-that the h and mhr kernels split a batch over, and the forked workers
-that parse a large CSV file in spans of whole lines.  The kernels use
-only the CPUs that BLAS leaves free, so with no ``*_NUM_THREADS`` value
-set (BLAS on every CPU) they stay on one thread.  The CSV split needs
-``fork`` (POSIX); without it, under ``--threads 1`` or when a span fails,
-the file is read in one process.
+Every command runs one BLAS thread, whatever the environment sets, so
+no output byte depends on a BLAS thread count.  The thread variables
+must be set before numpy loads, so everything that imports numpy is
+imported lazily inside the command handlers.  ``--threads N`` caps the
+package's own threads and worker processes (``core._workers``): the
+threads that the h and mhr kernels split a batch over, the forked
+workers that parse a large CSV file in spans of whole lines, and the
+audit's process pool.  The CSV split needs ``fork`` (POSIX); without it,
+under ``--threads 1`` or when a span fails, the file is read in one
+process.
 """
 
 from __future__ import annotations
@@ -34,12 +34,6 @@ _THREAD_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-#: Subcommands whose output bytes depend on the BLAS thread count (a
-#: multi-threaded product rounds differently).  They run one thread unless
-#: ``--threads`` is given, so inherited thread settings leave their files
-#: unchanged.
-_PINNED_COMMANDS = ("audit", "simulate-gp")
-
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PARAMS = 3
@@ -56,10 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="cap BLAS/OpenMP thread pools (set before numpy loads; "
-        "overrides inherited *_NUM_THREADS values; audit and simulate-gp "
-        "default to 1), the depth kernels' own threads and the CSV "
-        "reader's worker processes",
+        help="cap the depth kernels' threads, the CSV reader's and the "
+        "audit's worker processes (BLAS always runs one thread)",
     )
     parser.add_argument(
         "--format",
@@ -456,14 +448,11 @@ def main(argv=None) -> int:
     if problem is not None:
         print(f"parameter error: {problem}", file=sys.stderr)
         return EXIT_PARAMS
-    threads = args.threads
-    if threads is None and args.command in _PINNED_COMMANDS:
-        threads = 1
-    if threads is not None:
-        # an explicit flag or a pin overrides values inherited from the environment
-        for var in _THREAD_ENV_VARS:
-            os.environ[var] = str(threads)
-    # imported here so --threads is honored by the BLAS thread pools
+    # one BLAS thread, over inherited values: a multi-threaded product
+    # rounds differently, and the package's own workers take the CPUs
+    for var in _THREAD_ENV_VARS:
+        os.environ[var] = "1"
+    # imported here so the BLAS thread pools see the variables
     from curvedepth.core import InputError, ParameterError
 
     if args.threads is not None:

@@ -240,18 +240,18 @@ def sup_norm_rows(rows: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CPUs: one rule for the CSV reader's worker processes, the h and mhr
-# kernels' threads and the audit's process pool.
+# CPUs: one rule (``_workers``) for the CSV reader's worker processes,
+# the h and mhr kernels' threads and the audit's process pool.
 # ---------------------------------------------------------------------------
 
-# Most threads or worker processes a kernel batch or a CSV read may use;
-# None means every usable CPU.  The CLI's ``--threads`` sets it, and the
-# audit's worker processes set it to 1 (``_cap_kernel_threads``).
+# Most threads or worker processes ``_workers`` grants; None means every
+# usable CPU.  The CLI's ``--threads`` sets it, and the audit's worker
+# processes set it to 1 (``_cap_kernel_threads``).
 _kernel_threads: int | None = None
 
 
 def _cap_kernel_threads(n: int | None) -> None:
-    """Let a kernel batch or a CSV read use at most n CPUs (None: all)."""
+    """Let ``_workers`` grant at most n threads or processes (None: all)."""
     global _kernel_threads
     _kernel_threads = n
 
@@ -262,6 +262,25 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not offered on every platform
         return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """BLAS threads of this process: the first positive count among
+    ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` and ``OMP_NUM_THREADS``,
+    which numpy's BLAS reads when it loads, else one per usable CPU
+    (OpenBLAS's default).  The CLI sets all three to 1."""
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return _usable_cpus()
+
+
+def _workers(parts: int, cpus_each: int = 1) -> int:
+    """Threads or processes for ``parts`` pieces of work when each keeps
+    ``cpus_each`` CPUs busy (its BLAS threads): at least one, and at most
+    one per piece, one per ``cpus_each`` usable CPUs and ``_kernel_threads``."""
+    return max(1, min(parts, _usable_cpus() // cpus_each, _kernel_threads or parts))
 
 
 # ---------------------------------------------------------------------------
@@ -380,19 +399,18 @@ def _read_rows_in_spans(path: Path) -> np.ndarray | None:
 
     A file is split only when the platform can fork, no other thread
     runs (a fork copies only the calling thread), and it is a regular
-    file that makes two or more spans: one per usable CPU left after
-    ``--threads`` (``_kernel_threads``), each of at least
-    ``_CSV_SPAN_MIN_BYTES``.
+    file that makes two or more spans: one per CPU that ``_workers``
+    grants, each of at least ``_CSV_SPAN_MIN_BYTES``.
     """
     if not hasattr(os, "fork") or threading.active_count() != 1:
         return None
-    cpus = _usable_cpus()
     cuts = [0]
     try:
         info = os.stat(path)
         if not stat.S_ISREG(info.st_mode):
             return None
-        spans = min(cpus, _kernel_threads or cpus, info.st_size // _CSV_SPAN_MIN_BYTES)
+        # parsing makes no BLAS call, so every usable CPU may take a span
+        spans = _workers(info.st_size // _CSV_SPAN_MIN_BYTES)
         if spans < 2:
             return None
         with open(path, "rb") as fh:

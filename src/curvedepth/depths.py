@@ -45,20 +45,21 @@ built on them, do not move.
 
 h and mhr split a large batch into contiguous spans of queries
 (``_split_batch``), one per CPU that BLAS leaves free: the usable CPUs
-divided by the BLAS threads (``_blas_threads``), so with BLAS on every
-CPU, numpy's default, the batch stays on one thread.  The first span
-runs on the calling thread, the others on their own threads, which are
-joined before the kernel returns.  h's spans are whole chunks, with a
-buffer per thread, and mhr's spans share the batch's read-only rank
-table; every span runs the serial loop's operations on its queries, so
-no value depends on the split.  The gain comes from numpy releasing the
-interpreter lock in its ufunc loops and BLAS calls.  h splits a batch
-of two or more chunks; mhr keeps small batches, and its short per-query
-calls against small samples, on the calling thread
+divided by the BLAS threads (``core._workers``).  The CLI runs one BLAS
+thread, so there every usable CPU takes a span; a library caller with
+BLAS on every CPU, numpy's default, keeps the batch on one thread.  The
+first span runs on the calling thread, the others on their own threads,
+which are joined before the kernel returns.  h's spans are whole
+chunks, with a buffer per thread, and mhr's spans share the batch's
+read-only rank table; every span runs the serial loop's operations on
+its queries, so no value depends on the split.  The gain comes from
+numpy releasing the interpreter lock in its ufunc loops and BLAS calls.
+h splits a batch of two or more chunks; mhr keeps small batches, and its
+short per-query calls against small samples, on the calling thread
 (``_MHR_THREAD_MIN_WORK``, ``_MHR_THREAD_MIN_QUERY_WORK``).  The CLI's
 ``--threads`` caps the span count, and so do the audit's worker
-processes, at one (``core._cap_kernel_threads``).  The other four kernels
-stay serial; bd's per-query loop holds the interpreter lock.
+processes, at one (``core._cap_kernel_threads``).  The other four
+kernels stay serial; bd's per-query loop holds the interpreter lock.
 
 ``depth_values`` takes the distribution P either as a
 ``FunctionalSample`` (the empirical measure P_n) or as an
@@ -85,7 +86,6 @@ fixed input regardless of evaluation order elsewhere.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -257,37 +257,24 @@ def upper_bound(depth: str, *, h: float = 1.0, J: int = 2) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _blas_threads() -> int:
-    """BLAS threads of this process: the first positive count among
-    ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` and ``OMP_NUM_THREADS``,
-    which numpy's BLAS reads when it loads, else one per usable CPU
-    (OpenBLAS's default)."""
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return core._usable_cpus()
-
-
 def _split_batch(q: int, step: int, run) -> None:
     """Call ``run(lo, hi)`` on contiguous spans of ``range(q)`` that cover
     it, each made of whole steps of ``step`` queries, one span per thread.
 
-    There are as many spans as usable CPUs per BLAS thread, at most
-    ``core._kernel_threads`` and at most the number of steps: a kernel
-    thread whose BLAS calls start threads of their own would oversubscribe
-    the CPUs (with two BLAS threads on two CPUs, two kernel threads took h on
-    200 fresh queries x 5000 curves from 0.28 to 0.38 s).  The first span
-    runs on the calling thread, the others on their own threads; every
-    thread is joined before this returns, and the first exception a span
-    raised is raised here.  A span computes exactly what a serial loop
+    There are as many spans as ``core._workers`` grants to the steps with
+    each thread's BLAS threads counted: a kernel thread whose BLAS calls
+    start threads of their own would oversubscribe the CPUs (with two BLAS
+    threads on two CPUs, two kernel threads took h on 200 fresh queries x
+    5000 curves from 0.28 to 0.38 s).  The first span runs on the calling
+    thread, the others on their own threads; every thread is joined
+    before this returns, and the first exception a span raised is raised
+    here.  A span computes exactly what a serial loop
     computes for its queries, so the values cannot depend on the split.
     The threads gain only where numpy releases the interpreter lock, in
     its ufunc loops and BLAS calls.
     """
     steps = -(-q // step)
-    free = max(1, core._usable_cpus() // _blas_threads())
-    spans = min(steps, free, core._kernel_threads or steps)
+    spans = core._workers(steps, core._blas_threads())
     bounds = [min(q, steps * k // spans * step) for k in range(spans + 1)]
     errors: list[BaseException | None] = [None] * spans
 

@@ -49,9 +49,10 @@ from .core import (
     Grid,
     InputError,
     ParameterError,
+    _blas_threads,
     _cap_kernel_threads,
     _jsonable,
-    _usable_cpus,
+    _workers,
     l2_norm_rows,
     sup_norm_rows,
     uniform_grid,
@@ -808,7 +809,7 @@ def audit_P4(
         "metric": metric,
         "n": int(sample.n),
         "n_perturb": int(config.p4_perturbations),
-        "delta_ladder": [float(d) for d in config.p4_deltas],
+        "delta_ladder": config.p4_deltas,
         "records": records,
         "note": "finite probe: satisfied = no counterexample at this resolution",
         "replay": _replay(
@@ -819,8 +820,8 @@ def audit_P4(
             sample_origin,
             depth=depth_id,
             probes=int(probes),
-            eps=[float(e) for e in config.p4_eps],
-            delta_ladder=[float(d) for d in config.p4_deltas],
+            eps=config.p4_eps,
+            delta_ladder=config.p4_deltas,
             n_perturb=int(config.p4_perturbations),
             seed=seed,
         ),
@@ -1061,7 +1062,7 @@ def audit_P6(
                 "depth": depth_id,
                 "reason": f"under-powered: min sample size below {config.min_n}",
                 "n": int(config.n),
-                "conv_ns": [int(v) for v in conv_ns],
+                "conv_ns": conv_ns,
             },
         )
     meas = measurements[depth_id]
@@ -1106,7 +1107,7 @@ def audit_P6(
         "depth": depth_id,
         "ref_n": int(config.conv_ref_n),
         "ref_value": float(meas["ref_value"]),
-        "conv_ns": [int(v) for v in conv_ns],
+        "conv_ns": conv_ns,
         "replicates": int(config.replicates),
         "improved": improved,
         "improved_needed": need,
@@ -1126,10 +1127,10 @@ def audit_P6(
             gp=gpspec_to_json(GPSpec(config.kernel, grid)),
             outlier_values=outlier.values,
             outlier_probs=outlier.probs,
-            eps_ladder=[float(e) for e in eps_ladder],
+            eps_ladder=eps_ladder,
             n=int(config.n),
             seed=seed,
-            conv_ns=[int(v) for v in conv_ns],
+            conv_ns=conv_ns,
             ref_n=int(config.conv_ref_n),
             replicates=int(config.replicates),
         ),
@@ -1416,17 +1417,18 @@ def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
 
     The shared P-6 measurements, the Rice diagnostic and every cell (P-2G
     and P-4 per member) are independent units, so they run in forked
-    worker processes, at most one per usable CPU (``_usable_cpus``).  A
+    worker processes, as many as ``_workers`` grants: one per usable CPU
+    per BLAS thread (the CLI runs one), at most the ``--threads`` cap.  A
     worker inherits the parent's modules, BLAS thread count and cached GP
     factors, so each unit computes what a serial run computes, and the
     report bytes are the same.  Each worker runs its depth kernels and CSV
-    reads on one thread, since the pool already keeps every CPU busy.  The results are read in the serial call order,
-    so the first error raised is the one a serial run raises; on an error
-    the queued units are dropped and every worker is reaped before it
-    propagates.  Needs the ``fork`` start method (POSIX); a fork copies
-    only the calling thread, so no other thread of the caller may hold a
-    lock that the units take (the kernels' own threads never outlive
-    their batch).
+    reads on one thread, since the pool already keeps every CPU busy.  The
+    results are read in the serial call order, so the first error raised
+    is the one a serial run raises; on an error the queued units are
+    dropped and every worker is reaped before it propagates.  Needs the
+    ``fork`` start method (POSIX); a fork copies only the calling thread,
+    so no other thread of the caller may hold a lock that the units take
+    (the kernels' own threads never outlive their batch).
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -1443,7 +1445,7 @@ def run_full_audit(config: AuditConfig | None = None) -> AuditReport:
     p4_counts = {d: 2 if d in ("bd", "mbd") else 3 for d in DEPTH_IDS}
     units = 2 + sum(3 + len(config.p2g_kernels) + p4_counts[d] for d in DEPTH_IDS)
     pool = ProcessPoolExecutor(
-        max_workers=min(_usable_cpus(), units),
+        max_workers=_workers(units, _blas_threads()),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_cap_kernel_threads,
         initargs=(1,),

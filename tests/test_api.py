@@ -41,7 +41,7 @@ def _fresh_python(code: str) -> str:
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # the CLI sets the *_NUM_THREADS variables for --threads; BLAS reads
+    # the CLI sets the *_NUM_THREADS variables to 1; BLAS reads
     # them once, when numpy loads, so importing the CLI must not load it
     code = (
         "import sys, curvedepth.cli; "

@@ -483,10 +483,10 @@ def test_csv_that_cannot_be_opened_for_its_spans_exits_2(tmp_path, monkeypatch):
 
 
 def test_threads_flag_caps_the_kernel_threads(tmp_path, monkeypatch):
-    # an inherited one-thread BLAS leaves both CPUs to the h and mhr
-    # kernels, which split a large batch over threads; --threads 1, or
-    # BLAS on every CPU, keeps them on the calling thread, with the same
-    # stdout
+    # the CLI runs one BLAS thread whatever the environment sets, so both
+    # CPUs go to the h and mhr kernels, which split a large batch over
+    # threads; --threads 1 keeps them on the calling thread, with the
+    # same stdout
     monkeypatch.setattr(core, "_kernel_threads", None)
     monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
     started = []
@@ -501,7 +501,7 @@ def test_threads_flag_caps_the_kernel_threads(tmp_path, monkeypatch):
     path = tmp_path / "gp.csv"
     write_curves_csv(path, grid, sample_gp(GPSpec(Kernel("se", 1.0, 0.2), grid), 600, 3).values)
     outs = {}
-    for blas, flags, threads in (("1", [], 2), ("1", ["--threads", 1], 0), (None, [], 0)):
+    for blas, flags, threads in (("1", [], 2), ("1", ["--threads", 1], 0), (None, [], 2)):
         for var in cli._THREAD_ENV_VARS:
             if blas is None:
                 monkeypatch.delenv(var, raising=False)
@@ -728,17 +728,18 @@ def test_bad_kernel_exits_3_without_traceback(tmp_path, case):
 
 def test_simulate_gp_ignores_inherited_thread_count(tmp_path):
     # a 3000 x 201 draw rounds differently with two BLAS threads than with
-    # one; the CLI pins one thread, so both runs write the same bytes.  A
-    # 1-core box cannot show the difference, and there this test passes
-    # without exercising the pin.
+    # one; the CLI runs one BLAS thread whatever the environment or
+    # --threads says, so every run writes the same bytes.  A 1-core box
+    # cannot show the difference, and there this test passes without
+    # exercising the pin.
     outputs = []
-    for threads in ("1", "2"):
+    for threads, flags in (("1", []), ("2", []), ("2", ["--threads", "2"])):
         env = child_env()
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = threads
-        out_csv = tmp_path / f"gp{threads}.csv"
+        out_csv = tmp_path / f"gp{len(outputs)}.csv"
         proc = subprocess.run(
-            [sys.executable, "-m", "curvedepth", "simulate-gp", str(out_csv),
+            [sys.executable, "-m", "curvedepth", *flags, "simulate-gp", str(out_csv),
              "--n", "3000", "--m", "201"],
             capture_output=True,
             text=True,
@@ -747,7 +748,7 @@ def test_simulate_gp_ignores_inherited_thread_count(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out_csv.read_bytes())
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_reconstruct_unwritable_output_exits_2(three_csv, tmp_path):
@@ -860,23 +861,26 @@ REDUCED_AUDIT_SHA256 = {
 
 
 def test_reduced_audit_artifact_bytes_pinned(tmp_path):
+    # --threads caps only the package's own workers: BLAS stays on one
+    # thread, so the bytes do not move
     (tmp_path / "cfg.json").write_text(json.dumps(_reduced_config().to_json()))
-    proc = subprocess.run(
-        [sys.executable, "-m", "curvedepth", "audit", "--config", "cfg.json",
-         "--out-dir", "out"],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env=child_env(),
-        timeout=300,
-    )
-    assert proc.returncode in (cli.EXIT_OK, cli.EXIT_AUDIT), proc.stderr
-    digests = {
-        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-        for name in ("audit.json", "audit.md")
-    }
-    assert digests == REDUCED_AUDIT_SHA256
-    assert proc.stdout == (tmp_path / "out" / "audit.md").read_text() + "\n"
+    for flags in ([], ["--threads", "2"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvedepth", *flags, "audit", "--config", "cfg.json",
+             "--out-dir", "out"],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=child_env(),
+            timeout=300,
+        )
+        assert proc.returncode in (cli.EXIT_OK, cli.EXIT_AUDIT), proc.stderr
+        digests = {
+            name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in ("audit.json", "audit.md")
+        }
+        assert digests == REDUCED_AUDIT_SHA256, flags
+        assert proc.stdout == (tmp_path / "out" / "audit.md").read_text() + "\n"
 
 
 def test_simulate_gp_spec_file(tmp_path):

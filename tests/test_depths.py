@@ -938,7 +938,7 @@ def threaded_values(depth, Q, sample, spans, ranked=None, params=None):
         )
     with mock.patch.multiple(depths, **patches), mock.patch.multiple(
         core, _kernel_threads=None, _usable_cpus=mock.Mock(return_value=spans)
-    ), mock.patch.object(depths, "_blas_threads", return_value=1):
+    ), mock.patch.object(core, "_blas_threads", return_value=1):
         return depth_values(depth, Q, sample, params)
 
 
@@ -1334,6 +1334,12 @@ def test_depth_values_rejects_bad_queries(depth):
         depth_values(depth, np.zeros((2, s.grid.m + 1)), s)
     with pytest.raises(ParameterError):
         depth_values("xx", np.zeros((1, s.grid.m)), s)
+
+
+@pytest.mark.parametrize("depth", DEPTH_IDS)
+def test_empty_batch_gives_no_values(depth):
+    s = constants_sample([0.0, 1.0, 2.0])
+    assert depth_values(depth, np.empty((0, s.grid.m)), s).shape == (0,)
 
 
 def test_atomic_band_depth_atom_order_invariant():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from curvedepth import core
 from curvedepth.core import (
     FunctionalSample,
     InputError,
@@ -480,17 +481,32 @@ class _PoolSized(Exception):
     pass
 
 
-def test_full_audit_pool_takes_only_the_usable_cpus(monkeypatch):
-    # one CPU in this process's affinity mask on a machine of many
+@pytest.mark.parametrize(
+    "cpus, blas, cap, workers",
+    [
+        ({0, 1}, "1", 1, 1),  # --threads 1
+        ({0, 1}, "2", None, 1),  # each worker's two BLAS threads fill both CPUs
+        ({0, 1}, "1", None, 2),
+        ({0}, None, None, 1),  # one CPU in the affinity mask of a machine of 64
+    ],
+    ids=["threads-1", "blas-2", "blas-1", "affinity-1-of-64"],
+)
+def test_full_audit_pool_takes_only_the_usable_cpus(monkeypatch, cpus, blas, cap, workers):
     def record(**kwargs):
         raise _PoolSized(kwargs["max_workers"])
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        if blas is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, blas)
+    monkeypatch.setattr(core, "_kernel_threads", cap)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
     with pytest.raises(_PoolSized) as sized:
         run_full_audit(_reduced_config())
-    assert sized.value.args == (1,)
+    assert sized.value.args == (workers,)
 
 
 def test_audit_config_validation():
