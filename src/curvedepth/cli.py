@@ -150,10 +150,12 @@ def _ranks_from_values(values):
     """Centre-outward ranks: 1 = deepest, ties broken by curve index."""
     import numpy as np
 
-    order = np.lexsort((np.arange(values.size), -values))
+    from curvedepth.depths import _centre_outward_order
+
+    order = _centre_outward_order(values)
     ranks = np.empty(values.size, dtype=int)
     ranks[order] = np.arange(1, values.size + 1)
-    return ranks, int(order[0])
+    return ranks, order[0]
 
 
 def _emit(args, payload: dict, csv_rows, md_lines) -> None:
@@ -449,17 +451,19 @@ def main(argv=None) -> int:
         print(f"parameter error: {problem}", file=sys.stderr)
         return EXIT_PARAMS
     # one BLAS thread, over inherited values: a multi-threaded product
-    # rounds differently, and the package's own workers take the CPUs
+    # rounds differently, and the package's own workers take the CPUs.
+    # Both settings are undone on return, so an in-process call leaves the
+    # environment and the thread cap as it found them.
+    saved_env = {var: os.environ.get(var) for var in _THREAD_ENV_VARS}
     for var in _THREAD_ENV_VARS:
         os.environ[var] = "1"
     # imported here so the BLAS thread pools see the variables
+    from curvedepth import core
     from curvedepth.core import InputError, ParameterError
 
+    saved_cap = core._kernel_threads
     if args.threads is not None:
-        from curvedepth.core import _cap_kernel_threads
-
-        _cap_kernel_threads(args.threads)
-
+        core._cap_kernel_threads(args.threads)
     try:
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
@@ -475,6 +479,13 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
+    finally:
+        core._cap_kernel_threads(saved_cap)
+        for var, value in saved_env.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 if __name__ == "__main__":

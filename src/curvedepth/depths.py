@@ -8,30 +8,30 @@ depth has one kernel over a (q, m) array of query curves, and
 to them: it validates the batch once and dispatches.  ``evaluate_depth``
 is that batch with one row, returned as a float.
 
-The rt kernel sorts each direction's sample projections once per batch
-and reads every query's tail counts off them with ``np.searchsorted``:
-O(n*m*k + (n+q)*k*log n) for q queries against n curves on m grid points
-with k directions.  mbd, bd with J = 2, hr and mhr share one per-batch
-table of the sorted grid columns (``_column_counts``): every query's
-closed counts le and lt per grid point in O((n+q)*m*log n), and for
-large batches of bd, hr and mhr each sample value's rank in its column,
-so their closed comparisons run on small integers.  A batch of fewer
-than four queries gets le and lt by direct comparison with the sample
-instead, in O(q*n*m), since the sort would cost more than those
-queries (``_SORT_MIN_QUERIES``).  Small batches of bd, hr
-and mhr, and hr and mhr against small samples, likewise compare with
-the sample directly.  All these values equal, bit for bit, per-query
-masked weight sums and comparison counts.  bd with J = 2 counts each
-query's whole-row copies e once per batch.  Where no other curve ties
-the query at any grid point (le - lt == e everywhere), the other
-curves' below patterns are the complements of their above patterns,
-and one sort of hashed, verified keys per query counts the pairs of
-complementary curves; the copies are then counted in closed form
-(``_bd_pair_counts``).  Only a query with such a partial tie counts its
-distinct (above, below) patterns.  With J >= 3 bd counts each query's
-triples over its distinct (above, below) patterns, after dropping every
-grid column whose row set lies inside another's (``_band_patterns``).
-The search runs over the middle index b of a < b < c: a pair relation
+One routine counts a batch against the sample column by column
+(``_column_counts``, the rank trick of Sun, Genton & Nychka 2012): every
+query's closed counts le = #{X_jv <= x_v} and lt = #{X_jv < x_v} per
+column in O((n+q)*c*log n) for q queries against n rows of c columns,
+and for large batches of bd, hr and mhr each sample value's rank in its
+column, so their closed comparisons run on small integers.  mbd, bd
+with J = 2, hr and mhr count over the m grid points; rt counts over
+its k direction projections, after one O(n*m*k) product.  A batch of
+fewer than four queries gets le and lt by direct comparison instead, in
+O(q*n*c), since the sort would cost more than those queries
+(``_SORT_MIN_QUERIES``).  Small batches of bd, hr and mhr, and hr and
+mhr against small samples, likewise compare with the sample directly.
+All these values equal, bit for bit, per-query masked weight sums and
+comparison counts.  bd with J = 2 counts each query's whole-row copies
+e once per batch.  Where no other curve ties the query at any grid
+point (le - lt == e everywhere), the other curves' below patterns are
+the complements of their above patterns, and one sort of hashed,
+verified keys per query counts the pairs of complementary curves; the
+copies are then counted in closed form (``_bd_pair_counts``).  Only a
+query with such a partial tie counts its distinct (above, below)
+patterns, as every query does with J >= 3: after dropping every grid
+column whose row set lies inside another's (``_band_patterns``), bd
+counts pairs and triples over the distinct patterns that remain.
+The triple search runs over the middle index b of a < b < c: a pair relation
 built in blocks of b rows under a fixed byte budget gives the pair
 count and the good pairs' completions by integer products, and only
 bad pairs are tested against the patterns after b
@@ -241,15 +241,22 @@ class DepthParams:
             raise ParameterError(f"direction count k must be >= 1, got {self.k}")
 
 
+def _check_depth_id(depth: str) -> None:
+    if depth not in DEPTH_IDS:
+        raise ParameterError(f"unknown depth id {depth!r}; expected one of {DEPTH_IDS}")
+
+
 def upper_bound(depth: str, *, h: float = 1.0, J: int = 2) -> float:
     """Largest value the given depth can attain."""
+    _check_depth_id(depth)
     if depth == "h":
         return 1.0 / (h * _SQRT_2PI)
-    if depth in ("rt", "hr", "mhr"):
-        return 1.0
-    if depth in ("bd", "mbd"):
-        return float(J - 1)
-    raise ParameterError(f"unknown depth id {depth!r}")
+    return float(J - 1) if depth in ("bd", "mbd") else 1.0
+
+
+def _centre_outward_order(values: np.ndarray) -> list[int]:
+    """Indices of depth values from the deepest out, ties broken by index."""
+    return np.lexsort((np.arange(values.size), -values)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +459,14 @@ def _rt_depth_values(
     The directions are shared by every query of the batch.  Queries and
     sample are projected through one stacked product, so a query equal to
     a sample row projects bitwise like that row (exact ties at the closed
-    tails are meaningful).  Each direction's sample projections are sorted
-    once; the closed tail counts #{<u, X_i> <= t} and #{<u, X_i> >= t} of
-    the whole batch are two ``searchsorted`` calls per direction.  With
-    equal sample weights a count maps to the same float the masked weight
-    sum gives (``_uniform_masses``); unequal weights keep that masked sum
-    in index order.  Cost O(n*m*k + (n+q)*k*log n) for q queries, n
-    curves, m grid points and k directions.
+    tails are meaningful).  The closed tail counts #{<u, X_i> <= t} = le
+    and #{<u, X_i> >= t} = n - lt are the column counts of the (q, k)
+    query projections against the (n, k) sample projections
+    (``_column_counts``).  With equal sample weights a count maps to the
+    same float the masked weight sum gives (``_uniform_masses``); unequal
+    weights keep that masked sum in index order.  Cost
+    O(n*m*k + (n+q)*k*log n) for q queries, n curves, m grid points and k
+    directions.
     """
     wU = directions * sample.grid.weights  # (k, m): rows integrate against curves
     q, n = queries.shape[0], sample.n
@@ -467,13 +475,8 @@ def _rt_depth_values(
     w = sample.weights
     if not np.all(w == w[0]):
         return _rt_unequal_weights(proj_q, proj_X, w)
-    S = np.sort(proj_X.T, axis=1)  # (k, n): sorted projections per direction
-    lo = np.empty(proj_q.shape, dtype=np.intp)
-    hi = np.empty(proj_q.shape, dtype=np.intp)
-    for j, s in enumerate(S):
-        lo[:, j] = np.searchsorted(s, proj_q[:, j], side="right")
-        hi[:, j] = n - np.searchsorted(s, proj_q[:, j], side="left")
-    mass = _uniform_masses(float(w[0]), n, np.stack([lo, hi]))
+    _, le, lt = _column_counts(proj_q, proj_X)
+    mass = _uniform_masses(float(w[0]), n, np.stack([le, n - lt]))
     return np.minimum(mass[0], mass[1]).min(axis=1)
 
 
@@ -490,23 +493,25 @@ def _ranked_batch(queries: np.ndarray, sample: FunctionalSample) -> bool:
 def _column_counts(
     queries: np.ndarray, X: np.ndarray, ranks: bool = False
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Closed per-point counts of a (q, m) batch against the (n, m) sample.
+    """Closed per-column counts of a (q, c) batch against an (n, c) array.
 
-    Each grid column of the sample is sorted once, and two
-    ``searchsorted`` calls per column give le[i, v] = #{j : X_jv <= x_iv}
-    and lt[i, v] = #{j : X_jv < x_iv} for the whole batch (the rank trick
-    of Sun, Genton & Nychka 2012): O((n+q)*m*log n).  With ``ranks`` the
-    columns are argsorted instead, and R[v, j], the position of X_jv in
-    its sorted column, is returned as an (m, n) table, else None.  Tied
-    values sit side by side in a sorted column, so X_jv <= x_iv iff
-    R[v, j] < le[i, v] and X_jv >= x_iv iff R[v, j] >= lt[i, v]: the
-    closed comparisons become exact ones between small integers.  R, le
-    and lt are int16 when n < 2**15 and int32 otherwise.  A batch of fewer
-    than ``_SORT_MIN_QUERIES`` queries without ranks counts by direct
-    comparison instead, O(q*n*m), since the sort costs more than those
-    queries' comparisons; the counts are the same integers.
+    The columns are a sample's grid points (c = m) for mbd, bd, hr and
+    mhr, and the projection directions (c = k) for rt.  Each column of X
+    is sorted once, and two ``searchsorted`` calls per column give
+    le[i, v] = #{j : X_jv <= x_iv} and lt[i, v] = #{j : X_jv < x_iv} for
+    the whole batch (the rank trick of Sun, Genton & Nychka 2012):
+    O((n+q)*c*log n).  With ``ranks`` the columns are argsorted instead,
+    and R[v, j], the position of X_jv in its sorted column, is returned as
+    a (c, n) table, else None.  Tied values sit side by side in a sorted
+    column, so X_jv <= x_iv iff R[v, j] < le[i, v] and X_jv >= x_iv iff
+    R[v, j] >= lt[i, v]: the closed comparisons become exact ones between
+    small integers.  R, le and lt are int16 when n < 2**15 and int32
+    otherwise.  A batch of fewer than ``_SORT_MIN_QUERIES`` queries
+    without ranks counts by direct comparison instead, O(q*n*c), since the
+    sort costs more than those queries' comparisons; the counts are the
+    same integers.
     """
-    n, m = X.shape
+    n, c = X.shape
     dtype = np.int16 if n < 2**15 else np.int32
     if not ranks and queries.shape[0] < _SORT_MIN_QUERIES:
         le = np.empty(queries.shape, dtype=dtype)
@@ -519,7 +524,7 @@ def _column_counts(
     if ranks:
         order = np.argsort(X.T, axis=1)
         S = np.take_along_axis(X.T, order, axis=1)
-        R = np.empty((m, n), dtype=dtype)
+        R = np.empty((c, n), dtype=dtype)
         np.put_along_axis(R, order, np.arange(n, dtype=dtype)[None], axis=1)
     else:
         S = np.sort(X.T, axis=1)
@@ -760,16 +765,6 @@ def _band_patterns(xv: np.ndarray, X: np.ndarray) -> np.ndarray:
     return _pack_rows(C[:, order[~dropped]])
 
 
-def _band_counts(xv: np.ndarray, X: np.ndarray, J: int) -> list[int]:
-    """Exact number of j-index-subsets of the rows of X whose band contains
-    the curve xv, j = 2..J, for J >= 3."""
-    R = _band_patterns(xv, X)
-    counts = _count_pattern_tuples(R, J)
-    for j in range(4, J + 1):
-        counts.append(_count_tuples_generic(R, j))
-    return counts
-
-
 def _row_copies(queries: np.ndarray, X: np.ndarray, tied: np.ndarray) -> np.ndarray:
     """Number of rows of X equal to each query, counted only where ``tied``
     (a copy ties its query at every grid point) and 0 elsewhere.  Adding
@@ -787,21 +782,21 @@ def _bd_pair_counts(queries: np.ndarray, X: np.ndarray) -> list[int]:
     each query.
 
     A batch of ``_BD_RANKED_MIN_QUERIES`` or more reads each query's above
-    and below patterns off the rank table of ``_column_counts``: X_jv >
-    x_v iff R[v, j] >= le_v, and X_jv < x_v iff R[v, j] < lt_v.  A smaller
-    batch compares each query with the sample directly.  Each query's e
-    whole-row copies are counted once per batch (``_row_copies``); some
-    other row then ties the query at a grid point iff le - lt > e there.
-    A query with such a partial tie counts over its (above, below)
-    patterns (``_count_pattern_tuples``).  Any other row lies strictly
-    above or strictly below at every grid point, so a pair of such rows
-    works iff one's above pattern is the other's complement
+    pattern off the rank table of ``_column_counts`` (X_jv > x_v iff
+    R[v, j] >= le_v); a smaller batch compares each query with the sample
+    directly.  Each query's e whole-row copies are counted once per batch
+    (``_row_copies``); some other row then ties the query at a grid point
+    iff le - lt > e there.  A query with such a partial tie counts over
+    its pruned (above, below) patterns, as J >= 3 does
+    (``_band_patterns``, ``_count_pattern_tuples``).  Any other row lies
+    strictly above or strictly below at every grid point, so a pair of
+    such rows works iff one's above pattern is the other's complement
     (``_count_complement_pairs``, over all n rows).  A copy works with
     every row, e * (n - e) + C(e, 2) pairs, but its empty pattern also
     matches each of the c_pad rows above the query everywhere, so e * c_pad
     is taken off.  A hash collision falls back to the pattern count.
-    Patterns are compared into a zero-padded buffer of whole words, so
-    ``np.packbits`` gives ``_pack_rows``' words without a copy.
+    Above patterns are compared into a zero-padded buffer of whole words,
+    so ``np.packbits`` gives ``_pack_rows``' words without a copy.
     """
     n, m = X.shape
     ranked = queries.shape[0] >= _BD_RANKED_MIN_QUERIES
@@ -809,23 +804,19 @@ def _bd_pair_counts(queries: np.ndarray, X: np.ndarray) -> list[int]:
     e = _row_copies(queries, X, (le > lt).all(axis=1))
     partial = (le - lt > e[:, None]).any(axis=1)
     if ranked:
-        X, above, below = np.ascontiguousarray(R.T), (np.greater_equal, le), (np.less, lt)
+        op, A, ref = np.greater_equal, np.ascontiguousarray(R.T), le
     else:
-        above, below = (np.greater, queries), (np.less, queries)
+        op, A, ref = np.greater, X, queries
     buf = np.zeros((n, -(-m // 64) * 64), dtype=bool)
     pad = _pack_rows(np.ones((1, m), dtype=bool))[0]
 
-    def pack(test, i):
-        op, ref = test
-        op(X, ref[i], out=buf[:, :m])
-        return np.packbits(buf, axis=1).view(np.uint64)
-
     counts = []
     for i in range(queries.shape[0]):
-        U = pack(above, i)
+        op(A, ref[i], out=buf[:, :m])
+        U = np.packbits(buf, axis=1).view(np.uint64)
         pairs = None if partial[i] else _count_complement_pairs(U, buf[:, 0], pad)
         if pairs is None:
-            pairs = _count_pattern_tuples(np.hstack([U, pack(below, i)]), 2)[0]
+            pairs = _count_pattern_tuples(_band_patterns(queries[i], X), 2)[0]
         elif e[i]:
             k = int(e[i])
             pairs += k * (n - k) + math.comb(k, 2) - k * np.count_nonzero(_rows_equal(U, pad))
@@ -874,15 +865,20 @@ def _bd_depth_values(
     sum_{j=2..J} C(n, j)^{-1} #{i_1 < ... < i_j : min <= x <= max pointwise},
     with closed comparisons at the band boundaries.  J = 2 counts the
     whole batch's pairs in ``_bd_pair_counts``; higher orders count each
-    query's tuples over its patterns (``_band_counts``).
+    query's tuples over its pruned patterns (``_band_patterns``): pairs
+    and triples by ``_count_pattern_tuples``, orders 4..J by
+    ``_count_tuples_generic``.
     """
     X, n = sample.values, sample.n
     if J == 2:
         return np.array([cnt / math.comb(n, 2) for cnt in _bd_pair_counts(queries, X)])
     out = np.empty(queries.shape[0])
     for i, xv in enumerate(queries):
+        R = _band_patterns(xv, X)
+        counts = _count_pattern_tuples(R, J)
+        counts += [_count_tuples_generic(R, j) for j in range(4, J + 1)]
         value = 0.0
-        for j, cnt in enumerate(_band_counts(xv, X, J), start=2):
+        for j, cnt in enumerate(counts, start=2):
             value += cnt / math.comb(n, j)
         out[i] = value
     return out
@@ -962,8 +958,6 @@ def _mbd_depth_values(
 
 
 def _check_atomic_budget(dist: AtomicDistribution, J: int) -> None:
-    if int(J) != J or J < 2:
-        raise ParameterError(f"band order J must be an integer >= 2, got {J}")
     if dist.n_atoms > MAX_ATOMS or J > MAX_ATOMIC_J:
         raise ParameterError(
             f"exhaustive atomic band depth is limited to {MAX_ATOMS} atoms "
@@ -1117,10 +1111,7 @@ def depth_values(
     the same projection set.
     """
     params = params or DepthParams()
-    if depth not in DEPTH_IDS:
-        raise ParameterError(
-            f"unknown depth id {depth!r}; expected one of {DEPTH_IDS}"
-        )
+    _check_depth_id(depth)
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if queries.ndim != 2 or queries.shape[1] != sample.grid.m:
         raise InputError(

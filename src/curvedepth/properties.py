@@ -61,8 +61,10 @@ from .depths import (
     DEPTH_IDS,
     DEPTH_LABELS,
     DepthParams,
+    _centre_outward_order,
     _check_band_budget,
     _check_band_order,
+    _check_depth_id,
     depth_values,
     evaluate_depth,
     upper_bound,
@@ -141,13 +143,6 @@ GOLDEN = {
 L2_CLASS = ("h", "rt")
 #: Depths whose natural metric is sup (their P-1 map is x -> a*x + b).
 SUP_CLASS = ("bd", "mbd", "hr", "mhr")
-
-
-def _check_depth_id(depth_id: str) -> None:
-    if depth_id not in DEPTH_IDS:
-        raise ParameterError(
-            f"unknown depth id {depth_id!r}; expected one of {DEPTH_IDS}"
-        )
 
 
 def _replay(
@@ -320,12 +315,6 @@ def p1_transform(depth_id: str, values: np.ndarray, a: float, b=None) -> np.ndar
     if b is not None:
         out = out + np.asarray(b, dtype=float)
     return out
-
-
-def _centre_outward_order(vals: np.ndarray) -> list[int]:
-    """Probe indices by decreasing depth, ties broken by index."""
-    v = np.asarray(vals, dtype=float)
-    return [int(i) for i in np.lexsort((np.arange(v.size), -v))]
 
 
 def _p1_probes(sample: FunctionalSample) -> np.ndarray:
@@ -1210,12 +1199,9 @@ class AuditConfig:
                     raise ParameterError(f"{f.name} must be finite, got {value}")
         if self.n < 1 or self.band_n < 2 or self.p3_n < 2:
             raise ParameterError("sample sizes must be positive")
-        if self.J < 2 or self.p2g_J < 2:
-            raise ParameterError("band orders must be >= 2")
-        if not self.h > 0:
-            raise ParameterError("bandwidth h must be > 0")
-        if self.k < 1:
-            raise ParameterError("direction count k must be >= 1")
+        # the depth parameters the cells build, checked where they are held
+        DepthParams(h=self.h, J=self.J, k=self.k)
+        DepthParams(J=self.p2g_J)
         if self.replicates < 2:
             raise ParameterError("replicates must be >= 2")
         if len(self.p2g_kernels) == 0:

@@ -436,13 +436,29 @@ def test_bd_order_three_triple_budget_exits_3_fast(tmp_path):
 
 
 def test_threads_flag_overrides_inherited_environment(three_csv, monkeypatch):
-    for var in cli._THREAD_ENV_VARS:
+    # during a command every thread variable reads 1 and --threads sets
+    # the cap; an in-process call then leaves both as it found them, so a
+    # later call without the flag runs uncapped
+    first, *rest = cli._THREAD_ENV_VARS
+    monkeypatch.delenv(first, raising=False)
+    for var in rest:
         monkeypatch.setenv(var, "7")
     monkeypatch.setattr(core, "_kernel_threads", None)
-    code, _, _ = run_cli(["--threads", 1, "depth", three_csv, "mhr"])
-    assert code == 0
-    assert all(os.environ[var] == "1" for var in cli._THREAD_ENV_VARS)
-    assert core._kernel_threads == 1
+    seen = []
+    handler = cli._HANDLERS["depth"]
+
+    def spy(args):
+        seen.append(([os.environ.get(var) for var in cli._THREAD_ENV_VARS], core._kernel_threads))
+        return handler(args)
+
+    monkeypatch.setitem(cli._HANDLERS, "depth", spy)
+    assert run_cli(["--threads", 1, "depth", three_csv, "mhr"])[0] == 0
+    assert run_cli(["depth", three_csv, "mhr"])[0] == 0
+    ones = ["1"] * len(cli._THREAD_ENV_VARS)
+    assert seen == [(ones, 1), (ones, None)]
+    assert first not in os.environ
+    assert all(os.environ[var] == "7" for var in rest)
+    assert core._kernel_threads is None
 
 
 def test_threads_flag_keeps_the_csv_read_in_one_process(tmp_path, monkeypatch):
@@ -969,6 +985,8 @@ def test_reconstruct_feeds_depth(tmp_path):
         pytest.param(
             '{"grid": {"a": -1e308, "b": 1e308}}', cli.EXIT_PARAMS, id="overflowing-domain"
         ),
+        # 2 h^2 underflows to 0 in the h kernel's exponent
+        pytest.param('{"h": 1e-200}', cli.EXIT_PARAMS, id="underflowing-bandwidth"),
         # band order 3 on P-6's 25 600-curve reference: past the triple budget
         pytest.param('{"J": 3}', cli.EXIT_PARAMS, id="band-triple-budget"),
         # band order 3 within every budget (P-2G and P-6 are skipped), but
@@ -1081,6 +1099,29 @@ def test_closed_stdout_exits_2_without_traceback(tmp_path, n_curves):
     assert proc.returncode == cli.EXIT_INPUT, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["depth", "rank", "reconstruct"])
+def test_depth_commands_load_no_pool_or_audit_module(three_csv, tmp_path, command):
+    # only the audit needs a process pool; importing those modules would
+    # add to every command's start-up
+    argv = [command, str(three_csv)]
+    argv.append(str(tmp_path / "out.csv") if command == "reconstruct" else "mhr")
+    code = (
+        "import sys; from curvedepth.cli import main; code = main(sys.argv[1:]); "
+        "print(sorted({'multiprocessing', 'concurrent.futures', "
+        "'curvedepth.properties'} & set(sys.modules)), file=sys.stderr); "
+        "sys.exit(code)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["[]"]
 
 
 # ---------------------------------------------------------------------------

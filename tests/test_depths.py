@@ -923,6 +923,30 @@ def test_column_counts_direct_and_sorted_routes_agree():
     assert np.array_equal(lt, got["sorted"][1][: small.shape[0]])
 
 
+@pytest.mark.parametrize("q", [1, 3, 4, 40])
+def test_rt_direct_and_sorted_routes_match_per_query_reference(q):
+    # rt reads its tail counts off ``_column_counts`` of the projections:
+    # by direct comparison below ``_SORT_MIN_QUERIES`` queries, else off
+    # the sorted columns.  Duplicated rows and queries equal to sample rows
+    # give projections that tie exactly at the closed tails.
+    rng = np.random.default_rng(q)
+    m = 9
+    X = np.round(rng.normal(size=(150, m)))
+    X[:50] = X[rng.integers(0, 150, size=50)]
+    sample = FunctionalSample(X, uniform_grid(0, 1, m))
+    rows = X[rng.integers(0, 50, size=(q + 1) // 2)]
+    Q = np.vstack([rows, np.round(rng.normal(size=(q // 2, m)))])
+    directions = draw_directions(sample.grid, 5, seed=3)
+    want = rt_per_query(Q, sample, directions)
+    for limit in (0, 10**9):  # sorted, direct
+        with mock.patch.object(depths, "_SORT_MIN_QUERIES", limit):
+            got = depth_values("rt", Q, sample, DepthParams(k=5, seed=3))
+        assert np.array_equal(got, want), limit
+    with mock.patch.object(np, "searchsorted", side_effect=AssertionError):
+        if q < depths._SORT_MIN_QUERIES:  # the default takes the direct route
+            assert np.array_equal(depth_values("rt", Q, sample, DepthParams(k=5, seed=3)), want)
+
+
 # ---------------------------------------------------------------------------
 # Batch threads for h and mhr
 # ---------------------------------------------------------------------------
@@ -1310,6 +1334,31 @@ def test_bd_hash_collisions_fall_back_to_exact_counts(monkeypatch, table):
         monkeypatch.setattr(depths, "_BD_RANKED_MIN_QUERIES", limit)
         assert np.array_equal(depth_values("bd", Q, sample), want)
         assert depth_values("bd", np.zeros(m), above).tolist() == [0.0]
+
+
+def test_bd_partial_tie_queries_match_brute_on_both_routes():
+    # the mean snapped to the nearest sample value at each grid point and
+    # the pointwise min and max envelopes tie some curve at every grid
+    # point without copying any: their pairs are counted over the pruned
+    # patterns of ``_band_patterns``, off the rank table and directly
+    rng = np.random.default_rng(12)
+    m = 70
+    t = np.linspace(0.0, 1.0, m)
+    X = np.round(rng.normal(size=(40, 3)) @ np.vstack([np.ones(m), t, np.sin(3 * t)]) * 4) / 4
+    X[:8] = X[rng.integers(8, 40, size=8)]  # duplicated rows
+    sample = FunctionalSample(X, uniform_grid(0, 1, m))
+    nearest = np.abs(X - X.mean(axis=0)).argmin(axis=0)
+    Q = np.vstack([X[nearest, np.arange(m)], X.min(axis=0), X.max(axis=0), X[:2]])
+    copies = np.array([(X == x).all(axis=1).sum() for x in Q])
+    ties = np.array([(X == x).sum(axis=0) for x in Q])
+    assert (ties > copies[:, None]).any(axis=1)[:3].all()  # partial ties
+    want = [band_depth_brute(Curve(x, sample.grid), sample) for x in Q]
+    for limit in (1, 10**9):  # rank table, direct
+        with mock.patch.object(depths, "_BD_RANKED_MIN_QUERIES", limit), mock.patch.object(
+            depths, "_band_patterns", wraps=depths._band_patterns
+        ) as patterns:
+            assert depth_values("bd", Q, sample).tolist() == want, limit
+        assert patterns.call_count >= 3
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 300, 1000, 5000, 9001])
