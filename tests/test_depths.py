@@ -942,9 +942,10 @@ def test_rt_direct_and_sorted_routes_match_per_query_reference(q):
         with mock.patch.object(depths, "_SORT_MIN_QUERIES", limit):
             got = depth_values("rt", Q, sample, DepthParams(k=5, seed=3))
         assert np.array_equal(got, want), limit
-    with mock.patch.object(np, "searchsorted", side_effect=AssertionError):
-        if q < depths._SORT_MIN_QUERIES:  # the default takes the direct route
-            assert np.array_equal(depth_values("rt", Q, sample, DepthParams(k=5, seed=3)), want)
+    if q < depths._SORT_MIN_QUERIES:  # the default compares directly
+        with mock.patch.object(np, "searchsorted", side_effect=AssertionError):
+            got = depth_values("rt", Q, sample, DepthParams(k=5, seed=3))
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -1336,15 +1337,17 @@ def test_bd_hash_collisions_fall_back_to_exact_counts(monkeypatch, table):
         assert depth_values("bd", np.zeros(m), above).tolist() == [0.0]
 
 
-def test_bd_partial_tie_queries_match_brute_on_both_routes():
+def test_bd_partial_tie_queries_match_brute_on_both_routes(monkeypatch):
     # the mean snapped to the nearest sample value at each grid point and
-    # the pointwise min and max envelopes tie some curve at every grid
-    # point without copying any: their pairs are counted over the pruned
-    # patterns of ``_band_patterns``, off the rank table and directly
+    # the pointwise min and max envelopes tie sample values that are not
+    # all on whole-row copies (partial ties): their pairs are counted over
+    # the pruned patterns of ``_band_patterns``, off the rank table and
+    # directly
     rng = np.random.default_rng(12)
     m = 70
     t = np.linspace(0.0, 1.0, m)
-    X = np.round(rng.normal(size=(40, 3)) @ np.vstack([np.ones(m), t, np.sin(3 * t)]) * 4) / 4
+    basis = np.vstack([np.ones(m), t, np.sin(3 * t)])
+    X = np.round(rng.normal(size=(40, 3)) @ basis * 4) / 4
     X[:8] = X[rng.integers(8, 40, size=8)]  # duplicated rows
     sample = FunctionalSample(X, uniform_grid(0, 1, m))
     nearest = np.abs(X - X.mean(axis=0)).argmin(axis=0)
@@ -1354,11 +1357,12 @@ def test_bd_partial_tie_queries_match_brute_on_both_routes():
     assert (ties > copies[:, None]).any(axis=1)[:3].all()  # partial ties
     want = [band_depth_brute(Curve(x, sample.grid), sample) for x in Q]
     for limit in (1, 10**9):  # rank table, direct
-        with mock.patch.object(depths, "_BD_RANKED_MIN_QUERIES", limit), mock.patch.object(
-            depths, "_band_patterns", wraps=depths._band_patterns
-        ) as patterns:
-            assert depth_values("bd", Q, sample).tolist() == want, limit
+        patterns = mock.Mock(wraps=depths._band_patterns)
+        monkeypatch.setattr(depths, "_band_patterns", patterns)
+        monkeypatch.setattr(depths, "_BD_RANKED_MIN_QUERIES", limit)
+        assert depth_values("bd", Q, sample).tolist() == want, limit
         assert patterns.call_count >= 3
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 300, 1000, 5000, 9001])
