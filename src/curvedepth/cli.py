@@ -10,7 +10,10 @@ depth id, bandwidth, ...), 4 audit mismatch or under-powered audit cells.
 Every command runs one BLAS thread, whatever the environment sets, so
 no output byte depends on a BLAS thread count.  The thread variables
 must be set before numpy loads, so everything that imports numpy is
-imported lazily inside the command handlers.  ``--threads N`` caps the
+imported lazily inside the command handlers.  ``main`` called in-process
+after numpy has loaded cannot change the BLAS threads and leaves the
+variables alone, so the package sizes its own threads for the BLAS that
+runs.  ``--threads N`` caps the
 package's own threads and worker processes (``core._workers``): the
 threads that the h and mhr kernels split a batch over, the forked
 workers that parse a large CSV file in spans of whole lines, and the
@@ -160,16 +163,18 @@ def _ranks_from_values(values):
 
 def _emit(args, payload: dict, csv_rows, md_lines) -> None:
     """Write one result to stdout in the requested format; the JSON form
-    is the payload under the ``schema``/``command`` envelope."""
+    is the payload under the ``schema``/``command`` envelope.  The CSV
+    rows and markdown lines come from functions, and only the requested
+    format's function is called."""
     from curvedepth.core import _json_text
 
     if args.format == "json":
         print(_json_text({"schema": 1, "command": args.command, **payload}))
     elif args.format == "csv":
-        for row in csv_rows:
+        for row in csv_rows():
             print(",".join(row))
     else:
-        print("\n".join(md_lines))
+        print("\n".join(md_lines()))
 
 
 def _read_json(path: str):
@@ -233,11 +238,13 @@ def _cmd_depth(args) -> int:
         "params": params,
         "values": values,
     }
-    csv_rows = [("index", "value")] + [(str(i), _fmt(v)) for i, v in enumerate(values)]
-    md = ["| index | depth |", "|---|---|"] + [
-        f"| {i} | {_fmt(v)} |" for i, v in enumerate(values)
-    ]
-    _emit(args, payload, csv_rows, md)
+    _emit(
+        args,
+        payload,
+        lambda: [("index", "value")] + [(str(i), _fmt(v)) for i, v in enumerate(values)],
+        lambda: ["| index | depth |", "|---|---|"]
+        + [f"| {i} | {_fmt(v)} |" for i, v in enumerate(values)],
+    )
     return EXIT_OK
 
 
@@ -252,14 +259,14 @@ def _cmd_rank(args) -> int:
         "ranks": ranks,
         "deepest": deepest,
     }
-    csv_rows = [("index", "value", "rank")] + [
-        (str(i), _fmt(v), str(int(r))) for i, (v, r) in enumerate(zip(values, ranks))
-    ]
-    md = ["| index | depth | rank |", "|---|---|---|"] + [
-        f"| {i} | {_fmt(v)} | {int(r)} |"
-        for i, (v, r) in enumerate(zip(values, ranks))
-    ]
-    _emit(args, payload, csv_rows, md)
+    _emit(
+        args,
+        payload,
+        lambda: [("index", "value", "rank")]
+        + [(str(i), _fmt(v), str(int(r))) for i, (v, r) in enumerate(zip(values, ranks))],
+        lambda: ["| index | depth | rank |", "|---|---|---|"]
+        + [f"| {i} | {_fmt(v)} | {int(r)} |" for i, (v, r) in enumerate(zip(values, ranks))],
+    )
     return EXIT_OK
 
 
@@ -290,15 +297,19 @@ def _cmd_trim(args) -> int:
         "mean": mean,
         "out": args.out,
     }
-    csv_rows = [("grid",) + tuple(_fmt(p) for p in sample.grid.points)] + [
-        ("mean",) + tuple(_fmt(v) for v in mean)
-    ]
-    md = [
-        f"Dropped {n_drop} of {sample.n} curves: {dropped}",
-        "",
-        "Retained indices: " + ", ".join(str(i) for i in retained),
-    ]
-    _emit(args, payload, csv_rows, md)
+    _emit(
+        args,
+        payload,
+        lambda: [
+            ("grid",) + tuple(_fmt(p) for p in sample.grid.points),
+            ("mean",) + tuple(_fmt(v) for v in mean),
+        ],
+        lambda: [
+            f"Dropped {n_drop} of {sample.n} curves: {dropped}",
+            "",
+            "Retained indices: " + ", ".join(str(i) for i in retained),
+        ],
+    )
     return EXIT_OK
 
 
@@ -313,7 +324,6 @@ def _cmd_outliers(args) -> int:
     values = _sample_depths(args, sample)
     threshold = float(np.quantile(values, args.q))
     flagged = [int(i) for i in np.flatnonzero(values <= threshold)]
-    flagged_set = set(flagged)
     payload = {
         "depth": args.depth_id,
         "q": args.q,
@@ -321,13 +331,19 @@ def _cmd_outliers(args) -> int:
         "values": values,
         "flagged": flagged,
     }
-    csv_rows = [("index", "value", "flagged")] + [
-        (str(i), _fmt(v), str(int(i in flagged_set))) for i, v in enumerate(values)
-    ]
-    md = [f"Depth threshold (q={args.q:g} quantile): {threshold:g}", ""] + [
-        f"- curve {i}: depth {_fmt(values[i])}" for i in flagged
-    ]
-    _emit(args, payload, csv_rows, md)
+    def csv_rows():
+        flagged_set = set(flagged)
+        return [("index", "value", "flagged")] + [
+            (str(i), _fmt(v), str(int(i in flagged_set))) for i, v in enumerate(values)
+        ]
+
+    _emit(
+        args,
+        payload,
+        csv_rows,
+        lambda: [f"Depth threshold (q={args.q:g} quantile): {threshold:g}", ""]
+        + [f"- curve {i}: depth {_fmt(values[i])}" for i in flagged],
+    )
     return EXIT_OK
 
 
@@ -405,7 +421,7 @@ def _cmd_simulate_gp(args) -> int:
         "seed": args.seed,
         "out": args.out_csv,
     }
-    _emit(args, payload, [("out", args.out_csv)], [f"Wrote {args.out_csv}"])
+    _emit(args, payload, lambda: [("out", args.out_csv)], lambda: [f"Wrote {args.out_csv}"])
     return EXIT_OK
 
 
@@ -424,7 +440,7 @@ def _cmd_reconstruct(args) -> int:
         "observed_fraction": np.mean(~np.isnan(values), axis=1),
         "out": args.out_csv,
     }
-    _emit(args, payload, [("out", args.out_csv)], [f"Wrote {args.out_csv}"])
+    _emit(args, payload, lambda: [("out", args.out_csv)], lambda: [f"Wrote {args.out_csv}"])
     return EXIT_OK
 
 
@@ -452,11 +468,13 @@ def main(argv=None) -> int:
         return EXIT_PARAMS
     # one BLAS thread, over inherited values: a multi-threaded product
     # rounds differently, and the package's own workers take the CPUs.
-    # Both settings are undone on return, so an in-process call leaves the
-    # environment and the thread cap as it found them.
-    saved_env = {var: os.environ.get(var) for var in _THREAD_ENV_VARS}
-    for var in _THREAD_ENV_VARS:
-        os.environ[var] = "1"
+    # The variables act only when numpy loads, so they are set only before
+    # it has: they then describe the loaded BLAS for the rest of the
+    # process.  A call made after numpy has loaded leaves them alone, so
+    # that ``core._blas_threads()`` still reads what the loaded BLAS runs.
+    if "numpy" not in sys.modules:
+        for var in _THREAD_ENV_VARS:
+            os.environ[var] = "1"
     # imported here so the BLAS thread pools see the variables
     from curvedepth import core
     from curvedepth.core import InputError, ParameterError
@@ -480,12 +498,7 @@ def main(argv=None) -> int:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     finally:
-        core._cap_kernel_threads(saved_cap)
-        for var, value in saved_env.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+        core._cap_kernel_threads(saved_cap)  # an in-process call leaves no cap
 
 
 if __name__ == "__main__":

@@ -268,7 +268,8 @@ def _blas_threads() -> int:
     """BLAS threads of this process: the first positive count among
     ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` and ``OMP_NUM_THREADS``,
     which numpy's BLAS reads when it loads, else one per usable CPU
-    (OpenBLAS's default).  The CLI sets all three to 1."""
+    (OpenBLAS's default).  The CLI sets all three to 1 when it starts
+    before numpy loads, and leaves them alone after."""
     for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(var, "").strip()
         if value.isdigit() and int(value) > 0:

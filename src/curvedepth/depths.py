@@ -11,9 +11,10 @@ is that batch with one row, returned as a float.
 One routine counts a batch against the sample column by column
 (``_column_counts``, the rank trick of Sun, Genton & Nychka 2012): every
 query's closed counts le = #{X_jv <= x_v} and lt = #{X_jv < x_v} per
-column in O((n+q)*c*log n) for q queries against n rows of c columns,
-and for large batches of bd, hr and mhr each sample value's rank in its
-column, so their closed comparisons run on small integers.  mbd, bd
+column in O((n+q)*c*log n) for q queries against n rows of c columns
+(the queries reach each column's binary search in sorted order), and for
+large batches of bd, hr and mhr each sample value's rank in its column,
+so their closed comparisons run on small integers.  mbd, bd
 with J = 2, hr and mhr count over the m grid points; rt counts over
 its k direction projections, after one O(n*m*k) product.  A batch of
 fewer than four queries gets le and lt by direct comparison instead, in
@@ -21,7 +22,14 @@ O(q*n*c), since the sort would cost more than those queries
 (``_SORT_MIN_QUERIES``).  Small batches of bd, hr and mhr, and hr and
 mhr against small samples, likewise compare with the sample directly.
 All these values equal, bit for bit, per-query masked weight sums and
-comparison counts.  bd with J = 2 counts each query's whole-row copies
+comparison counts.  hr on equally weighted curves has three paths, all
+with the same integer counts (``_hr_depth_values``): a batch of at least
+``_RANKED_MIN_QUERIES`` queries, one per at most
+``_HR_BITSET_CURVES_PER_QUERY`` curves, ANDs and ORs prefix bitsets of
+the sorted columns in O(m*(n+q)*n/64) word operations
+(``_prefix_bitset_counts``); other large batches against many curves
+read each query's comparisons off the rank table; the rest compare each
+query with the sample.  bd with J = 2 counts each query's whole-row copies
 e once per batch.  Where no other curve ties the query at any grid
 point (le - lt == e everywhere), the other curves' below patterns are
 the complements of their above patterns, and one sort of hashed,
@@ -43,23 +51,28 @@ KiB), but keeps the summation order of its fixed chunks of queries
 exactly (see ``_h_depth_values``), so its values, and the audit bytes
 built on them, do not move.
 
-h and mhr split a large batch into contiguous spans of queries
+h, mhr and hr's bitsets split a large batch into contiguous spans
 (``_split_batch``), one per CPU that BLAS leaves free: the usable CPUs
 divided by the BLAS threads (``core._workers``).  The CLI runs one BLAS
 thread, so there every usable CPU takes a span; a library caller with
 BLAS on every CPU, numpy's default, keeps the batch on one thread.  The
 first span runs on the calling thread, the others on their own threads,
 which are joined before the kernel returns.  h's spans are whole
-chunks, with a buffer per thread, and mhr's spans share the batch's
-read-only rank table; every span runs the serial loop's operations on
-its queries, so no value depends on the split.  The gain comes from
-numpy releasing the interpreter lock in its ufunc loops and BLAS calls.
-h splits a batch of two or more chunks; mhr keeps small batches, and its
-short per-query calls against small samples, on the calling thread
+chunks of queries, with a buffer per thread, and mhr's spans of queries
+share the batch's read-only rank table; every span runs the serial
+loop's operations on its queries, so no value depends on the split.
+hr's spans are grid columns instead, each thread with its own bitsets
+and its own AND and OR accumulators, combined at the end: AND and OR
+are exact, so the counts cannot depend on the split either.  The gain
+comes from numpy releasing the interpreter lock in its ufunc loops,
+``take`` calls and BLAS calls.  h splits a batch of two or more chunks,
+and hr every batch that takes the bitsets; mhr keeps small batches, and
+its short per-query calls against small samples, on the calling thread
 (``_MHR_THREAD_MIN_WORK``, ``_MHR_THREAD_MIN_QUERY_WORK``).  The CLI's
 ``--threads`` caps the span count, and so do the audit's worker
-processes, at one (``core._cap_kernel_threads``).  The other four
-kernels stay serial; bd's per-query loop holds the interpreter lock.
+processes, at one (``core._cap_kernel_threads``).  rt, bd, mbd, and
+hr's ranked and direct paths stay serial; bd's per-query loop holds the
+interpreter lock.
 
 ``depth_values`` takes the distribution P either as a
 ``FunctionalSample`` (the empirical measure P_n) or as an
@@ -157,6 +170,16 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # 200 curves for hr and 500 for mhr, at batch sizes up to 1000.
 _RANKED_MIN_QUERIES = 32
 _RANKED_MIN_CURVES = 512
+# hr counts a batch of at least _RANKED_MIN_QUERIES queries by prefix
+# bitsets (``_prefix_bitset_counts``) when the sample holds at most this
+# many curves per query.  The bitsets cost O(m * n^2 / 64) word operations
+# whatever q is, the other paths O(q * n * m) comparisons.  Measured the
+# same way, with two kernel threads as the CLI runs them: the bitsets broke
+# even with the ranked loop at q = n/5 to n/6 for n = 1000 to 5000, and
+# with the direct comparison at about q = n/4 at n = 300 (on one thread,
+# at q = n/4.5 to n/6).  At n = 100 the direct comparison wins up to
+# q = n, by at most 1.6 ms.
+_HR_BITSET_CURVES_PER_QUERY = 4
 # bd with J = 2 reads its patterns off the rank table from this many
 # queries on, and otherwise compares each query with the sample.  Measured
 # the same way: the table pays for itself from 40 to 60
@@ -209,6 +232,8 @@ def _splitmix64(k: int) -> int:
 # a match; every match is verified word for word.  (Built without
 # numpy.random, whose import would slow every command's start-up.)
 _HASH_MULTIPLIERS = np.array([_splitmix64(k) | 1 for k in range(64)], dtype=np.uint64)
+# Set bits of each byte value, for hr's popcounts.
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -266,7 +291,8 @@ def _centre_outward_order(values: np.ndarray) -> list[int]:
 
 def _split_batch(q: int, step: int, run) -> None:
     """Call ``run(lo, hi)`` on contiguous spans of ``range(q)`` that cover
-    it, each made of whole steps of ``step`` queries, one span per thread.
+    it, each made of whole steps of ``step`` queries (of grid columns, for
+    hr's bitsets), one span per thread.
 
     There are as many spans as ``core._workers`` grants to the steps with
     each thread's BLAS threads counted: a kernel thread whose BLAS calls
@@ -497,9 +523,10 @@ def _column_counts(
 
     The columns are a sample's grid points (c = m) for mbd, bd, hr and
     mhr, and the projection directions (c = k) for rt.  Each column of X
-    is sorted once, and two ``searchsorted`` calls per column give
-    le[i, v] = #{j : X_jv <= x_iv} and lt[i, v] = #{j : X_jv < x_iv} for
-    the whole batch (the rank trick of Sun, Genton & Nychka 2012):
+    is sorted once, and two ``searchsorted`` calls per column, on the
+    batch's values in sorted order, give le[i, v] = #{j : X_jv <= x_iv}
+    and lt[i, v] = #{j : X_jv < x_iv} for the whole batch (the rank trick
+    of Sun, Genton & Nychka 2012):
     O((n+q)*c*log n).  With ``ranks`` the columns are argsorted instead,
     and R[v, j], the position of X_jv in its sorted column, is returned as
     a (c, n) table, else None.  Tied values sit side by side in a sorted
@@ -528,12 +555,16 @@ def _column_counts(
         np.put_along_axis(R, order, np.arange(n, dtype=dtype)[None], axis=1)
     else:
         S = np.sort(X.T, axis=1)
-    le = np.empty(queries.shape, dtype=dtype)
-    lt = np.empty(queries.shape, dtype=dtype)
+    # the keys go to searchsorted in sorted order, which took the two
+    # calls on 1000 queries x 1000 curves x 101 points from 18 to 4 ms
+    keys = np.argsort(queries.T, axis=1)
+    K = np.take_along_axis(queries.T, keys, axis=1)
+    le = np.empty((c, queries.shape[0]), dtype=dtype)
+    lt = np.empty((c, queries.shape[0]), dtype=dtype)
     for v, s in enumerate(S):
-        le[:, v] = np.searchsorted(s, queries[:, v], side="right")
-        lt[:, v] = np.searchsorted(s, queries[:, v], side="left")
-    return R, le, lt
+        le[v, keys[v]] = np.searchsorted(s, K[v], side="right")
+        lt[v, keys[v]] = np.searchsorted(s, K[v], side="left")
+    return R, np.ascontiguousarray(le.T), np.ascontiguousarray(lt.T)
 
 
 # ---------------------------------------------------------------------------
@@ -999,38 +1030,110 @@ def _atomic_band_values(
 # ---------------------------------------------------------------------------
 
 
+def _popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits of each row of a C-contiguous (q, W) uint64 array, by a
+    byte table (``np.bitwise_count`` needs numpy 2.0)."""
+    return _BYTE_BITS[words.view(np.uint8)].sum(axis=1, dtype=np.intp)
+
+
+def _prefix_bitset_counts(R: np.ndarray, le: np.ndarray, lt: np.ndarray) -> np.ndarray:
+    """hr's (below, above) curve counts of each query, as a (2, q) array,
+    from prefix bitsets of the sorted grid columns.
+
+    For column v, P_v[k] is the set of rows holding the k smallest values
+    of the column, ⌈n/64⌉ uint64 words a set.  It comes from the rank
+    table R of ``_column_counts`` (each column's argsort, inverted): one
+    scatter puts row j's bit into P_v[R[v, j] + 1], and one cumulative OR
+    down the rows fills in the rest.  Query i's below set is the AND over
+    v of P_v[le_iv], and its above set the complement of the OR over v of
+    P_v[lt_iv], so each count is a popcount.  The columns are split over
+    threads (``_split_batch``), each with its own P_v buffer and its own
+    AND and OR accumulators, which are combined at the end; AND and OR are
+    exact and do not depend on order.  Cost O(m * (n + q) * n / 64) word
+    operations for q queries against n curves on m grid points; memory
+    (n + 1 + 3q) * ⌈n/64⌉ words per thread, plus m * n shared indices.
+    """
+    m, n = R.shape
+    q = le.shape[0]
+    width = -(-n // 64)
+    rows = np.arange(n)
+    bit = np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
+    # each row's word in P_v, flattened: after rank R[v, j] and in word j // 64
+    flat = (R + 1).astype(np.intp) * width + (rows >> 6)
+    le, lt = np.ascontiguousarray(le.T), np.ascontiguousarray(lt.T)
+    parts = []
+
+    def run(lo: int, hi: int) -> None:
+        P = np.zeros((n + 1, width), dtype=np.uint64)
+        below = np.empty((q, width), dtype=np.uint64)
+        under = np.zeros((q, width), dtype=np.uint64)  # rows under x somewhere
+        got = np.empty((q, width), dtype=np.uint64)
+        words = P.reshape(-1)
+        for v in range(lo, hi):
+            P[1:] = 0
+            words[flat[v]] = bit
+            np.bitwise_or.accumulate(P, axis=0, out=P)
+            # le and lt lie in 0..n, so "clip" only skips the bound check
+            np.take(P, le[v], axis=0, out=below if v == lo else got, mode="clip")
+            if v > lo:
+                below &= got
+            np.take(P, lt[v], axis=0, out=got, mode="clip")
+            under |= got
+        parts.append((below, under))
+
+    _split_batch(m, 1, run)
+    below, under = parts[0]
+    for b, u in parts[1:]:
+        below &= b
+        under |= u
+    return np.stack([_popcounts(below), n - _popcounts(under)])
+
+
 def _hr_depth_values(queries: np.ndarray, sample: FunctionalSample) -> np.ndarray:
     """min of the sample fractions entirely below-or-equal / above-or-equal x.
 
-    A large batch (``_ranked_batch``) against equally weighted curves
-    reads the closed comparisons off the rank table of
-    ``_column_counts``: a curve lies below x iff each of its m ranks is
-    under the column's ``le`` count, and above x iff each is at least the
-    ``lt`` count.  Per query that compares n*m small integers, not floats,
-    and the two curve counts map to masses as in rt (``_uniform_masses``),
-    bit for bit the masked weight sums.  Small batches and samples, and
-    unequal weights (an atomic distribution's atoms), compare each query
-    with the sample directly and sum the masked weights.  Either way the
-    cost is O(q*n*m) for q queries against n curves on m grid points,
-    plus O(n*m*log n) for the table.
+    Equally weighted curves take one of three paths, all with the same
+    integer curve counts, which map to masses as in rt
+    (``_uniform_masses``), bit for bit the masked weight sums:
+
+    - a large batch, of at least ``_RANKED_MIN_QUERIES`` queries and at
+      least one per ``_HR_BITSET_CURVES_PER_QUERY`` curves, counts by
+      prefix bitsets of the sorted grid columns, on threads
+      (``_prefix_bitset_counts``): O(m * (n + q) * n / 64);
+    - a large batch against many curves (``_ranked_batch``) reads the
+      closed comparisons off the rank table of ``_column_counts``: a curve
+      lies below x iff each of its m ranks is under the column's ``le``
+      count, and above x iff each is at least the ``lt`` count, so per
+      query it compares n*m small integers, not floats: O(q*n*m);
+    - a small batch or sample compares each query with the sample
+      directly, O(q*n*m).
+
+    Unequal weights (an atomic distribution's atoms) take the direct
+    comparison and sum the masked weights.  The two sorted paths add
+    O(n*m*log n) for the table.
     """
     X, w = sample.values, sample.weights
-    if not _ranked_batch(queries, sample) or not np.all(w == w[0]):
-        out = np.empty(queries.shape[0])
+    q, n = queries.shape[0], sample.n
+    uniform = bool(np.all(w == w[0]))
+    if uniform and q >= _RANKED_MIN_QUERIES and n <= _HR_BITSET_CURVES_PER_QUERY * q:
+        counts = _prefix_bitset_counts(*_column_counts(queries, X, ranks=True))
+    elif uniform and _ranked_batch(queries, sample):
+        R, le, lt = _column_counts(queries, X, ranks=True)
+        buf = np.empty(R.shape, dtype=bool)
+        counts = np.empty((2, q), dtype=np.intp)
+        for i in range(q):
+            np.less(R, le[i, :, None], out=buf)
+            counts[0, i] = np.count_nonzero(np.logical_and.reduce(buf, axis=0))
+            np.greater_equal(R, lt[i, :, None], out=buf)
+            counts[1, i] = np.count_nonzero(np.logical_and.reduce(buf, axis=0))
+    else:
+        out = np.empty(q)
         for i, xv in enumerate(queries):
             in_hypo = (X <= xv).all(axis=1)
             in_epi = (X >= xv).all(axis=1)
             out[i] = min(float(w[in_hypo].sum()), float(w[in_epi].sum()))
         return out
-    R, le, lt = _column_counts(queries, X, ranks=True)
-    buf = np.empty(R.shape, dtype=bool)
-    counts = np.empty((2, queries.shape[0]), dtype=np.intp)
-    for i in range(queries.shape[0]):
-        np.less(R, le[i, :, None], out=buf)
-        counts[0, i] = np.count_nonzero(np.logical_and.reduce(buf, axis=0))
-        np.greater_equal(R, lt[i, :, None], out=buf)
-        counts[1, i] = np.count_nonzero(np.logical_and.reduce(buf, axis=0))
-    mass = _uniform_masses(float(w[0]), sample.n, counts)
+    mass = _uniform_masses(float(w[0]), n, counts)
     return np.minimum(mass[0], mass[1])
 
 

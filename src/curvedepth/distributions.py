@@ -29,6 +29,7 @@ from .core import (
     Grid,
     InputError,
     ParameterError,
+    _jsonable,
     _readonly,
     read_curves_csv,
     uniform_grid,
@@ -439,7 +440,7 @@ def constant_distribution(level: float, grid: Grid) -> AtomicDistribution:
 
 def gpspec_to_json(spec: GPSpec) -> dict:
     """JSON-serializable form of the kernel; the mean curve is not written."""
-    return {"kernel": asdict(spec.kernel)}
+    return {"kernel": _jsonable(spec.kernel)}
 
 
 def gpspec_from_json(obj: dict, grid: Grid | None = None) -> GPSpec:

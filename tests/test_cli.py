@@ -436,9 +436,10 @@ def test_bd_order_three_triple_budget_exits_3_fast(tmp_path):
 
 
 def test_threads_flag_overrides_inherited_environment(three_csv, monkeypatch):
-    # during a command every thread variable reads 1 and --threads sets
-    # the cap; an in-process call then leaves both as it found them, so a
-    # later call without the flag runs uncapped
+    # --threads sets the cap during a command, and an in-process call then
+    # leaves it as it found it, so a later call without the flag runs
+    # uncapped.  numpy has loaded, so the thread variables could no longer
+    # change the BLAS threads: they keep their inherited values
     first, *rest = cli._THREAD_ENV_VARS
     monkeypatch.delenv(first, raising=False)
     for var in rest:
@@ -454,11 +455,58 @@ def test_threads_flag_overrides_inherited_environment(three_csv, monkeypatch):
     monkeypatch.setitem(cli._HANDLERS, "depth", spy)
     assert run_cli(["--threads", 1, "depth", three_csv, "mhr"])[0] == 0
     assert run_cli(["depth", three_csv, "mhr"])[0] == 0
-    ones = ["1"] * len(cli._THREAD_ENV_VARS)
-    assert seen == [(ones, 1), (ones, None)]
+    inherited = [None] + ["7"] * len(rest)
+    assert seen == [(inherited, 1), (inherited, None)]
     assert first not in os.environ
     assert all(os.environ[var] == "7" for var in rest)
     assert core._kernel_threads is None
+
+
+def test_in_process_call_sizes_threads_for_the_loaded_blas(three_csv, monkeypatch):
+    # numpy has loaded with BLAS on every CPU (no variable set): inside the
+    # command the package still counts those BLAS threads, so h and mhr
+    # keep their batch on one thread instead of oversubscribing the CPUs
+    for var in cli._THREAD_ENV_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    seen = []
+    handler = cli._HANDLERS["depth"]
+
+    def spy(args):
+        seen.append(core._blas_threads())
+        return handler(args)
+
+    monkeypatch.setitem(cli._HANDLERS, "depth", spy)
+    assert run_cli(["depth", three_csv, "mhr"])[0] == 0
+    assert seen == [2] and core._blas_threads() == 2
+
+
+def test_cli_started_before_numpy_runs_one_blas_thread(three_csv):
+    # a fresh interpreter: main sets the variables before numpy loads, so
+    # the package counts one BLAS thread inside the command and after it
+    script = (
+        "import sys\n"
+        "from curvedepth import cli\n"
+        "seen = []\n"
+        "def spy(args):\n"
+        "    from curvedepth import core\n"
+        "    seen.append(core._blas_threads())\n"
+        "    return 0\n"
+        "cli._HANDLERS['depth'] = spy\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert cli.main(['depth', sys.argv[1], 'mhr']) == 0\n"
+        "from curvedepth import core\n"
+        "print(seen, core._blas_threads())\n"
+    )
+    env = child_env()
+    for var in cli._THREAD_ENV_VARS:
+        env.pop(var, None)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(three_csv)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[1] 1\n"
 
 
 def test_threads_flag_keeps_the_csv_read_in_one_process(tmp_path, monkeypatch):
@@ -499,10 +547,11 @@ def test_csv_that_cannot_be_opened_for_its_spans_exits_2(tmp_path, monkeypatch):
 
 
 def test_threads_flag_caps_the_kernel_threads(tmp_path, monkeypatch):
-    # the CLI runs one BLAS thread whatever the environment sets, so both
-    # CPUs go to the h and mhr kernels, which split a large batch over
-    # threads; --threads 1 keeps them on the calling thread, with the
-    # same stdout
+    # with one BLAS thread both CPUs go to the h and mhr kernels, which
+    # split a large batch over threads; --threads 1 keeps them on the
+    # calling thread, with the same stdout.  Called in-process after numpy
+    # has loaded with BLAS on every CPU (no variable set), the CLI leaves
+    # those BLAS threads their CPUs, so the kernels start no thread either
     monkeypatch.setattr(core, "_kernel_threads", None)
     monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
     started = []
@@ -517,7 +566,7 @@ def test_threads_flag_caps_the_kernel_threads(tmp_path, monkeypatch):
     path = tmp_path / "gp.csv"
     write_curves_csv(path, grid, sample_gp(GPSpec(Kernel("se", 1.0, 0.2), grid), 600, 3).values)
     outs = {}
-    for blas, flags, threads in (("1", [], 2), ("1", ["--threads", 1], 0), (None, [], 2)):
+    for blas, flags, threads in (("1", [], 2), ("1", ["--threads", 1], 0), (None, [], 0)):
         for var in cli._THREAD_ENV_VARS:
             if blas is None:
                 monkeypatch.delenv(var, raising=False)
@@ -866,6 +915,58 @@ def test_stdout_bytes_pinned(tmp_path, monkeypatch, name, fmt):
     assert code == cli.EXIT_OK, err
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == STDOUT_SHA256.get((name, fmt)), f"{name} {fmt} {digest}"
+
+
+@pytest.mark.parametrize("name", ["depth-query", "rank", "trim", "outliers"])
+def test_only_the_requested_format_is_formatted(tmp_path, monkeypatch, name):
+    # JSON formats no value with %.17g; CSV and markdown each format the
+    # values of their own rows only
+    monkeypatch.chdir(tmp_path)
+    _write_pin_inputs(tmp_path)
+    calls = {}
+    for fmt in ("json", "csv", "md"):
+        with mock.patch.object(cli, "_fmt", wraps=cli._fmt) as fmt_spy:
+            code, out, err = run_cli(["--seed", "7", "--format", fmt, *PIN_COMMANDS[name]])
+        assert code == cli.EXIT_OK, err
+        calls[fmt] = fmt_spy.call_count
+    per_format = {"depth-query": (3, 3), "rank": (6, 6), "trim": (14, 0), "outliers": (6, 2)}
+    assert calls == dict(zip(("json", "csv", "md"), (0, *per_format[name])))
+
+
+#: sha256 of ``rank walks.csv <depth>`` stdout (JSON) on the 600 integer
+#: random walks of ``_write_walks``, each run in a child process as a user
+#: runs it.  At this size every depth takes its large-batch path: hr its
+#: prefix bitsets, mhr and bd the rank table, h and hr their threads
+#: where CPUs allow.
+RANK_WALKS_SHA256 = {
+    "h": "6a5063bbb7dc84aa38dea2721d03ad15267d896339b2acf9531e5cb51f7b6038",
+    "rt": "87d4cb9aeacba6f6afc69f8fed65c26d547a6dd66b5266511fc1492ceb600ef1",
+    "bd": "b2fa6e3dc59a31af3d9b169dda588c258e666ff7fbf909be3d83930a9d00c792",
+    "mbd": "4f66da956bd3d1471befeddea58f20a83a3e6d14b7c09245b96b3ba00ef210cf",
+    "hr": "3a03dcfdf91194f1d35c90a75b7087004a01710301b720525ced3f265db47f4e",
+    "mhr": "691736b5e749c7003a2e5a749459814d0f6bf268a3c4fa5b8eb2d9683de9f00b",
+}
+
+
+def _write_walks(path: Path) -> None:
+    """600 random walks of integer steps in -2..2 on 101 points: exact
+    values with many ties, drawn without BLAS."""
+    steps = np.random.default_rng(26).integers(-2, 3, size=(600, 101))
+    write_curves_csv(path, uniform_grid(0.0, 1.0, 101), steps.cumsum(axis=1).astype(float))
+
+
+@pytest.mark.parametrize("depth", DEPTH_IDS)
+def test_rank_stdout_on_large_batches_pinned(tmp_path, depth):
+    _write_walks(tmp_path / "walks.csv")
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvedepth", "rank", "walks.csv", depth],
+        capture_output=True,
+        cwd=tmp_path,
+        env=child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == RANK_WALKS_SHA256[depth]
 
 
 #: sha256 of audit.json and audit.md for ``audit --config cfg.json`` with the

@@ -852,6 +852,54 @@ def test_fuzz_hr_mhr_ranked_and_direct_paths_agree(case):
             assert np.array_equal(got, want), (depth, ranked)
 
 
+#: Patches that force each of hr's three paths for equally weighted curves.
+HR_PATHS = {
+    "bitset": dict(_RANKED_MIN_QUERIES=0, _HR_BITSET_CURVES_PER_QUERY=10**9),
+    "ranked": dict(_RANKED_MIN_QUERIES=0, _RANKED_MIN_CURVES=0, _HR_BITSET_CURVES_PER_QUERY=0),
+    "direct": dict(_RANKED_MIN_QUERIES=10**9),
+}
+
+
+def hr_path_values(Q, sample, path):
+    """hr with one path forced; checks that the path ran."""
+    with mock.patch.multiple(depths, **HR_PATHS[path]), mock.patch.object(
+        depths, "_prefix_bitset_counts", wraps=depths._prefix_bitset_counts
+    ) as bitsets, mock.patch.object(
+        depths, "_column_counts", wraps=depths._column_counts
+    ) as counts:
+        got = depth_values("hr", Q, sample)
+    assert bitsets.called == (path == "bitset")
+    assert counts.called == (path != "direct")
+    return got
+
+
+@st.composite
+def hr_bitset_case(draw):
+    """Lattice curves, often with duplicated rows, on either side of a word
+    boundary of the row bitsets, and 1 to 2n queries: sample rows and
+    lattice curves that meet or pass the sample."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 63, 64, 65, 129]))
+    m = draw(st.integers(min_value=2, max_value=9))
+    X = rng.integers(-3, 4, size=(n, m)) / 2.0
+    if draw(st.booleans()):
+        X = X[rng.integers(0, max(1, n // 3), size=n)]  # duplicated rows
+    q = draw(st.integers(min_value=1, max_value=2 * n))
+    rows = X[rng.integers(0, n, size=q)]
+    fresh = rng.integers(-4, 5, size=(q, m)) / 2.0
+    Q = np.where(rng.random((q, 1)) < 0.5, rows, fresh)
+    return FunctionalSample(X, uniform_grid(0, 1, m)), Q
+
+
+@settings(max_examples=N_FUZZ, deadline=None)
+@given(hr_bitset_case())
+def test_fuzz_hr_bitset_ranked_and_direct_paths_match_per_query(case):
+    sample, Q = case
+    want = hr_per_query(Q, sample)
+    for path in HR_PATHS:
+        assert hr_path_values(Q, sample, path).tobytes() == want.tobytes(), path
+
+
 def test_hr_unequal_weights_keep_masked_sums():
     # counts cannot give a mass when curves weigh differently: hr keeps the
     # masked sums however large the batch, and mhr reads the weights as is
@@ -987,6 +1035,19 @@ def test_h_mhr_values_do_not_depend_on_the_span_count(spans):
     for ranked in (True, False):
         got = threaded_values("mhr", Q, sample, spans, ranked=ranked)
         assert got.tobytes() == want.tobytes(), ranked
+    # hr's bitsets split the 250 grid columns (3 spans take 83, 83 and 84).
+    # On constant curves, a query that steps up at column 125 lies above
+    # more curves on one side of the step than on the other, so every span
+    # count gives a span a below set of its own
+    levels = np.repeat(rng.integers(0, 40, size=(n, 1)), m, axis=1).astype(float)
+    steps = np.where(np.arange(m) < 125, [[5.0], [30.0]], [[10.0], [25.0]])
+    for hr_sample, hr_Q in (
+        (sample, Q),
+        (FunctionalSample(levels, sample.grid), np.vstack([Q, steps])),
+    ):
+        with mock.patch.multiple(depths, **HR_PATHS["bitset"]):
+            got = threaded_values("hr", hr_Q, hr_sample, spans)
+        assert got.tobytes() == hr_per_query(hr_Q, hr_sample).tobytes()
     assert threading.active_count() == started
 
 
@@ -1058,15 +1119,24 @@ def test_split_batch_raises_a_later_span_error_after_joining_every_thread(one_bl
 
 def test_small_batches_and_a_cap_of_one_start_no_thread(gp_sample, one_blas_thread):
     Q = gp_sample.values[1000:1200]
+    small = FunctionalSample(gp_sample.values[:200], gp_sample.grid)
     with mock.patch.object(depths.threading, "Thread", side_effect=AssertionError):
-        for depth in ("h", "mhr"):
+        for depth in ("h", "mhr", "hr"):
             depth_values(depth, Q[:1], gp_sample)  # a batch of one
-            # 30 queries against 200 curves: one h chunk, and under mhr's
-            # work threshold
-            depth_values(depth, Q[:30], FunctionalSample(gp_sample.values[:200], gp_sample.grid))
+            # 30 queries against 200 curves: one h chunk, under mhr's work
+            # threshold, and under hr's batch minimum
+            depth_values(depth, Q[:30], small)
             with mock.patch.object(core, "_kernel_threads", 1):
                 depth_values(depth, Q, gp_sample)
+                # hr counts 200 queries against 200 curves by bitsets
+                with mock.patch.object(
+                    depths, "_prefix_bitset_counts", wraps=depths._prefix_bitset_counts
+                ) as bitsets:
+                    depth_values(depth, Q, small)
+                assert bitsets.called == (depth == "hr")
     assert 30 * 200 * 101 < depths._MHR_THREAD_MIN_WORK <= 200 * 2000 * 101
+    assert 30 < depths._RANKED_MIN_QUERIES
+    assert 200 <= depths._HR_BITSET_CURVES_PER_QUERY * 200
     assert 4_000_000 // (200 * 101) >= 30
 
 
