@@ -559,12 +559,15 @@ def _column_counts(
     # calls on 1000 queries x 1000 curves x 101 points from 18 to 4 ms
     keys = np.argsort(queries.T, axis=1)
     K = np.take_along_axis(queries.T, keys, axis=1)
-    le = np.empty((c, queries.shape[0]), dtype=dtype)
-    lt = np.empty((c, queries.shape[0]), dtype=dtype)
+    counts = np.empty((2, c, queries.shape[0]), dtype=dtype)
     for v, s in enumerate(S):
-        le[v, keys[v]] = np.searchsorted(s, K[v], side="right")
-        lt[v, keys[v]] = np.searchsorted(s, K[v], side="left")
-    return R, np.ascontiguousarray(le.T), np.ascontiguousarray(lt.T)
+        counts[0, v] = np.searchsorted(s, K[v], side="right")
+        counts[1, v] = np.searchsorted(s, K[v], side="left")
+    le = np.empty(queries.shape, dtype=dtype)
+    lt = np.empty(queries.shape, dtype=dtype)
+    np.put_along_axis(le.T, keys, counts[0], axis=1)
+    np.put_along_axis(lt.T, keys, counts[1], axis=1)
+    return R, le, lt
 
 
 # ---------------------------------------------------------------------------
