@@ -331,16 +331,12 @@ def _cmd_outliers(args) -> int:
         "values": values,
         "flagged": flagged,
     }
-    def csv_rows():
-        flagged_set = set(flagged)
-        return [("index", "value", "flagged")] + [
-            (str(i), _fmt(v), str(int(i in flagged_set))) for i, v in enumerate(values)
-        ]
-
+    flagged_set = set(flagged)
     _emit(
         args,
         payload,
-        csv_rows,
+        lambda: [("index", "value", "flagged")]
+        + [(str(i), _fmt(v), str(int(i in flagged_set))) for i, v in enumerate(values)],
         lambda: [f"Depth threshold (q={args.q:g} quantile): {threshold:g}", ""]
         + [f"- curve {i}: depth {_fmt(values[i])}" for i in flagged],
     )
