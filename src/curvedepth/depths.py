@@ -22,14 +22,12 @@ O(q*n*c), since the sort would cost more than those queries
 (``_SORT_MIN_QUERIES``).  Small batches of bd, hr and mhr, and hr and
 mhr against small samples, likewise compare with the sample directly.
 All these values equal, bit for bit, per-query masked weight sums and
-comparison counts.  hr on equally weighted curves has three paths, all
-with the same integer counts (``_hr_depth_values``): a batch of at least
-``_RANKED_MIN_QUERIES`` queries, one per at most
-``_HR_BITSET_CURVES_PER_QUERY`` curves, ANDs and ORs prefix bitsets of
-the sorted columns in O(m*(n+q)*n/64) word operations
-(``_prefix_bitset_counts``); other large batches against many curves
-read each query's comparisons off the rank table; the rest compare each
-query with the sample.  bd with J = 2 counts each query's whole-row copies
+comparison counts.  hr on equally weighted curves, with at least
+``_RANKED_MIN_QUERIES`` queries and as many curves, ANDs and ORs prefix
+bitsets of the sorted columns over the smaller side
+(``_prefix_bitsets``): one set of curves per query when n <= q, else
+one set of queries per curve, in O(m*(n+q)*min(n, q)/64) word
+operations.  bd with J = 2 counts each query's whole-row copies
 e once per batch.  Where no other curve ties the query at any grid
 point (le - lt == e everywhere), the other curves' below patterns are
 the complements of their above patterns, and one sort of hashed,
@@ -70,8 +68,8 @@ and hr every batch that takes the bitsets; mhr keeps small batches, and
 its short per-query calls against small samples, on the calling thread
 (``_MHR_THREAD_MIN_WORK``, ``_MHR_THREAD_MIN_QUERY_WORK``).  The CLI's
 ``--threads`` caps the span count, and so do the audit's worker
-processes, at one (``core._cap_kernel_threads``).  rt, bd, mbd, and
-hr's ranked and direct paths stay serial; bd's per-query loop holds the
+processes, at one (``core._cap_kernel_threads``).  rt, bd, mbd and
+hr's direct comparison stay serial; bd's per-query loop holds the
 interpreter lock.
 
 ``depth_values`` takes the distribution P either as a
@@ -161,25 +159,21 @@ MAX_RT_ELEMENTS = 5 * 10**7
 # (grid points x band orders) per query: each is an exact Python integer.
 MAX_MBD_BIG_COUNTS = 10**4
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# hr and mhr read a batch's comparisons off a rank table of the sorted
-# grid columns (``_column_counts``) only for at least this many queries
-# against at least this many curves, and otherwise compare each query with
-# the sample directly.  Measured on 101 grid points (2-core box, one BLAS
-# thread): the table costs about as much as 25 to 60 direct queries at
-# n = 300..5000, and the ranked loop saves nothing per query below about
-# 200 curves for hr and 500 for mhr, at batch sizes up to 1000.
+# mhr reads a batch's comparisons off a rank table of the sorted grid
+# columns (``_column_counts``) only for at least _RANKED_MIN_QUERIES
+# queries against at least _RANKED_MIN_CURVES curves, and otherwise
+# compares each query with the sample directly.  Measured on 101 grid
+# points (2-core box, one BLAS thread): the table costs about as much as
+# 25 to 60 direct queries at n = 300..5000, and mhr's ranked loop saves
+# nothing per query below about 500 curves, at batch sizes up to 1000.
+# hr counts by prefix bitsets (``_prefix_bitsets``) when both q and n
+# reach _RANKED_MIN_QUERIES.  Measured the same way, with two kernel
+# threads: over the queries, the bitsets broke even with the direct
+# comparison at q = 24 to 64 for n = 5000 down to 300; over the curves,
+# they won from n = 2 at q = 1000 and from n = 8 to 32 at q = 300, and
+# lost up to n = 64 at q = 100, by at most 0.9 ms.
 _RANKED_MIN_QUERIES = 32
 _RANKED_MIN_CURVES = 512
-# hr counts a batch of at least _RANKED_MIN_QUERIES queries by prefix
-# bitsets (``_prefix_bitset_counts``) when the sample holds at most this
-# many curves per query.  The bitsets cost O(m * n^2 / 64) word operations
-# whatever q is, the other paths O(q * n * m) comparisons.  Measured the
-# same way, with two kernel threads as the CLI runs them: the bitsets broke
-# even with the ranked loop at q = n/5 to n/6 for n = 1000 to 5000, and
-# with the direct comparison at about q = n/4 at n = 300 (on one thread,
-# at q = n/4.5 to n/6).  At n = 100 the direct comparison wins up to
-# q = n, by at most 1.6 ms.
-_HR_BITSET_CURVES_PER_QUERY = 4
 # bd with J = 2 reads its patterns off the rank table from this many
 # queries on, and otherwise compares each query with the sample.  Measured
 # the same way: the table pays for itself from 40 to 60
@@ -232,8 +226,6 @@ def _splitmix64(k: int) -> int:
 # a match; every match is verified word for word.  (Built without
 # numpy.random, whose import would slow every command's start-up.)
 _HASH_MULTIPLIERS = np.array([_splitmix64(k) | 1 for k in range(64)], dtype=np.uint64)
-# Set bits of each byte value, for hr's popcounts.
-_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -509,11 +501,6 @@ def _rt_depth_values(
 # ---------------------------------------------------------------------------
 # Sorted grid columns: closed per-point counts for the rank-type depths
 # ---------------------------------------------------------------------------
-
-
-def _ranked_batch(queries: np.ndarray, sample: FunctionalSample) -> bool:
-    """Whether hr and mhr should build the rank table for this batch."""
-    return queries.shape[0] >= _RANKED_MIN_QUERIES and sample.n >= _RANKED_MIN_CURVES
 
 
 def _column_counts(
@@ -1033,30 +1020,40 @@ def _atomic_band_values(
 # ---------------------------------------------------------------------------
 
 
-def _popcounts(words: np.ndarray) -> np.ndarray:
-    """Set bits of each row of a C-contiguous (q, W) uint64 array, by a
-    byte table (``np.bitwise_count`` needs numpy 2.0)."""
-    return _BYTE_BITS[words.view(np.uint8)].sum(axis=1, dtype=np.intp)
+def _bit_counts(words: np.ndarray, axis: int) -> np.ndarray:
+    """Set bits of an (r, W) uint64 array: of each row (axis 1), or of
+    each bit position, bit b of word w at 64 w + b, over the rows (axis 0).
+    The words are read little-endian whatever the host's byte order, and
+    unpacked max(1, r // 8) rows at a time, so no block of unpacked bits
+    outgrows the array itself, or one unpacked row when r < 8."""
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    step = max(1, octets.shape[0] // 8)
+    sums = [
+        np.unpackbits(octets[i : i + step], axis=1, bitorder="little").sum(axis, dtype=np.int32)
+        for i in range(0, octets.shape[0], step)
+    ]
+    return np.concatenate(sums) if axis else np.sum(sums, axis=0)
 
 
-def _prefix_bitset_counts(R: np.ndarray, le: np.ndarray, lt: np.ndarray) -> np.ndarray:
-    """hr's (below, above) curve counts of each query, as a (2, q) array,
-    from prefix bitsets of the sorted grid columns.
+def _prefix_bitsets(
+    R: np.ndarray, le: np.ndarray, lt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sets of rows of an (n, c) array at or below each row x of a
+    (q, c) batch at every column, and under x at some column, as two
+    (q, ⌈n/64⌉) uint64 arrays (row j is bit j % 64 of word j // 64), from
+    the batch's ``_column_counts`` against the array, with ranks.
 
     For column v, P_v[k] is the set of rows holding the k smallest values
-    of the column, ⌈n/64⌉ uint64 words a set.  It comes from the rank
-    table R of ``_column_counts`` (each column's argsort, inverted): one
-    scatter puts row j's bit into P_v[R[v, j] + 1], and one cumulative OR
-    down the rows fills in the rest.  Query i's below set is the AND over
-    v of P_v[le_iv], and its above set the complement of the OR over v of
-    P_v[lt_iv], so each count is a popcount.  The columns are split over
-    threads (``_split_batch``), each with its own P_v buffer and its own
-    AND and OR accumulators, which are combined at the end; AND and OR are
-    exact and do not depend on order.  Cost O(m * (n + q) * n / 64) word
-    operations for q queries against n curves on m grid points; memory
-    (n + 1 + 3q) * ⌈n/64⌉ words per thread, plus m * n shared indices.
+    of the column.  One scatter puts row j's bit into P_v[R[v, j] + 1],
+    and one cumulative OR down the rows fills in the rest.  x's first set
+    is the AND over v of P_v[le_v], and its second the OR over v of
+    P_v[lt_v].  The columns are split over threads (``_split_batch``),
+    each with its own P_v buffer and its own AND and OR accumulators,
+    which are combined at the end; AND and OR are exact and do not depend
+    on order.  Cost O(c * (n + q) * n / 64) word operations; memory
+    (n + 1 + 3q) * ⌈n/64⌉ words per thread, plus c * n shared indices.
     """
-    m, n = R.shape
+    c, n = R.shape
     q = le.shape[0]
     width = -(-n // 64)
     rows = np.arange(n)
@@ -1084,60 +1081,57 @@ def _prefix_bitset_counts(R: np.ndarray, le: np.ndarray, lt: np.ndarray) -> np.n
             under |= got
         parts.append((below, under))
 
-    _split_batch(m, 1, run)
+    _split_batch(c, 1, run)
     below, under = parts[0]
     for b, u in parts[1:]:
         below &= b
         under |= u
-    return np.stack([_popcounts(below), n - _popcounts(under)])
+    return below, under
+
+
+def _hr_counts_over_curves(queries: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Each query's curves at or below it at every grid point, and at or
+    above it, as a (2, q) array of counts, from one set of curves per
+    query (``_prefix_bitsets``): |below_i| and n - |under_i|."""
+    below, under = _prefix_bitsets(*_column_counts(queries, X, ranks=True))
+    return np.stack([_bit_counts(below, 1), X.shape[0] - _bit_counts(under, 1)])
+
+
+def _hr_counts_over_queries(queries: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The counts of ``_hr_counts_over_curves`` from one set of queries per
+    curve: "curve j lies below query i" reads the same from either set, so
+    query i's counts are n - #{j : i in under_j} and #{j : i in below_j}."""
+    q, n = queries.shape[0], X.shape[0]
+    below, under = _prefix_bitsets(*_column_counts(X, queries, ranks=True))
+    return np.stack([n - _bit_counts(under, 0)[:q], _bit_counts(below, 0)[:q]])
 
 
 def _hr_depth_values(queries: np.ndarray, sample: FunctionalSample) -> np.ndarray:
     """min of the sample fractions entirely below-or-equal / above-or-equal x.
 
-    Equally weighted curves take one of three paths, all with the same
-    integer curve counts, which map to masses as in rt
-    (``_uniform_masses``), bit for bit the masked weight sums:
-
-    - a large batch, of at least ``_RANKED_MIN_QUERIES`` queries and at
-      least one per ``_HR_BITSET_CURVES_PER_QUERY`` curves, counts by
-      prefix bitsets of the sorted grid columns, on threads
-      (``_prefix_bitset_counts``): O(m * (n + q) * n / 64);
-    - a large batch against many curves (``_ranked_batch``) reads the
-      closed comparisons off the rank table of ``_column_counts``: a curve
-      lies below x iff each of its m ranks is under the column's ``le``
-      count, and above x iff each is at least the ``lt`` count, so per
-      query it compares n*m small integers, not floats: O(q*n*m);
-    - a small batch or sample compares each query with the sample
-      directly, O(q*n*m).
-
-    Unequal weights (an atomic distribution's atoms) take the direct
-    comparison and sum the masked weights.  The two sorted paths add
-    O(n*m*log n) for the table.
+    A batch against equally weighted curves, with at least
+    ``_RANKED_MIN_QUERIES`` queries and as many curves, counts by prefix
+    bitsets of the sorted grid columns, on threads, over the smaller side:
+    over the curves when n <= q, else over the queries.  That costs
+    O(m * (n + q) * min(n, q) / 64) word operations, plus
+    O((n + q) * m * log(n + q)) for the sorts.  The counts map to masses
+    as rt's do (``_uniform_masses``), bit for bit the masked weight sums.
+    Every other batch, and unequal weights (an atomic distribution's
+    atoms), compares each query with the sample directly and sums the
+    masked weights, O(q*n*m).
     """
     X, w = sample.values, sample.weights
     q, n = queries.shape[0], sample.n
-    uniform = bool(np.all(w == w[0]))
-    if uniform and q >= _RANKED_MIN_QUERIES and n <= _HR_BITSET_CURVES_PER_QUERY * q:
-        counts = _prefix_bitset_counts(*_column_counts(queries, X, ranks=True))
-    elif uniform and _ranked_batch(queries, sample):
-        R, le, lt = _column_counts(queries, X, ranks=True)
-        buf = np.empty(R.shape, dtype=bool)
-        counts = np.empty((2, q), dtype=np.intp)
-        for i in range(q):
-            np.less(R, le[i, :, None], out=buf)
-            counts[0, i] = np.count_nonzero(np.logical_and.reduce(buf, axis=0))
-            np.greater_equal(R, lt[i, :, None], out=buf)
-            counts[1, i] = np.count_nonzero(np.logical_and.reduce(buf, axis=0))
-    else:
-        out = np.empty(q)
-        for i, xv in enumerate(queries):
-            in_hypo = (X <= xv).all(axis=1)
-            in_epi = (X >= xv).all(axis=1)
-            out[i] = min(float(w[in_hypo].sum()), float(w[in_epi].sum()))
-        return out
-    mass = _uniform_masses(float(w[0]), n, counts)
-    return np.minimum(mass[0], mass[1])
+    if np.all(w == w[0]) and min(q, n) >= _RANKED_MIN_QUERIES:
+        counts = (_hr_counts_over_curves if n <= q else _hr_counts_over_queries)(queries, X)
+        mass = _uniform_masses(float(w[0]), n, counts)
+        return np.minimum(mass[0], mass[1])
+    out = np.empty(q)
+    for i, xv in enumerate(queries):
+        in_hypo = (X <= xv).all(axis=1)
+        in_epi = (X >= xv).all(axis=1)
+        out[i] = min(float(w[in_hypo].sum()), float(w[in_epi].sum()))
+    return out
 
 
 def _mhr_depth_values(queries: np.ndarray, sample: FunctionalSample) -> np.ndarray:
@@ -1145,8 +1139,9 @@ def _mhr_depth_values(queries: np.ndarray, sample: FunctionalSample) -> np.ndarr
 
     Each query's (n, m) masks of X <= x and X >= x meet the grid weights
     in one product per mask, and the sample weights in one dot product.
-    A large batch (``_ranked_batch``) builds those masks from the rank
-    table of ``_column_counts``, comparing small integers instead of
+    A large batch, of at least ``_RANKED_MIN_QUERIES`` queries against
+    at least ``_RANKED_MIN_CURVES`` curves, builds those masks from the
+    rank table of ``_column_counts``, comparing small integers instead of
     floats; the masks, and so every product and every value, are bit for
     bit those of the direct comparison that small batches make.  O(q*n*m)
     for q queries against n curves on m grid points, plus O(n*m*log n)
@@ -1160,7 +1155,7 @@ def _mhr_depth_values(queries: np.ndarray, sample: FunctionalSample) -> np.ndarr
     X, w = sample.values, sample.grid.weights
     lam = sample.grid.length
     q = queries.shape[0]
-    if not _ranked_batch(queries, sample):
+    if q < _RANKED_MIN_QUERIES or sample.n < _RANKED_MIN_CURVES:
 
         def masks(i: int) -> tuple[np.ndarray, np.ndarray]:
             return X <= queries[i], X >= queries[i]

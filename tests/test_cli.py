@@ -936,8 +936,8 @@ def test_only_the_requested_format_is_formatted(tmp_path, monkeypatch, name):
 #: sha256 of ``rank walks.csv <depth>`` stdout (JSON) on the 600 integer
 #: random walks of ``_write_walks``, each run in a child process as a user
 #: runs it.  At this size every depth takes its large-batch path: hr its
-#: prefix bitsets, mhr and bd the rank table, h and hr their threads
-#: where CPUs allow.
+#: prefix bitsets over the curves (n = q), mhr and bd the rank table, h
+#: and hr their threads where CPUs allow.
 RANK_WALKS_SHA256 = {
     "h": "6a5063bbb7dc84aa38dea2721d03ad15267d896339b2acf9531e5cb51f7b6038",
     "rt": "87d4cb9aeacba6f6afc69f8fed65c26d547a6dd66b5266511fc1492ceb600ef1",
@@ -948,25 +948,54 @@ RANK_WALKS_SHA256 = {
 }
 
 
-def _write_walks(path: Path) -> None:
-    """600 random walks of integer steps in -2..2 on 101 points: exact
+#: sha256 of ``depth walks.csv <depth> --query fresh.csv`` stdout (JSON):
+#: 100 fresh integer walks against the 600 of ``_write_walks``, each run in
+#: a child process.  hr takes its prefix bitsets over the queries (n > q),
+#: mhr and bd the rank table.
+DEPTH_QUERY_WALKS_SHA256 = {
+    "h": "e4fad818c379cbd1eeae3f418819af021a812481aa21d5cf5fe9221f0217050a",
+    "rt": "00fea686adcbb566b3beed7902f552b046a761a43a70dc4d80f9dc91fca9d508",
+    "bd": "3dd25563c7b83545e564a677bfb0fe8409bde9d7a69955d6ad3a6e04e81149c8",
+    "mbd": "4b1cf5491211f1895db016cd342858a23275516132cdcf9d8cf18d28b5308c5c",
+    "hr": "e0a100368019f3c023d75f97960e138296c761930e7fcb3cb8bb52ca7bc1e93b",
+    "mhr": "92658ce7b51bc46149af1c334690c8a2cc1a6277f447b43ff293d4c4c4797879",
+}
+
+
+def _write_walks(path: Path, n: int = 600, seed: int = 26) -> None:
+    """n random walks of integer steps in -2..2 on 101 points: exact
     values with many ties, drawn without BLAS."""
-    steps = np.random.default_rng(26).integers(-2, 3, size=(600, 101))
+    steps = np.random.default_rng(seed).integers(-2, 3, size=(n, 101))
     write_curves_csv(path, uniform_grid(0.0, 1.0, 101), steps.cumsum(axis=1).astype(float))
 
 
-@pytest.mark.parametrize("depth", DEPTH_IDS)
-def test_rank_stdout_on_large_batches_pinned(tmp_path, depth):
+def _walks_stdout(tmp_path: Path, *argv: str) -> bytes:
+    """stdout of ``python -m curvedepth *argv``, run in a child process as a
+    user runs it, beside ``walks.csv`` (600 walks) and ``fresh.csv`` (100
+    more, from another seed)."""
     _write_walks(tmp_path / "walks.csv")
+    _write_walks(tmp_path / "fresh.csv", n=100, seed=27)
     proc = subprocess.run(
-        [sys.executable, "-m", "curvedepth", "rank", "walks.csv", depth],
+        [sys.executable, "-m", "curvedepth", *argv],
         capture_output=True,
         cwd=tmp_path,
         env=child_env(),
         timeout=120,
     )
     assert proc.returncode == cli.EXIT_OK, proc.stderr
-    assert hashlib.sha256(proc.stdout).hexdigest() == RANK_WALKS_SHA256[depth]
+    return proc.stdout
+
+
+@pytest.mark.parametrize("depth", DEPTH_IDS)
+def test_rank_stdout_on_large_batches_pinned(tmp_path, depth):
+    stdout = _walks_stdout(tmp_path, "rank", "walks.csv", depth)
+    assert hashlib.sha256(stdout).hexdigest() == RANK_WALKS_SHA256[depth]
+
+
+@pytest.mark.parametrize("depth", DEPTH_IDS)
+def test_depth_query_stdout_on_large_batches_pinned(tmp_path, depth):
+    stdout = _walks_stdout(tmp_path, "depth", "walks.csv", depth, "--query", "fresh.csv")
+    assert hashlib.sha256(stdout).hexdigest() == DEPTH_QUERY_WALKS_SHA256[depth]
 
 
 #: sha256 of audit.json and audit.md for ``audit --config cfg.json`` with the

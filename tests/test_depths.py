@@ -1,3 +1,4 @@
+import contextlib
 import math
 import threading
 import time
@@ -852,52 +853,88 @@ def test_fuzz_hr_mhr_ranked_and_direct_paths_agree(case):
             assert np.array_equal(got, want), (depth, ranked)
 
 
-#: Patches that force each of hr's three paths for equally weighted curves.
-HR_PATHS = {
-    "bitset": dict(_RANKED_MIN_QUERIES=0, _HR_BITSET_CURVES_PER_QUERY=10**9),
-    "ranked": dict(_RANKED_MIN_QUERIES=0, _RANKED_MIN_CURVES=0, _HR_BITSET_CURVES_PER_QUERY=0),
-    "direct": dict(_RANKED_MIN_QUERIES=10**9),
-}
+#: hr's paths for equally weighted curves: prefix bitsets over the curves
+#: or over the queries, and the direct comparison.
+HR_PATHS = ("curves", "queries", "direct")
+
+
+@contextlib.contextmanager
+def forced_hr_path(path, sample):
+    """Force one of ``HR_PATHS`` whatever the batch's size and shape, and
+    check on exit that it ran on ``sample``."""
+    side = depths._hr_counts_over_curves if path == "curves" else depths._hr_counts_over_queries
+    with mock.patch.object(
+        depths, "_RANKED_MIN_QUERIES", 10**9 if path == "direct" else 0
+    ), mock.patch.multiple(
+        depths, _hr_counts_over_curves=side, _hr_counts_over_queries=side
+    ), mock.patch.object(depths, "_column_counts", wraps=depths._column_counts) as counts:
+        yield
+    assert counts.call_count == (path != "direct")
+    if path != "direct":
+        batch, ranked = counts.call_args.args  # the sets hold ranked's rows
+        assert (ranked if path == "curves" else batch) is sample.values
 
 
 def hr_path_values(Q, sample, path):
-    """hr with one path forced; checks that the path ran."""
-    with mock.patch.multiple(depths, **HR_PATHS[path]), mock.patch.object(
-        depths, "_prefix_bitset_counts", wraps=depths._prefix_bitset_counts
-    ) as bitsets, mock.patch.object(
-        depths, "_column_counts", wraps=depths._column_counts
-    ) as counts:
-        got = depth_values("hr", Q, sample)
-    assert bitsets.called == (path == "bitset")
-    assert counts.called == (path != "direct")
-    return got
+    """hr with one of ``HR_PATHS`` forced."""
+    with forced_hr_path(path, sample):
+        return depth_values("hr", Q, sample)
 
 
 @st.composite
 def hr_bitset_case(draw):
-    """Lattice curves, often with duplicated rows, on either side of a word
-    boundary of the row bitsets, and 1 to 2n queries: sample rows and
-    lattice curves that meet or pass the sample."""
+    """Lattice curves, often with duplicated rows, and queries, often
+    duplicated too: sample rows and lattice curves that meet or pass the
+    sample.  Either the curves or the queries number 1, 63, 64, 65 or 129,
+    on either side of a word boundary of the sets over them, and the other
+    side more (of queries up to twice as many, of curves up to 2q + 1)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.sampled_from([1, 63, 64, 65, 129]))
+    k = draw(st.sampled_from([1, 63, 64, 65, 129]))
+    if draw(st.booleans()):
+        n, q = k, draw(st.integers(min_value=1, max_value=2 * k))
+    else:
+        n, q = draw(st.integers(min_value=k + 1, max_value=2 * k + 1)), k
     m = draw(st.integers(min_value=2, max_value=9))
     X = rng.integers(-3, 4, size=(n, m)) / 2.0
     if draw(st.booleans()):
         X = X[rng.integers(0, max(1, n // 3), size=n)]  # duplicated rows
-    q = draw(st.integers(min_value=1, max_value=2 * n))
     rows = X[rng.integers(0, n, size=q)]
     fresh = rng.integers(-4, 5, size=(q, m)) / 2.0
     Q = np.where(rng.random((q, 1)) < 0.5, rows, fresh)
+    if draw(st.booleans()):
+        Q = Q[rng.integers(0, max(1, q // 3), size=q)]  # duplicated queries
     return FunctionalSample(X, uniform_grid(0, 1, m)), Q
 
 
 @settings(max_examples=N_FUZZ, deadline=None)
 @given(hr_bitset_case())
-def test_fuzz_hr_bitset_ranked_and_direct_paths_match_per_query(case):
+def test_fuzz_hr_bitset_sides_and_direct_path_match_per_query(case):
     sample, Q = case
     want = hr_per_query(Q, sample)
     for path in HR_PATHS:
         assert hr_path_values(Q, sample, path).tobytes() == want.tobytes(), path
+
+
+@pytest.mark.parametrize("rows", [1, 7, 8, 9, 100])
+def test_bit_counts_read_the_words_by_value_in_either_byte_order(rows):
+    words = np.random.default_rng(rows).integers(0, 2**64, size=(rows, 3), dtype=np.uint64)
+    bits = [[int(w) >> b & 1 for w in row for b in range(64)] for row in words]
+    for order in ("<u8", ">u8"):
+        stored = words.astype(order)
+        assert depths._bit_counts(stored, 1).tolist() == [sum(r) for r in bits], order
+        assert depths._bit_counts(stored, 0).tolist() == np.sum(bits, axis=0).tolist(), order
+
+
+def test_hr_against_the_two_atom_counterexample_compares_directly():
+    # the full audit's P-4 shape: 100 perturbed probes against the two
+    # curves of the P-3 counterexample, far too few to sort
+    sample = counterexample_P3(uniform_grid(0, 1, 101)).as_sample()
+    rng = np.random.default_rng(57)
+    mid = sample.values.mean(axis=0)
+    Q = np.vstack([sample.values, mid + 0.1 * rng.normal(size=(98, 101))])
+    with mock.patch.object(depths, "_column_counts", side_effect=AssertionError):
+        got = depth_values("hr", Q, sample)
+    assert got.tobytes() == hr_per_query(Q, sample).tobytes()
 
 
 def test_hr_unequal_weights_keep_masked_sums():
@@ -1035,19 +1072,22 @@ def test_h_mhr_values_do_not_depend_on_the_span_count(spans):
     for ranked in (True, False):
         got = threaded_values("mhr", Q, sample, spans, ranked=ranked)
         assert got.tobytes() == want.tobytes(), ranked
-    # hr's bitsets split the 250 grid columns (3 spans take 83, 83 and 84).
-    # On constant curves, a query that steps up at column 125 lies above
-    # more curves on one side of the step than on the other, so every span
-    # count gives a span a below set of its own
+    # hr's bitsets, over the curves and over the queries, split the 250
+    # grid columns (3 spans take 83, 83 and 84).  On constant curves, a
+    # query that steps up at column 125 lies above more curves on one side
+    # of the step than on the other, so every span count gives a span sets
+    # of its own
     levels = np.repeat(rng.integers(0, 40, size=(n, 1)), m, axis=1).astype(float)
     steps = np.where(np.arange(m) < 125, [[5.0], [30.0]], [[10.0], [25.0]])
     for hr_sample, hr_Q in (
         (sample, Q),
         (FunctionalSample(levels, sample.grid), np.vstack([Q, steps])),
     ):
-        with mock.patch.multiple(depths, **HR_PATHS["bitset"]):
-            got = threaded_values("hr", hr_Q, hr_sample, spans)
-        assert got.tobytes() == hr_per_query(hr_Q, hr_sample).tobytes()
+        want = hr_per_query(hr_Q, hr_sample)
+        for path in ("curves", "queries"):
+            with forced_hr_path(path, hr_sample):
+                got = threaded_values("hr", hr_Q, hr_sample, spans)
+            assert got.tobytes() == want.tobytes(), path
     assert threading.active_count() == started
 
 
@@ -1130,13 +1170,12 @@ def test_small_batches_and_a_cap_of_one_start_no_thread(gp_sample, one_blas_thre
                 depth_values(depth, Q, gp_sample)
                 # hr counts 200 queries against 200 curves by bitsets
                 with mock.patch.object(
-                    depths, "_prefix_bitset_counts", wraps=depths._prefix_bitset_counts
+                    depths, "_prefix_bitsets", wraps=depths._prefix_bitsets
                 ) as bitsets:
                     depth_values(depth, Q, small)
                 assert bitsets.called == (depth == "hr")
     assert 30 * 200 * 101 < depths._MHR_THREAD_MIN_WORK <= 200 * 2000 * 101
-    assert 30 < depths._RANKED_MIN_QUERIES
-    assert 200 <= depths._HR_BITSET_CURVES_PER_QUERY * 200
+    assert 30 < depths._RANKED_MIN_QUERIES <= 200
     assert 4_000_000 // (200 * 101) >= 30
 
 
