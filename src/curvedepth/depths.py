@@ -49,7 +49,7 @@ KiB), but keeps the summation order of its fixed chunks of queries
 exactly (see ``_h_depth_values``), so its values, and the audit bytes
 built on them, do not move.
 
-h, mhr and hr's bitsets split a large batch into contiguous spans
+h and mhr split a large batch into contiguous spans of whole queries
 (``_split_batch``), one per CPU that BLAS leaves free: the usable CPUs
 divided by the BLAS threads (``core._workers``).  The CLI runs one BLAS
 thread, so there every usable CPU takes a span; a library caller with
@@ -59,18 +59,15 @@ which are joined before the kernel returns.  h's spans are whole
 chunks of queries, with a buffer per thread, and mhr's spans of queries
 share the batch's read-only rank table; every span runs the serial
 loop's operations on its queries, so no value depends on the split.
-hr's spans are grid columns instead, each thread with its own bitsets
-and its own AND and OR accumulators, combined at the end: AND and OR
-are exact, so the counts cannot depend on the split either.  The gain
-comes from numpy releasing the interpreter lock in its ufunc loops,
-``take`` calls and BLAS calls.  h splits a batch of two or more chunks,
-and hr every batch that takes the bitsets; mhr keeps small batches, and
-its short per-query calls against small samples, on the calling thread
-(``_MHR_THREAD_MIN_WORK``, ``_MHR_THREAD_MIN_QUERY_WORK``).  The CLI's
-``--threads`` caps the span count, and so do the audit's worker
-processes, at one (``core._cap_kernel_threads``).  rt, bd, mbd and
-hr's direct comparison stay serial; bd's per-query loop holds the
-interpreter lock.
+The gain comes from numpy releasing the interpreter lock in its ufunc
+loops and BLAS calls.  h splits a batch of two or more chunks; mhr keeps
+small batches, and its short per-query calls against small samples, on
+the calling thread (``_MHR_THREAD_MIN_WORK``,
+``_MHR_THREAD_MIN_QUERY_WORK``).  The CLI's ``--threads`` caps the span
+count, and so do the audit's worker processes, at one
+(``core._cap_kernel_threads``).  rt, bd, mbd and hr stay serial: bd's
+per-query loop holds the interpreter lock, and hr's bitsets ran slower
+on two threads than on one at every batch size the CLI's workloads run.
 
 ``depth_values`` takes the distribution P either as a
 ``FunctionalSample`` (the empirical measure P_n) or as an
@@ -167,11 +164,11 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # 25 to 60 direct queries at n = 300..5000, and mhr's ranked loop saves
 # nothing per query below about 500 curves, at batch sizes up to 1000.
 # hr counts by prefix bitsets (``_prefix_bitsets``) when both q and n
-# reach _RANKED_MIN_QUERIES.  Measured the same way, with two kernel
-# threads: over the queries, the bitsets broke even with the direct
-# comparison at q = 24 to 64 for n = 5000 down to 300; over the curves,
-# they won from n = 2 at q = 1000 and from n = 8 to 32 at q = 300, and
-# lost up to n = 64 at q = 100, by at most 0.9 ms.
+# reach _RANKED_MIN_QUERIES.  Measured the same way, on the calling
+# thread: over the queries, the bitsets broke even with the direct
+# comparison at q = 35 to 55 for n = 5000 down to 300; over the curves,
+# they won from n = 2 at q = 1000 and from n = 2 to 8 at q = 300, and
+# lost up to n = 64 at q = 100, by at most 0.7 ms.
 _RANKED_MIN_QUERIES = 32
 _RANKED_MIN_CURVES = 512
 # bd with J = 2 reads its patterns off the rank table from this many
@@ -283,8 +280,7 @@ def _centre_outward_order(values: np.ndarray) -> list[int]:
 
 def _split_batch(q: int, step: int, run) -> None:
     """Call ``run(lo, hi)`` on contiguous spans of ``range(q)`` that cover
-    it, each made of whole steps of ``step`` queries (of grid columns, for
-    hr's bitsets), one span per thread.
+    it, each made of whole steps of ``step`` queries, one span per thread.
 
     There are as many spans as ``core._workers`` grants to the steps with
     each thread's BLAS threads counted: a kernel thread whose BLAS calls
@@ -1047,11 +1043,9 @@ def _prefix_bitsets(
     of the column.  One scatter puts row j's bit into P_v[R[v, j] + 1],
     and one cumulative OR down the rows fills in the rest.  x's first set
     is the AND over v of P_v[le_v], and its second the OR over v of
-    P_v[lt_v].  The columns are split over threads (``_split_batch``),
-    each with its own P_v buffer and its own AND and OR accumulators,
-    which are combined at the end; AND and OR are exact and do not depend
-    on order.  Cost O(c * (n + q) * n / 64) word operations; memory
-    (n + 1 + 3q) * ⌈n/64⌉ words per thread, plus c * n shared indices.
+    P_v[lt_v], both accumulated over the columns in one loop on the
+    calling thread.  Cost O(c * (n + q) * n / 64) word operations; memory
+    (n + 1 + 3q) * ⌈n/64⌉ words, plus c * n indices.
     """
     c, n = R.shape
     q = le.shape[0]
@@ -1061,31 +1055,21 @@ def _prefix_bitsets(
     # each row's word in P_v, flattened: after rank R[v, j] and in word j // 64
     flat = (R + 1).astype(np.intp) * width + (rows >> 6)
     le, lt = np.ascontiguousarray(le.T), np.ascontiguousarray(lt.T)
-    parts = []
-
-    def run(lo: int, hi: int) -> None:
-        P = np.zeros((n + 1, width), dtype=np.uint64)
-        below = np.empty((q, width), dtype=np.uint64)
-        under = np.zeros((q, width), dtype=np.uint64)  # rows under x somewhere
-        got = np.empty((q, width), dtype=np.uint64)
-        words = P.reshape(-1)
-        for v in range(lo, hi):
-            P[1:] = 0
-            words[flat[v]] = bit
-            np.bitwise_or.accumulate(P, axis=0, out=P)
-            # le and lt lie in 0..n, so "clip" only skips the bound check
-            np.take(P, le[v], axis=0, out=below if v == lo else got, mode="clip")
-            if v > lo:
-                below &= got
-            np.take(P, lt[v], axis=0, out=got, mode="clip")
-            under |= got
-        parts.append((below, under))
-
-    _split_batch(c, 1, run)
-    below, under = parts[0]
-    for b, u in parts[1:]:
-        below &= b
-        under |= u
+    P = np.zeros((n + 1, width), dtype=np.uint64)
+    below = np.empty((q, width), dtype=np.uint64)
+    under = np.zeros((q, width), dtype=np.uint64)  # rows under x somewhere
+    got = np.empty((q, width), dtype=np.uint64)
+    words = P.reshape(-1)
+    for v in range(c):
+        P[1:] = 0
+        words[flat[v]] = bit
+        np.bitwise_or.accumulate(P, axis=0, out=P)
+        # le and lt lie in 0..n, so "clip" only skips the bound check
+        np.take(P, le[v], axis=0, out=got if v else below, mode="clip")
+        if v:
+            below &= got
+        np.take(P, lt[v], axis=0, out=got, mode="clip")
+        under |= got
     return below, under
 
 
@@ -1111,9 +1095,9 @@ def _hr_depth_values(queries: np.ndarray, sample: FunctionalSample) -> np.ndarra
 
     A batch against equally weighted curves, with at least
     ``_RANKED_MIN_QUERIES`` queries and as many curves, counts by prefix
-    bitsets of the sorted grid columns, on threads, over the smaller side:
-    over the curves when n <= q, else over the queries.  That costs
-    O(m * (n + q) * min(n, q) / 64) word operations, plus
+    bitsets of the sorted grid columns, on the calling thread, over the
+    smaller side: over the curves when n <= q, else over the queries.
+    That costs O(m * (n + q) * min(n, q) / 64) word operations, plus
     O((n + q) * m * log(n + q)) for the sorts.  The counts map to masses
     as rt's do (``_uniform_masses``), bit for bit the masked weight sums.
     Every other batch, and unequal weights (an atomic distribution's

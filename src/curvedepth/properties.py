@@ -188,9 +188,6 @@ class Verdict:
     def mark(self) -> str:
         return MARKS[self.status]
 
-    def to_json(self) -> dict:
-        return _jsonable(self)
-
 
 # ---------------------------------------------------------------------------
 # Expected number of level upcrossings of a stationary Gaussian process
@@ -506,9 +503,9 @@ def audit_P2G(
         "zero_value": v0,
         "max_value": vmax,
         "min_value": vmin,
-        "margin": float(margin),
-        "se_bound": float(se),
-        "grid_tol": float(grid_tol),
+        "margin": margin,
+        "se_bound": se,
+        "grid_tol": grid_tol,
         "replay": _replay(
             "p2g",
             gp.grid,
@@ -610,7 +607,7 @@ def audit_P3(
             "triple_values": vals,
             "min_margin": float(margins[worst]),
             "worst_ray": worst,
-            "se_bound": float(se),
+            "se_bound": se,
             "replay": _replay("p3_h", grid, params, n=int(n), seed=seed),
         }
         if margins[worst] > 0.0:
@@ -912,9 +909,9 @@ def audit_P5(
         "factor": float(factor),
         "region_fraction": float(region.mean()),
         "query": "top atom",
-        "value_before": float(vb),
-        "value_after": float(va),
-        "margin": float(margin),
+        "value_before": vb,
+        "value_after": va,
+        "margin": margin,
         "replay": _replay(
             "p5", g, params, depth=depth_id, delta=float(delta), factor=float(factor)
         ),
@@ -924,8 +921,8 @@ def audit_P5(
     evidence["witness"] = {
         "note": "depth unchanged (or decreased) although the hull shrank "
         "strictly on a positive-measure region",
-        "value_before": float(vb),
-        "value_after": float(va),
+        "value_before": vb,
+        "value_after": va,
     }
     return Verdict(VIOLATED, evidence, tolerance=EXACT_TOL)
 
@@ -1106,7 +1103,7 @@ def audit_P6(
         "ratio_max": _CONV_RATIO_MAX,
         "monotone_ok": bool(mono_ok),
         "contamination": per_eps,
-        "c_fit": float(c_fit),
+        "c_fit": c_fit,
         "c_max": float(config.c_max),
         "replay": _replay(
             "p6",

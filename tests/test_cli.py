@@ -937,7 +937,7 @@ def test_only_the_requested_format_is_formatted(tmp_path, monkeypatch, name):
 #: random walks of ``_write_walks``, each run in a child process as a user
 #: runs it.  At this size every depth takes its large-batch path: hr its
 #: prefix bitsets over the curves (n = q), mhr and bd the rank table, h
-#: and hr their threads where CPUs allow.
+#: and mhr their threads where CPUs allow.
 RANK_WALKS_SHA256 = {
     "h": "6a5063bbb7dc84aa38dea2721d03ad15267d896339b2acf9531e5cb51f7b6038",
     "rt": "87d4cb9aeacba6f6afc69f8fed65c26d547a6dd66b5266511fc1492ceb600ef1",

@@ -1072,22 +1072,6 @@ def test_h_mhr_values_do_not_depend_on_the_span_count(spans):
     for ranked in (True, False):
         got = threaded_values("mhr", Q, sample, spans, ranked=ranked)
         assert got.tobytes() == want.tobytes(), ranked
-    # hr's bitsets, over the curves and over the queries, split the 250
-    # grid columns (3 spans take 83, 83 and 84).  On constant curves, a
-    # query that steps up at column 125 lies above more curves on one side
-    # of the step than on the other, so every span count gives a span sets
-    # of its own
-    levels = np.repeat(rng.integers(0, 40, size=(n, 1)), m, axis=1).astype(float)
-    steps = np.where(np.arange(m) < 125, [[5.0], [30.0]], [[10.0], [25.0]])
-    for hr_sample, hr_Q in (
-        (sample, Q),
-        (FunctionalSample(levels, sample.grid), np.vstack([Q, steps])),
-    ):
-        want = hr_per_query(hr_Q, hr_sample)
-        for path in ("curves", "queries"):
-            with forced_hr_path(path, hr_sample):
-                got = threaded_values("hr", hr_Q, hr_sample, spans)
-            assert got.tobytes() == want.tobytes(), path
     assert threading.active_count() == started
 
 
@@ -1174,6 +1158,22 @@ def test_small_batches_and_a_cap_of_one_start_no_thread(gp_sample, one_blas_thre
                 ) as bitsets:
                     depth_values(depth, Q, small)
                 assert bitsets.called == (depth == "hr")
+    # hr's bitsets, over the curves and over the queries, run on the
+    # calling thread even with two usable CPUs and one BLAS thread.  On
+    # constant curves, queries that step at column 50 lie above more
+    # curves on one side of the step than on the other
+    m = gp_sample.grid.m
+    levels = np.repeat(np.arange(300.0)[:, None] % 40, m, axis=1)
+    steps = np.where(np.arange(m) < 50, [[5.0], [30.0]], [[10.0], [25.0]])
+    stepped = FunctionalSample(levels, gp_sample.grid)
+    hr_Q = np.vstack([levels[:40:3], steps])
+    want = hr_per_query(hr_Q, stepped)
+    for path in ("curves", "queries"):
+        with forced_hr_path(path, stepped), mock.patch.object(
+            depths.threading, "Thread", side_effect=AssertionError
+        ):
+            got = threaded_values("hr", hr_Q, stepped, 2)
+        assert got.tobytes() == want.tobytes(), path
     assert 30 * 200 * 101 < depths._MHR_THREAD_MIN_WORK <= 200 * 2000 * 101
     assert 30 < depths._RANKED_MIN_QUERIES <= 200
     assert 4_000_000 // (200 * 101) >= 30

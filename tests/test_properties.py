@@ -15,6 +15,7 @@ from curvedepth.core import (
     FunctionalSample,
     InputError,
     ParameterError,
+    _jsonable,
     uniform_grid,
 )
 from curvedepth.depths import DEPTH_IDS, DepthParams
@@ -129,7 +130,7 @@ def test_verdict_validation_and_marks():
 
 def test_verdict_json_cleans_numpy():
     v = Verdict(VIOLATED, {"x": np.float64(1.5), "a": np.arange(3)}, 1e-9)
-    obj = v.to_json()
+    obj = _jsonable(v)
     assert obj["evidence"] == {"x": 1.5, "a": [0, 1, 2]}
     assert json.dumps(obj)  # serializable
 
@@ -694,10 +695,10 @@ def test_fuzz_violated_witnesses_recompute_bit_exactly(d, J, k, seed, delta):
     cfg = AuditConfig()
     v3 = audit_P3(d, cfg, 0, params=params)
     assert v3.status == VIOLATED, d
-    assert audit_P3(d, cfg, 0, params=params).to_json() == v3.to_json()
+    assert _jsonable(audit_P3(d, cfg, 0, params=params)) == _jsonable(v3)
     v5 = audit_P5(d, cfg, params=params, delta=delta)
     assert v5.status == VIOLATED, d
-    assert audit_P5(d, cfg, params=params, delta=delta).to_json() == v5.to_json()
+    assert _jsonable(audit_P5(d, cfg, params=params, delta=delta)) == _jsonable(v5)
 
 
 @settings(max_examples=N_FUZZ, deadline=None)
